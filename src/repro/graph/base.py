@@ -60,7 +60,6 @@ class ConstraintGraphBase:
         emit: Callable[[Op], None],
         online_cycles: bool = False,
         search_mode: SearchMode = SearchMode.DECREASING,
-        max_search_visits: Optional[int] = None,
         sink: Optional["TraceSink"] = None,
     ) -> None:
         self.num_vars = num_vars
@@ -69,7 +68,6 @@ class ConstraintGraphBase:
         self.emit = emit
         self.online_cycles = online_cycles
         self.search_mode = search_mode
-        self.max_search_visits = max_search_visits
         self.sink = sink
         self.unionfind = UnionFind(num_vars)
         # Hot-path bindings: `find` and `rank` are called several times
@@ -163,16 +161,67 @@ class ConstraintGraphBase:
         self.unionfind.union_into(witness_index, var_index)
 
     # ------------------------------------------------------------------
-    # Representation hooks (implemented by SF / IF)
+    # Representation hook (implemented by SF / IF)
     # ------------------------------------------------------------------
     def add_var_var(self, left: int, right: int) -> None:
         raise NotImplementedError
 
+    # ------------------------------------------------------------------
+    # Source and sink insertion (shared by both forms)
+    # ------------------------------------------------------------------
     def add_source(self, term: Term, var_index: int) -> None:
-        raise NotImplementedError
+        """Process ``c(...) <= X``: record and propagate forward."""
+        stats = self.stats
+        stats.work += 1
+        trace_sink = self.sink
+        if self._uf_parent[var_index] != var_index:
+            var_index = self.find(var_index)
+        bucket = self.sources[var_index]
+        # Single-probe redundancy check: `add` reports a duplicate
+        # through an unchanged size, sparing the separate `in` lookup.
+        size = len(bucket)
+        bucket.add(term)
+        if len(bucket) == size:
+            stats.redundant += 1
+            if trace_sink is not None:
+                trace_sink.edge("sv", term, var_index, "redundant")
+            return
+        if self._journal_sources is not None:
+            self._journal_sources[var_index].append(term)
+        if trace_sink is not None:
+            trace_sink.edge("sv", term, var_index, "added")
+        emit = self.emit
+        for succ in self.succ_vars[var_index]:
+            emit((OP_SOURCE, term, succ))
+        for sink in self.sinks[var_index]:
+            emit((OP_RESOLVE, term, sink))
 
     def add_sink(self, var_index: int, term: Term) -> None:
-        raise NotImplementedError
+        """Process ``X <= c(...)``: record, pass the sink back to the
+        variable predecessors (IF only — SF never stores ``pred_vars``)
+        and resolve against the sources."""
+        stats = self.stats
+        stats.work += 1
+        trace_sink = self.sink
+        if self._uf_parent[var_index] != var_index:
+            var_index = self.find(var_index)
+        bucket = self.sinks[var_index]
+        size = len(bucket)
+        bucket.add(term)
+        if len(bucket) == size:
+            stats.redundant += 1
+            if trace_sink is not None:
+                trace_sink.edge("vs", var_index, term, "redundant")
+            return
+        if self._journal_sinks is not None:
+            self._journal_sinks[var_index].append(term)
+        if trace_sink is not None:
+            trace_sink.edge("vs", var_index, term, "added")
+        emit = self.emit
+        for pred in self.pred_vars[var_index]:
+            emit((OP_SINK, pred, term))
+        for source in self.sources[var_index]:
+            emit((OP_RESOLVE, source, term))
 
     # ------------------------------------------------------------------
     # Cycle collapse (shared by both forms)
@@ -267,7 +316,6 @@ class ConstraintGraphBase:
             target,
             mode,
             self.stats,
-            self.max_search_visits,
             self.sink,
         )
         if path is None:

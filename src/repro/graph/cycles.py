@@ -50,7 +50,6 @@ def find_chain_path(
     target: int,
     mode: SearchMode,
     stats: SolverStats,
-    max_visits: Optional[int] = None,
     sink: Optional["TraceSink"] = None,
 ) -> Optional[List[int]]:
     """Search for a chain from ``start`` to ``target``.
@@ -59,8 +58,8 @@ def find_chain_path(
     neighbour is resolved through ``find`` before use.  A neighbour ``w``
     is followed only when its rank relates to the current vertex's rank
     according to ``mode``.  Returns the path ``[start, ..., target]``
-    (representatives, each vertex once) or ``None`` when no chain was
-    found within the optional visit budget.
+    (representatives, each vertex once) or ``None`` when the
+    restricted search finds no chain.
 
     When a trace ``sink`` is attached the search reports
     ``search.start``, one ``search.visit`` per popped node, and a
@@ -89,8 +88,6 @@ def find_chain_path(
         visits += 1
         if sink is not None:
             sink.search_visit(current)
-        if max_visits is not None and visits > max_visits:
-            break
         current_rank = rank(current)
         for raw in adjacency[current]:
             neighbour = find(raw)

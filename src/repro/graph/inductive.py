@@ -30,7 +30,6 @@ from typing import Dict, FrozenSet, List
 from ..constraints.expressions import Term
 from .base import (
     ConstraintGraphBase,
-    OP_RESOLVE,
     OP_SINK,
     OP_SOURCE,
     OP_VAR_VAR,
@@ -120,57 +119,6 @@ class InductiveGraph(ConstraintGraphBase):
                 emit((OP_VAR_VAR, left, succ))
             for term in self.sinks[right]:
                 emit((OP_SINK, left, term))
-
-    def add_source(self, term: Term, var_index: int) -> None:
-        """Process ``c(...) <= X`` (sources sit in predecessor position)."""
-        stats = self.stats
-        stats.work += 1
-        trace_sink = self.sink
-        if self._uf_parent[var_index] != var_index:
-            var_index = self.find(var_index)
-        bucket = self.sources[var_index]
-        # Single-probe redundancy check (see StandardGraph.add_source).
-        size = len(bucket)
-        bucket.add(term)
-        if len(bucket) == size:
-            stats.redundant += 1
-            if trace_sink is not None:
-                trace_sink.edge("sv", term, var_index, "redundant")
-            return
-        if self._journal_sources is not None:
-            self._journal_sources[var_index].append(term)
-        if trace_sink is not None:
-            trace_sink.edge("sv", term, var_index, "added")
-        emit = self.emit
-        for succ in self.succ_vars[var_index]:
-            emit((OP_SOURCE, term, succ))
-        for sink in self.sinks[var_index]:
-            emit((OP_RESOLVE, term, sink))
-
-    def add_sink(self, var_index: int, term: Term) -> None:
-        """Process ``X <= c(...)`` (sinks sit in successor position)."""
-        stats = self.stats
-        stats.work += 1
-        trace_sink = self.sink
-        if self._uf_parent[var_index] != var_index:
-            var_index = self.find(var_index)
-        bucket = self.sinks[var_index]
-        size = len(bucket)
-        bucket.add(term)
-        if len(bucket) == size:
-            stats.redundant += 1
-            if trace_sink is not None:
-                trace_sink.edge("vs", var_index, term, "redundant")
-            return
-        if self._journal_sinks is not None:
-            self._journal_sinks[var_index].append(term)
-        if trace_sink is not None:
-            trace_sink.edge("vs", var_index, term, "added")
-        emit = self.emit
-        for pred in self.pred_vars[var_index]:
-            emit((OP_SINK, pred, term))
-        for source in self.sources[var_index]:
-            emit((OP_RESOLVE, source, term))
 
     # ------------------------------------------------------------------
     # Least solution — equation (1) of the paper.

@@ -23,7 +23,6 @@ from typing import Dict, FrozenSet
 from ..constraints.expressions import Term
 from .base import (
     ConstraintGraphBase,
-    OP_RESOLVE,
     OP_SOURCE,
 )
 
@@ -79,56 +78,6 @@ class StandardGraph(ConstraintGraphBase):
         emit = self.emit
         for term in self.sources[left]:
             emit((OP_SOURCE, term, right))
-
-    def add_source(self, term: Term, var_index: int) -> None:
-        """Process ``c(...) <= X``: record and propagate forward."""
-        stats = self.stats
-        stats.work += 1
-        trace_sink = self.sink
-        if self._uf_parent[var_index] != var_index:
-            var_index = self.find(var_index)
-        bucket = self.sources[var_index]
-        # Single-probe redundancy check: `add` reports a duplicate
-        # through an unchanged size, sparing the separate `in` lookup.
-        size = len(bucket)
-        bucket.add(term)
-        if len(bucket) == size:
-            stats.redundant += 1
-            if trace_sink is not None:
-                trace_sink.edge("sv", term, var_index, "redundant")
-            return
-        if self._journal_sources is not None:
-            self._journal_sources[var_index].append(term)
-        if trace_sink is not None:
-            trace_sink.edge("sv", term, var_index, "added")
-        emit = self.emit
-        for succ in self.succ_vars[var_index]:
-            emit((OP_SOURCE, term, succ))
-        for sink in self.sinks[var_index]:
-            emit((OP_RESOLVE, term, sink))
-
-    def add_sink(self, var_index: int, term: Term) -> None:
-        """Process ``X <= c(...)``: record and resolve against sources."""
-        stats = self.stats
-        stats.work += 1
-        trace_sink = self.sink
-        if self._uf_parent[var_index] != var_index:
-            var_index = self.find(var_index)
-        bucket = self.sinks[var_index]
-        size = len(bucket)
-        bucket.add(term)
-        if len(bucket) == size:
-            stats.redundant += 1
-            if trace_sink is not None:
-                trace_sink.edge("vs", var_index, term, "redundant")
-            return
-        if self._journal_sinks is not None:
-            self._journal_sinks[var_index].append(term)
-        if trace_sink is not None:
-            trace_sink.edge("vs", var_index, term, "added")
-        emit = self.emit
-        for source in self.sources[var_index]:
-            emit((OP_RESOLVE, source, term))
 
     # ------------------------------------------------------------------
     # Least solution: explicit in SF.

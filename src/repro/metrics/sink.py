@@ -125,7 +125,7 @@ class MetricsSink(TraceSink):
         self._audit_children: Dict[str, object] = {}
         self._budget_stops = counter(
             "repro_solver_budget_stops_total",
-            "Guarded drains stopped early, by reason "
+            "Solver drains stopped early, by reason "
             "(work/deadline/edges/cancelled).",
             ("reason",),
         )

@@ -230,9 +230,10 @@ class EngineCheckpoint:
 def capture(engine: "SolverEngine") -> EngineCheckpoint:
     """Snapshot ``engine`` between worklist operations.
 
-    Safe whenever the engine is not actively inside ``_drain`` — after a
-    partial run (budget / cancellation stop), after an exception, or
-    between :class:`~repro.solver.IncrementalSolver` batches.
+    Safe whenever the engine is not actively inside
+    :meth:`~repro.solver.SolverEngine.drain` — after a partial run
+    (budget / cancellation stop), after an exception, or between
+    :class:`~repro.solver.IncrementalSolver` batches.
     """
     graph = engine.graph
     uf = graph.unionfind

@@ -8,7 +8,9 @@ paper).  The naive reference solver (:func:`repro.solver.solve_reference`)
 computes the same answers by brute-force saturation.  This module
 exploits that redundancy: generate seeded random systems
 (:func:`repro.workloads.generator.random_system`), solve each under all
-six configurations plus the reference, and cross-check
+six configurations plus the reference, replay it one constraint at a
+time into an :class:`~repro.solver.IncrementalSolver` under SF-Online
+and IF-Online, and cross-check
 
 * **least solutions** — every variable's solution under every
   configuration equals the reference's;
@@ -40,7 +42,12 @@ from ..constraints.expressions import ONE, SetExpression, Term, Var, ZERO
 from ..constraints.system import ConstraintSystem
 from ..constraints.variance import Variance
 from ..experiments.config import EXPERIMENT_LABELS, options_for
-from ..solver import solve, solve_reference
+from ..solver import (
+    IncrementalSolver,
+    SolverOptions,
+    solve,
+    solve_reference,
+)
 from ..workloads.generator import RandomSystemConfig, random_system
 from .errors import ResilienceError
 
@@ -76,6 +83,12 @@ class FuzzDisagreement:
         )
 
 
+#: Configurations the fuzzer also replays one constraint at a time into
+#: an :class:`~repro.solver.IncrementalSolver` (the oracle cannot run
+#: incrementally); reported as ``"<label>/incremental"``.
+INCREMENTAL_LABELS = ("SF-Online", "IF-Online")
+
+
 def check_system(
     system: ConstraintSystem,
     labels: Optional[Sequence[str]] = None,
@@ -87,44 +100,94 @@ def check_system(
     the first disagreement found.  ``seed`` is the variable-order seed
     passed to each configuration (the *system* is fixed; the order seed
     only changes how much work each run does, never its answers).
+    Batch solves are checked first, then the incremental replays of
+    the :data:`INCREMENTAL_LABELS` among ``labels``.
     """
     reference = solve_reference(system)
-    reference_ok = not reference.diagnostics
-    for label in labels or EXPERIMENT_LABELS:
+    labels = labels or EXPERIMENT_LABELS
+    for label in labels:
         solution = solve(system, options_for(label, seed=seed))
-        if solution.ok != reference_ok:
+        found = _compare(label, solution, solution.ok, system, reference)
+        if found is not None:
+            return found
+    for label in labels:
+        if label in INCREMENTAL_LABELS:
+            solver = solve_incremental(
+                system, options_for(label, seed=seed)
+            )
+            found = _compare(
+                f"{label}/incremental", solver, not solver.diagnostics,
+                system, reference,
+            )
+            if found is not None:
+                return found
+    return None
+
+
+def _compare(
+    label: str,
+    solved,
+    ok: bool,
+    system: ConstraintSystem,
+    reference,
+) -> Optional[Tuple[str, str, str]]:
+    """Cross-check one solved configuration against the reference.
+
+    ``solved`` is a :class:`~repro.solver.Solution` or an
+    :class:`~repro.solver.IncrementalSolver` replayed from ``system``
+    (same variable indices); both answer ``least_solution(var)`` and
+    ``representative(var)``.
+    """
+    reference_ok = not reference.diagnostics
+    if ok != reference_ok:
+        return (
+            label,
+            "verdict",
+            f"{'consistent' if ok else 'inconsistent'} but "
+            f"reference says "
+            f"{'consistent' if reference_ok else 'inconsistent'}",
+        )
+    for var in system.variables:
+        got = solved.least_solution(var)
+        want = reference.least_solution(var)
+        if got != want:
+            missing = sorted(map(str, want - got))
+            extra = sorted(map(str, got - want))
             return (
                 label,
-                "verdict",
-                f"{'consistent' if solution.ok else 'inconsistent'} but "
-                f"reference says "
-                f"{'consistent' if reference_ok else 'inconsistent'}",
+                "least-solution",
+                f"LS({var}) missing={missing} extra={extra}",
             )
-        for var in system.variables:
-            got = solution.least_solution(var)
-            want = reference.least_solution(var)
-            if got != want:
-                missing = sorted(map(str, want - got))
-                extra = sorted(map(str, got - want))
+    components: Dict[int, List[Var]] = {}
+    for var in system.variables:
+        components.setdefault(solved.representative(var), []).append(var)
+    for members in components.values():
+        base = reference.least_solution(members[0])
+        for other in members[1:]:
+            if reference.least_solution(other) != base:
                 return (
                     label,
-                    "least-solution",
-                    f"LS({var}) missing={missing} extra={extra}",
+                    "collapse",
+                    f"{members[0]} and {other} collapsed together but "
+                    f"have different reference least solutions",
                 )
-        components: Dict[int, List[Var]] = {}
-        for var in system.variables:
-            components.setdefault(solution.representative(var), []).append(var)
-        for members in components.values():
-            base = reference.least_solution(members[0])
-            for other in members[1:]:
-                if reference.least_solution(other) != base:
-                    return (
-                        label,
-                        "collapse",
-                        f"{members[0]} and {other} collapsed together but "
-                        f"have different reference least solutions",
-                    )
     return None
+
+
+def solve_incremental(
+    system: ConstraintSystem, options: SolverOptions
+) -> IncrementalSolver:
+    """Replay ``system`` into an :class:`IncrementalSolver`, one
+    constraint per ``add``.
+
+    Variables are created in the system's order, so the solver's
+    variable indices equal the system's.
+    """
+    solver = IncrementalSolver(options)
+    rebuild = _rebuilder(system, solver)
+    for left, right in system.constraints:
+        solver.add(rebuild(left), rebuild(right))
+    return solver
 
 
 # ----------------------------------------------------------------------
@@ -143,27 +206,37 @@ def subsystem(
     owned by their system of origin.
     """
     copy = ConstraintSystem(name or f"{system.name}-shrunk")
+    rebuild = _rebuilder(system, copy)
+    constraints = system.constraints
+    for index in indices:
+        left, right = constraints[index]
+        copy.add(rebuild(left), rebuild(right))
+    return copy
+
+
+def _rebuilder(
+    system: ConstraintSystem, builder
+) -> Callable[[SetExpression], SetExpression]:
+    """Register ``system``'s constructors and variables on ``builder``
+    (a :class:`ConstraintSystem` or :class:`IncrementalSolver`) and
+    return a function rebuilding ``system``'s expressions against it."""
     for ctor in system._constructors.values():
         if ctor is not ZERO_CONSTRUCTOR and ctor is not ONE_CONSTRUCTOR:
-            copy.constructor(ctor.name, ctor.signature)
-    fresh = [copy.fresh_var(var.name) for var in system.variables]
+            builder.constructor(ctor.name, ctor.signature)
+    fresh = [builder.fresh_var(var.name) for var in system.variables]
 
     def rebuild(expr: SetExpression) -> SetExpression:
         if isinstance(expr, Var):
             return fresh[expr.index]
         if expr is ZERO or expr is ONE:
             return expr
-        return copy.term(
+        return builder.term(
             expr.constructor.name,
             tuple(rebuild(arg) for arg in expr.args),
             expr.label,
         )
 
-    constraints = system.constraints
-    for index in indices:
-        left, right = constraints[index]
-        copy.add(rebuild(left), rebuild(right))
-    return copy
+    return rebuild
 
 
 def shrink_constraints(

@@ -6,13 +6,18 @@ representation, which in turn emits further operations.  Every processed
 ``vv``/``sv``/``vs`` operation is one unit of Work — the paper's cost
 metric — and ``rr`` operations apply the resolution rules ``R`` to a
 source/sink pair.
+
+There is one closure loop, :meth:`SolverEngine.drain`: a batch solve is
+a single drain of every constraint, an incremental solve one drain per
+added constraint.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..constraints.errors import ConstraintDiagnostic
 from ..constraints.expressions import SetExpression, Term
@@ -36,17 +41,21 @@ from ..resilience.errors import (
     GraphInvariantError,
     SolveCancelledError,
 )
-from ..trace.sinks import LegacyCallbackSink, combine
 from .options import CyclePolicy, GraphForm, SolverOptions
 from .solution import Solution
+
+#: Chunk length of an unsupervised drain: never reached.
+_UNBOUNDED = sys.maxsize
 
 
 class SolverEngine:
     """Solve one constraint system under one configuration.
 
-    Engines are single-use: construct, :meth:`run`, discard.  The oracle
-    policy is handled one level up (:func:`repro.solver.solve`) because
-    it needs two engine runs.
+    Batch engines are single-use: construct, :meth:`run`, discard.
+    :class:`~repro.solver.IncrementalSolver` keeps one engine alive and
+    calls :meth:`drain` after each added constraint.  The oracle policy
+    is handled one level up (:func:`repro.solver.solve`) because it
+    needs two engine runs.
     """
 
     def __init__(self, system: ConstraintSystem,
@@ -62,13 +71,7 @@ class SolverEngine:
         self.stats = SolverStats()
         self.diagnostics: List[ConstraintDiagnostic] = []
         self.pending: Deque[Op] = deque()
-        # The effective sink: the modern event sink, the legacy trace
-        # callable adapted onto the sink API, both (teed), or None.
-        self.sink = combine(
-            options.sink,
-            LegacyCallbackSink(options.trace)
-            if options.trace is not None else None,
-        )
+        self.sink = options.sink
         order = VariableOrder(options.order_spec(), system.num_vars)
         graph_class = (
             StandardGraph
@@ -82,7 +85,6 @@ class SolverEngine:
             self.pending.append,
             online_cycles=options.cycles is CyclePolicy.ONLINE,
             search_mode=options.search_mode,
-            max_search_visits=options.max_search_visits,
             sink=self.sink,
         )
         self.record_var_edges = options.record_var_edges
@@ -94,10 +96,16 @@ class SolverEngine:
         self._periodic = options.cycles is CyclePolicy.PERIODIC
         self._periodic_interval = max(1, options.periodic_interval)
         self._since_sweep = 0
+        # Recording and periodic sweeps wrap the graph's var-var
+        # insertion; runs without either dispatch to it directly.
+        self._add_var_var = (
+            self._observed_add_var_var
+            if self.record_var_edges or self._periodic
+            else self.graph.add_var_var
+        )
         # --- resilience layer -----------------------------------------
-        # All of this is inert (and off the closure hot path: the fast
-        # `_drain` is taken) unless a budget, cancellation token, or
-        # stride audit is configured.
+        # Inert unless a budget, cancellation token, or stride audit is
+        # configured: an unsupervised drain runs in unbounded chunks.
         if options.on_budget not in ("raise", "partial"):
             raise ValueError(
                 f"SolverOptions.on_budget must be 'raise' or 'partial', "
@@ -109,18 +117,17 @@ class SolverEngine:
         )
         self._cancellation = options.cancellation
         self._on_budget_partial = options.on_budget == "partial"
-        self._check_stride = max(1, options.check_stride)
-        self._audit_policy = AuditPolicy.parse(options.audit)
-        self._guarded = (
-            self._budget is not None
-            or self._cancellation is not None
-            or self._audit_policy.stride is not None
+        #: operations between budget/cancellation checks; None = no checks
+        self._check_stride = (
+            max(1, options.check_stride)
+            if self._budget is not None or self._cancellation is not None
+            else None
         )
+        self._audit_policy = AuditPolicy.parse(options.audit)
         self._closure_started = 0.0
         self._segment_work = 0
         self._segment_edges = 0
-        #: how the run ended so far; partial statuses are set by the
-        #: guarded drain, final statuses by :meth:`_complete`
+        #: how the last :meth:`drain` ended
         self.status = SolveStatus.COMPLETE
         # Interruptible runs are the ones that get checkpointed, so they
         # journal bucket insertion order for exact resume.
@@ -151,44 +158,17 @@ class SolverEngine:
         per segment (see :class:`~repro.resilience.budget.SolveBudget`),
         so each resume gets a fresh allowance and makes progress.
         """
-        self.status = SolveStatus.COMPLETE
         return self._complete()
 
     def _complete(self) -> Solution:
         """Drain the pending worklist, finalize, and build the solution."""
+        self.drain()
         sink = self.sink
-        started = time.perf_counter()
-        self._closure_started = started
-        # Segment baselines: budget limits bound this drain's growth,
-        # not the cumulative (possibly restored) counters.
-        self._segment_work = self.stats.work
-        self._segment_edges = edge_estimate(self.stats)
-        if sink is not None:
-            sink.phase_begin("closure")
-        try:
-            if self._guarded:
-                self._drain_guarded()
-            else:
-                self._drain()
-        finally:
-            # += so interrupted closure time survives checkpoint/resume
-            # and accumulates across incremental batches.
-            self.stats.closure_seconds += time.perf_counter() - started
-            if sink is not None:
-                sink.phase_end("closure")
         if sink is not None:
             sink.phase_begin("finalize")
         self.graph.finalize_statistics()
         if sink is not None:
             sink.phase_end("finalize")
-        if not self.status.is_partial:
-            if self._audit_policy.final:
-                self._run_audit()
-            self.status = (
-                SolveStatus.INCONSISTENT
-                if self.diagnostics
-                else SolveStatus.COMPLETE
-            )
         if self.options.strict and self.diagnostics:
             solution = self._make_solution({})
             solution.raise_on_errors()
@@ -202,21 +182,78 @@ class SolverEngine:
         return self._make_solution(least)
 
     # ------------------------------------------------------------------
-    def _drain(self) -> None:
+    def drain(self) -> None:
+        """Process the pending worklist as one closure segment.
+
+        The single entry to the closure loop: batch runs
+        (:meth:`run`/:meth:`resume`) and every
+        :meth:`IncrementalSolver.add <repro.solver.IncrementalSolver.add>`
+        go through here, so budgets, cancellation, audits, the
+        ``closure`` phase span and ``closure_seconds`` apply to both.
+        Budget limits bound this segment's growth, not the cumulative
+        (possibly restored) counters.
+
+        On a fixpoint the final audit runs (if configured) and
+        :attr:`status` becomes ``COMPLETE`` (or ``INCONSISTENT`` when
+        clashes were recorded).  On a limit the drain either raises
+        (``on_budget="raise"``) or sets a partial :attr:`status` and
+        returns with the remaining worklist intact, ready for
+        :func:`repro.resilience.checkpoint.capture`, another drain, or
+        :meth:`resume`.
+        """
+        sink = self.sink
+        stats = self.stats
+        started = time.perf_counter()
+        self._closure_started = started
+        self._segment_work = stats.work
+        self._segment_edges = edge_estimate(stats)
+        if sink is not None:
+            sink.phase_begin("closure")
+        try:
+            self.status = self._dispatch()
+        finally:
+            # += so interrupted closure time survives checkpoint/resume
+            # and accumulates across incremental batches.
+            stats.closure_seconds += time.perf_counter() - started
+            if sink is not None:
+                sink.phase_end("closure")
+
+    def _dispatch(self) -> SolveStatus:
+        """The dispatch loop, run in chunks between supervision checks.
+
+        Budget/cancellation checks (before the first operation, then
+        every ``check_stride``) and stride audits (every ``N``
+        operations) happen only at chunk boundaries; an unsupervised
+        run is one unbounded chunk per worklist generation.  The checks
+        observe and stop — they never reorder or skip operations — so
+        counters are identical to an unsupervised run.
+        """
         pending = self.pending
         popleft = pending.popleft
         graph = self.graph
-        add_var_var = graph.add_var_var
+        add_var_var = self._add_var_var
         add_source = graph.add_source
         add_sink = graph.add_sink
         resolve = self._resolve
-        record = self.record_var_edges
-        edge_keys = self._var_edge_keys
-        periodic = self._periodic
-        if not record and not periodic:
-            # Fast drain: identical dispatch without the per-operation
-            # record/periodic checks (the overwhelmingly common case).
-            while pending:
+        check_stride = self._check_stride
+        audit_stride = self._audit_policy.stride
+        until_check = 0 if check_stride is not None else _UNBOUNDED
+        until_audit = audit_stride or _UNBOUNDED
+        while pending:
+            if until_check == 0:
+                stopped = self._check_limits()
+                if stopped is not None:
+                    return stopped
+                until_check = check_stride
+            if until_audit == 0:
+                self._run_audit()
+                until_audit = audit_stride
+            # Each operation pops exactly one entry, so a chunk no
+            # longer than the worklist never pops an empty deque.
+            chunk = min(len(pending), until_check, until_audit)
+            until_check -= chunk
+            until_audit -= chunk
+            for _ in range(chunk):
                 tag, first, second = popleft()
                 if tag == OP_VAR_VAR:
                     add_var_var(first, second)
@@ -226,100 +263,37 @@ class SolverEngine:
                     add_sink(first, second)
                 else:
                     resolve(first, second)
-            return
-        while pending:
-            tag, first, second = popleft()
-            if tag == OP_VAR_VAR:
-                if record:
-                    edge_keys.add((first << 32) | second)
-                add_var_var(first, second)
-                if periodic:
-                    self._since_sweep += 1
-                    if self._since_sweep >= self._periodic_interval:
-                        self._since_sweep = 0
-                        self.stats.periodic_sweeps += 1
-                        eliminated = graph.collapse_all_sccs()
-                        if self.sink is not None:
-                            self.sink.sweep(eliminated)
-            elif tag == OP_SOURCE:
-                add_source(first, second)
-            elif tag == OP_SINK:
-                add_sink(first, second)
-            else:
-                resolve(first, second)
+        if self._audit_policy.final:
+            self._run_audit()
+        return (
+            SolveStatus.INCONSISTENT
+            if self.diagnostics
+            else SolveStatus.COMPLETE
+        )
 
-    def _drain_guarded(self) -> None:
-        """Drain under budget / cancellation / stride-audit supervision.
+    def _observed_add_var_var(self, first: int, second: int) -> None:
+        """``add_var_var`` plus var-edge recording and periodic sweeps."""
+        if self.record_var_edges:
+            self._var_edge_keys.add((first << 32) | second)
+        self.graph.add_var_var(first, second)
+        if self._periodic:
+            self._since_sweep += 1
+            if self._since_sweep >= self._periodic_interval:
+                self._since_sweep = 0
+                self.stats.periodic_sweeps += 1
+                eliminated = self.graph.collapse_all_sccs()
+                if self.sink is not None:
+                    self.sink.sweep(eliminated)
 
-        Dispatches identically to :meth:`_drain` (including the record
-        and periodic paths), but every ``check_stride`` operations it
-        polls the budget and cancellation token, and every
-        ``stride-N`` operations it audits the graph invariants.  The
-        checks observe and stop — they never reorder or skip operations
-        — so counters stay bit-identical to an unguarded run.
-
-        On a limit, either raises (``on_budget="raise"``) or sets a
-        partial :attr:`status` and returns with the remaining worklist
-        intact, ready for :func:`repro.resilience.checkpoint.capture`
-        or :meth:`resume`.
-        """
-        pending = self.pending
-        popleft = pending.popleft
-        graph = self.graph
-        add_var_var = graph.add_var_var
-        add_source = graph.add_source
-        add_sink = graph.add_sink
-        resolve = self._resolve
-        record = self.record_var_edges
-        edge_keys = self._var_edge_keys
-        periodic = self._periodic
-        stride = self._check_stride
-        audit_stride = self._audit_policy.stride
-        limits = self._budget is not None or self._cancellation is not None
-        since_check = 0
-        since_audit = 0
-        while pending:
-            if limits:
-                since_check += 1
-                if since_check >= stride:
-                    since_check = 0
-                    if not self._check_limits():
-                        return
-            if audit_stride is not None:
-                since_audit += 1
-                if since_audit >= audit_stride:
-                    since_audit = 0
-                    self._run_audit()
-            tag, first, second = popleft()
-            if tag == OP_VAR_VAR:
-                if record:
-                    edge_keys.add((first << 32) | second)
-                add_var_var(first, second)
-                if periodic:
-                    self._since_sweep += 1
-                    if self._since_sweep >= self._periodic_interval:
-                        self._since_sweep = 0
-                        self.stats.periodic_sweeps += 1
-                        eliminated = graph.collapse_all_sccs()
-                        if self.sink is not None:
-                            self.sink.sweep(eliminated)
-            elif tag == OP_SOURCE:
-                add_source(first, second)
-            elif tag == OP_SINK:
-                add_sink(first, second)
-            else:
-                resolve(first, second)
-
-    def _check_limits(self) -> bool:
-        """Poll cancellation and budget; False means stop (partial)."""
+    def _check_limits(self) -> Optional[SolveStatus]:
+        """Poll cancellation and budget; a status means stop (partial)."""
         sink = self.sink
         cancellation = self._cancellation
         if cancellation is not None and cancellation.cancelled:
             if sink is not None:
                 sink.budget_stop("cancelled", 0.0, self.stats.work)
             if self._on_budget_partial:
-                self.status = SolveStatus.CANCELLED
-                return False
+                return SolveStatus.CANCELLED
             raise SolveCancelledError(self.stats.work)
         budget = self._budget
         if budget is not None:
@@ -334,12 +308,11 @@ class SolverEngine:
                 if sink is not None:
                     sink.budget_stop(reason, limit, value)
                 if self._on_budget_partial:
-                    self.status = SolveStatus.BUDGET_EXHAUSTED
-                    return False
+                    return SolveStatus.BUDGET_EXHAUSTED
                 raise BudgetExceededError(
                     reason, limit, value, self.stats.work
                 )
-        return True
+        return None
 
     def _run_audit(self) -> None:
         """Audit graph invariants; report failures and raise on any."""

@@ -6,6 +6,12 @@ needs to see the constraint set up front — so expose that: an
 the graph after each batch) and answers least-solution queries between
 additions.  Batch solving is the special case of one big batch.
 
+Each addition runs through the same engine drain as a batch solve, so
+budgets, cancellation and audits apply per addition (the ``final``
+audit after every closed addition).  Whole-system validation stays
+batch-only: ``ConstraintSystem.add`` already checks each expression,
+and re-validating the system would cost O(n) per edit.
+
 Restrictions: the oracle policy needs the final graph and therefore
 cannot run incrementally (use NONE or ONLINE), and variables must be
 created through :meth:`fresh_var` so the graph can grow with them.
@@ -13,13 +19,13 @@ created through :meth:`fresh_var` so the graph can grow with them.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, FrozenSet, List, Optional
 
 from ..constraints.errors import ConstraintDiagnostic
 from ..constraints.expressions import SetExpression, Term, Var
 from ..constraints.system import ConstraintSystem
 from ..graph.base import OP_RESOLVE
+from ..resilience.budget import SolveStatus
 from .engine import SolverEngine
 from .options import CyclePolicy, SolverOptions
 
@@ -66,13 +72,18 @@ class IncrementalSolver:
     # Solving
     # ------------------------------------------------------------------
     def add(self, left: SetExpression, right: SetExpression) -> None:
-        """Add one constraint and immediately close the graph."""
+        """Add one constraint and immediately close the graph.
+
+        The closure is one :meth:`SolverEngine.drain` segment, so the
+        options' budget, cancellation token and audit policy apply to
+        each ``add``.  After a partial stop (``on_budget="partial"``,
+        see :attr:`status`) the unprocessed worklist is kept, and the
+        next ``add`` finishes it before its own constraint.
+        """
         self.system.add(left, right)
-        started = time.perf_counter()
-        self._engine.pending.append((OP_RESOLVE, left, right))
-        self._engine._drain()
-        self._engine.stats.closure_seconds += time.perf_counter() - started
         self._least = None  # invalidate
+        self._engine.pending.append((OP_RESOLVE, left, right))
+        self._engine.drain()
 
     def add_all(self, pairs) -> None:
         for left, right in pairs:
@@ -121,15 +132,21 @@ class IncrementalSolver:
         )
         self._least = None  # invalidate
 
+    def representative(self, var: Var) -> int:
+        """Index of the component ``var`` was collapsed into."""
+        return self._engine.graph.find(var.index)
+
     def same_component(self, a: Var, b: Var) -> bool:
-        return (
-            self._engine.graph.find(a.index)
-            == self._engine.graph.find(b.index)
-        )
+        return self.representative(a) == self.representative(b)
 
     @property
     def stats(self):
         return self._engine.stats
+
+    @property
+    def status(self) -> SolveStatus:
+        """How the last :meth:`add` ended (partial after a budget stop)."""
+        return self._engine.status
 
     @property
     def diagnostics(self) -> List[ConstraintDiagnostic]:

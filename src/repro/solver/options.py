@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..graph.cycles import SearchMode
 from ..graph.order import OrderSpec, RandomOrder
@@ -64,8 +64,6 @@ class SolverOptions:
     #: chain-search direction (only meaningful for SF online; the paper's
     #: algorithm is DECREASING, INCREASING is the Section 4 ablation)
     search_mode: SearchMode = SearchMode.DECREASING
-    #: optional visit budget per cycle search (None = unbounded)
-    max_search_visits: Optional[int] = None
     #: record every processed var-var constraint over original variable
     #: ids (needed for final-graph SCC statistics and by the oracle)
     record_var_edges: bool = False
@@ -76,20 +74,14 @@ class SolverOptions:
     periodic_interval: int = 1000
     #: raise InconsistentConstraintError on the first clash
     strict: bool = False
-    #: legacy observer called as trace(event, payload) for the three
-    #: coarse events: "collapse" (a cycle was eliminated), "sweep" (a
-    #: periodic SCC pass ran), "clash" (an inconsistency was recorded).
-    #: New code should attach a :class:`repro.trace.TraceSink` via
-    #: ``sink`` instead; both may be set and both will observe.
-    trace: Optional[Callable[[str, dict], None]] = None
     #: full-fidelity event sink (see :mod:`repro.trace`): edge
     #: insertions, resolutions, partial cycle searches, collapses,
     #: phase spans.  None (the default) disables tracing at the cost of
     #: one attribute check per instrumented operation.
     sink: Optional["TraceSink"] = None
-    #: bounds on this run (work units / wall clock / edge estimate);
-    #: None (the default) leaves the run unbounded and keeps the
-    #: resilience checks entirely off the closure hot path
+    #: bounds on each closure segment (work units / wall clock / edge
+    #: estimate): a batch run or resume, or one incremental add; None
+    #: (the default) leaves the run unbounded and unchecked
     budget: Optional["SolveBudget"] = None
     #: cooperative cancellation flag polled on ``check_stride``
     cancellation: Optional["CancellationToken"] = None

@@ -47,7 +47,6 @@ from .sinks import (
     NULL_SINK,
     CollectorSink,
     JsonlSink,
-    LegacyCallbackSink,
     TeeSink,
     TraceSink,
     combine,
@@ -60,7 +59,6 @@ __all__ = [
     "EVENT_NAMES",
     "HistogramSink",
     "JsonlSink",
-    "LegacyCallbackSink",
     "NULL_SINK",
     "OnlineHistogram",
     "TeeSink",

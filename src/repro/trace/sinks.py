@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import json
 import time
-from typing import Callable, Iterable, List, Optional, Sequence, TextIO
+from typing import Iterable, List, Optional, Sequence, TextIO
 
 from .events import (
     EV_AUDIT,
@@ -89,7 +89,7 @@ class TraceSink:
         failure of an audit pass before the engine raises."""
 
     def budget_stop(self, reason: str, limit: float, value: float) -> None:
-        """The guarded drain stopped early: a budget dimension
+        """A solver drain stopped early: a budget dimension
         (``"work"``/``"deadline"``/``"edges"``) hit ``limit`` at
         ``value``, or the run was ``"cancelled"``.  Emitted before the
         engine raises or returns a partial solution."""
@@ -232,32 +232,6 @@ class TeeSink(TraceSink):
     def close(self):
         for sink in self.sinks:
             sink.close()
-
-
-class LegacyCallbackSink(TraceSink):
-    """Adapt the original ``SolverOptions.trace`` callable onto the sink
-    API.
-
-    The pre-subsystem observer received exactly three events —
-    ``("collapse", {"witness", "members"})``, ``("sweep",
-    {"eliminated"})`` and ``("clash", {"diagnostic"})`` — with these
-    payload shapes; both are preserved verbatim so existing callbacks
-    keep working unchanged.
-    """
-
-    def __init__(self, callback: Callable[[str, dict], None]) -> None:
-        self.callback = callback
-
-    def collapse(self, witness, members):
-        self.callback(
-            "collapse", {"witness": witness, "members": tuple(members)}
-        )
-
-    def sweep(self, eliminated):
-        self.callback("sweep", {"eliminated": eliminated})
-
-    def clash(self, diagnostic):
-        self.callback("clash", {"diagnostic": diagnostic})
 
 
 def _jsonable(value: object) -> object:

@@ -4,7 +4,7 @@ from repro.graph import SearchMode, SolverStats, find_chain_path
 
 
 def search(adjacency, start, target, ranks=None, mode=SearchMode.DECREASING,
-           max_visits=None, stats=None):
+           stats=None):
     n = len(adjacency)
     ranks = ranks if ranks is not None else list(range(n))
     stats = stats if stats is not None else SolverStats()
@@ -16,7 +16,6 @@ def search(adjacency, start, target, ranks=None, mode=SearchMode.DECREASING,
         target=target,
         mode=mode,
         stats=stats,
-        max_visits=max_visits,
     )
 
 
@@ -86,15 +85,6 @@ class TestIncreasingSearch:
 
 
 class TestBudgetAndStats:
-    def test_max_visits_budget(self):
-        # A long chain; a tiny budget stops the search early.
-        n = 50
-        adjacency = [set() for _ in range(n)]
-        for i in range(1, n):
-            adjacency[i].add(i - 1)
-        assert search(adjacency, start=n - 1, target=0,
-                      max_visits=3) is None
-
     def test_search_counted(self):
         stats = SolverStats()
         search([set(), {0}], start=1, target=0, stats=stats)

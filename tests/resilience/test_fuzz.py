@@ -9,15 +9,19 @@ import pytest
 from repro.graph.base import ConstraintGraphBase
 from repro.resilience import FuzzDisagreement, run_fuzz
 from repro.resilience.errors import ResilienceError
+from repro.experiments.config import options_for
 from repro.resilience.fuzz import (
+    INCREMENTAL_LABELS,
     check_system,
     load_reproducer,
     save_reproducer,
     shrink_constraints,
+    solve_incremental,
     subsystem,
     system_from_json,
     system_to_json,
 )
+from repro.solver import solve
 from repro.workloads.generator import RandomSystemConfig, random_system
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "fuzz_corpus")
@@ -154,3 +158,31 @@ class TestCorpusReplay:
                 f"(originally {meta['kind']} under {meta['label']}) "
                 f"disagrees again"
             )
+
+
+class TestIncrementalReplay:
+    def test_replay_matches_batch(self):
+        system = random_system(RandomSystemConfig(seed=3))
+        for label in INCREMENTAL_LABELS:
+            batch = solve(system, options_for(label))
+            replayed = solve_incremental(system, options_for(label))
+            for var in system.variables:
+                assert replayed.least_solution(var) == \
+                    batch.least_solution(var), (label, var)
+
+    def test_incremental_disagreement_is_labelled(self, monkeypatch):
+        """A bug only on the incremental path is reported as such."""
+        import repro.resilience.fuzz as fuzz
+
+        def drop_last(system, options):
+            # Replays every constraint but the last one.
+            return real(subsystem(system, range(len(system) - 1)), options)
+
+        real = fuzz.solve_incremental
+        monkeypatch.setattr(fuzz, "solve_incremental", drop_last)
+        system = random_system(RandomSystemConfig(
+            seed=0, sinks=0, structural=0, extremes=0.0, feedback=0.4,
+        ))
+        found = check_system(system, labels=["IF-Online"])
+        assert found is not None
+        assert found[0] == "IF-Online/incremental"

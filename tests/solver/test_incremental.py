@@ -3,13 +3,26 @@
 import pytest
 
 from repro import ConstraintSystem, Variance
+from repro.bench.measure import counters_of
+from repro.experiments.config import options_for
+from repro.graph.base import ConstraintGraphBase
+from repro.resilience import (
+    BudgetExceededError,
+    GraphInvariantError,
+    SolveCancelledError,
+)
+from repro.resilience.fuzz import solve_incremental
 from repro.solver import (
+    CancellationToken,
     CyclePolicy,
     GraphForm,
+    SolveBudget,
     SolverOptions,
+    SolveStatus,
     solve,
 )
 from repro.solver.incremental import IncrementalSolver
+from repro.workloads.generator import RandomSystemConfig, random_system
 
 
 def make_solver(**overrides):
@@ -217,3 +230,89 @@ class TestStandardFormDifferential:
         for var in (a, b, c):
             assert {str(t) for t in solver.least_solution(var)} \
                 == {"box[pa](0)", "box[pb](1)"}, str(var)
+
+
+def _chain_then_source(solver, length=40):
+    """Add a var chain ``x0 <= ... <= xn``, then a source at ``x0``.
+
+    Under standard form every chain edge costs one work unit and the
+    final source add costs one per chain variable, so only that last
+    add can exhaust a small per-add budget.  Returns the chain.
+    """
+    box = solver.constructor("box", (Variance.COVARIANT,))
+    chain = [solver.fresh_var(f"x{i}") for i in range(length)]
+    for left, right in zip(chain, chain[1:]):
+        solver.add(left, right)
+    solver.add(solver.term(box, (solver.zero,), label="p"), chain[0])
+    return chain
+
+
+class TestSupervisedAdd:
+    """Budgets, cancellation and stride audits apply to every ``add``."""
+
+    def test_work_budget_raises_from_add(self):
+        solver = make_solver(form=GraphForm.STANDARD,
+                             budget=SolveBudget(max_work=5),
+                             check_stride=1)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            _chain_then_source(solver)
+        assert excinfo.value.reason == "work"
+        assert excinfo.value.limit == 5
+
+    def test_partial_add_is_finished_by_a_later_add(self):
+        plain = make_solver(form=GraphForm.STANDARD)
+        plain_chain = _chain_then_source(plain)
+        plain.add(plain.fresh_var(), plain.fresh_var())
+
+        solver = make_solver(form=GraphForm.STANDARD,
+                             budget=SolveBudget(max_work=25),
+                             on_budget="partial", check_stride=1)
+        chain = _chain_then_source(solver)
+        assert solver.status is SolveStatus.BUDGET_EXHAUSTED
+        assert solver.least_solution(chain[-1]) == frozenset()
+        # A fresh per-add allowance drains the leftover worklist first.
+        solver.add(solver.fresh_var(), solver.fresh_var())
+        assert solver.status is SolveStatus.COMPLETE
+        assert counters_of(solver) == counters_of(plain)
+        assert len(solver.least_solution(chain[-1])) == 1
+        assert len(plain.least_solution(plain_chain[-1])) == 1
+
+    def test_cancelled_token_raises_from_add(self):
+        token = CancellationToken()
+        solver = make_solver(cancellation=token, check_stride=1)
+        x, y = solver.fresh_var(), solver.fresh_var()
+        solver.add(x, y)
+        token.cancel()
+        with pytest.raises(SolveCancelledError):
+            solver.add(y, x)
+
+    @pytest.mark.parametrize("label", ("SF-Online", "IF-Online"))
+    def test_stride_audit_runs_during_add(self, monkeypatch, label):
+        # Union without re-emitting or clearing the absorbed variable:
+        # the nonrep-state invariant the auditor checks.
+        def broken(self, absorbed, witness):
+            self.unionfind.union_into(witness, absorbed)
+            self.stats.vars_eliminated += 1
+
+        monkeypatch.setattr(ConstraintGraphBase, "_absorb", broken)
+        system = random_system(RandomSystemConfig(
+            seed=0, sinks=0, structural=0, extremes=0.0, feedback=0.4,
+        ))
+        with pytest.raises(GraphInvariantError):
+            solve_incremental(system, options_for(label, audit="stride-1"))
+
+    def test_stride_audit_checks_inside_each_add(self, monkeypatch):
+        from repro.solver import engine as engine_module
+
+        calls = []
+        real = engine_module.audit_graph
+
+        def counting(graph):
+            calls.append(1)
+            return real(graph)
+
+        monkeypatch.setattr(engine_module, "audit_graph", counting)
+        system = random_system(RandomSystemConfig(seed=1))
+        solve_incremental(system, options_for("IF-Online", audit="stride-2"))
+        # The end-of-add audit alone would run once per constraint.
+        assert len(calls) > len(system.constraints)

@@ -1,4 +1,4 @@
-"""Sink API contracts: null-sink overhead guard, tee, legacy, JSONL."""
+"""Sink API contracts: null-sink overhead guard, tee, JSONL."""
 
 import io
 import json
@@ -13,7 +13,6 @@ from repro.trace import (
     NULL_SINK,
     CollectorSink,
     JsonlSink,
-    LegacyCallbackSink,
     TeeSink,
     TraceSink,
     combine,
@@ -220,40 +219,6 @@ class TestTeeAndCombine:
         assert combine(None, only, None) is only
         tee = combine(CollectorSink(), CollectorSink())
         assert isinstance(tee, TeeSink)
-
-
-class TestLegacyCallback:
-    def test_legacy_trace_option_still_observes(self):
-        seen = []
-        solve(
-            build_system(),
-            options().replace(trace=lambda ev, data: seen.append((ev, data))),
-        )
-        kinds = {ev for ev, _ in seen}
-        assert "collapse" in kinds
-        for ev, data in seen:
-            if ev == "collapse":
-                assert isinstance(data["members"], tuple)
-                assert data["witness"] in data["members"]
-
-    def test_legacy_and_sink_both_observe(self):
-        seen = []
-        sink = CollectorSink()
-        solve(
-            build_system(),
-            options(sink=sink).replace(
-                trace=lambda ev, data: seen.append(ev)
-            ),
-        )
-        assert seen.count("collapse") == sum(
-            1 for e in sink.events if e.name == "collapse"
-        )
-
-    def test_legacy_sweep_payload(self):
-        seen = []
-        sink = LegacyCallbackSink(lambda ev, data: seen.append((ev, data)))
-        sink.sweep(7)
-        assert seen == [("sweep", {"eliminated": 7})]
 
 
 class TestJsonl:
