@@ -361,7 +361,20 @@ class ConstraintGraphBase:
 
         Standard form reads it off the explicit source buckets
         (canonicalized through ``find``); inductive form evaluates
-        equation (1) in rank order.
+        equation (1) in rank order.  Batch solving calls this once,
+        after the closure.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not compute least solutions"
+        )
+
+    def least_solution_of(self, var_index: int, memo):
+        """``LS`` of one variable on demand; implemented per graph form.
+
+        ``memo`` maps representatives to solved sets; implementations
+        read and fill it, and it is valid until the graph next changes.
+        Incremental queries call this instead of
+        :meth:`compute_least_solution`.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not compute least solutions"

@@ -14,8 +14,10 @@ successors (sinks **or** variables):
     L ...-> X -> R   =>   L <= R
 
 so — unlike SF — closure adds transitive variable-variable edges.  The
-least solution is *not* explicit; it is computed afterwards by equation
-(1) of the paper, sweeping variables in increasing order.
+least solution is *not* explicit; it is computed by equation (1) of the
+paper, either for every variable by one sweep in increasing order
+(batch solving) or for one variable over its predecessor cone
+(incremental queries).
 
 Online cycle elimination (Figure 3): inserting a successor edge
 ``X -> Y`` searches the predecessor chains of ``X`` for ``Y``;
@@ -25,7 +27,7 @@ decreasing-rank restriction is implied by the representation.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, List, Set
 
 from ..constraints.expressions import Term
 from .base import (
@@ -146,3 +148,55 @@ class InductiveGraph(ConstraintGraphBase):
                 merged.update(solution[pred])
             solution[rep] = frozenset(merged)
         return solution
+
+    def least_solution_of(
+        self, var_index: int, memo: Dict[int, FrozenSet[Term]]
+    ) -> FrozenSet[Term]:
+        """``LS`` of one variable, evaluated on its predecessor cone.
+
+        The same equation (1) as :meth:`compute_least_solution`, but
+        only over the representatives ``find(var_index)`` reaches along
+        canonical predecessors, in post-order.  Every solved
+        representative is stored in ``memo``, which stays valid until
+        the graph next changes, so later queries reuse shared parts of
+        their cones.  The walk keeps an explicit stack: predecessor
+        chains can be longer than the recursion limit.  Canonical
+        predecessors have strictly smaller rank, so the cone is acyclic
+        and every representative on it is solved exactly once.
+        """
+        find = self.find
+        root = find(var_index)
+        solved = memo.get(root)
+        if solved is not None:
+            return solved
+        pred_vars = self.pred_vars
+        sources = self.sources
+        # rep -> its canonical predecessors, once the walk has expanded it
+        expanded: Dict[int, Set[int]] = {}
+        stack = [root]
+        while stack:
+            rep = stack[-1]
+            preds = expanded.get(rep)
+            if preds is None:
+                if rep in memo:
+                    stack.pop()
+                    continue
+                preds = {find(raw) for raw in pred_vars[rep]}
+                preds.discard(rep)
+                expanded[rep] = preds
+                waiting = [pred for pred in preds if pred not in memo]
+                if waiting:
+                    stack.extend(waiting)
+                    continue
+            # Everything pushed above `rep` has been solved.
+            stack.pop()
+            if rep in memo:  # a second stack entry for a solved rep
+                continue
+            if not preds:
+                memo[rep] = frozenset(sources[rep])
+                continue
+            merged = set(sources[rep])
+            for pred in preds:
+                merged.update(memo[pred])
+            memo[rep] = frozenset(merged)
+        return memo[root]

@@ -82,20 +82,33 @@ class StandardGraph(ConstraintGraphBase):
     # ------------------------------------------------------------------
     # Least solution: explicit in SF.
     # ------------------------------------------------------------------
-    def least_solution_of(self, var_index: int) -> frozenset:
-        return frozenset(self.sources[self.find(var_index)])
+    def least_solution_of(
+        self, var_index: int, memo: Dict[int, FrozenSet[Term]]
+    ) -> FrozenSet[Term]:
+        """``LS`` of one variable: its representative's source bucket.
+
+        ``add_source`` stores at the representative and ``_absorb``
+        empties every bucket it absorbs (re-emitting the terms against
+        the witness), so ``sources[find(var_index)]`` is what
+        :meth:`compute_least_solution` reads for the component, also
+        after a partial drain, where terms still on the worklist are
+        missing from both.  The frozen copy is kept in ``memo`` until
+        the graph next changes.
+        """
+        rep = self.find(var_index)
+        solved = memo.get(rep)
+        if solved is None:
+            solved = memo[rep] = frozenset(self.sources[rep])
+        return solved
 
     def compute_least_solution(self) -> Dict[int, FrozenSet[Term]]:
         """``LS`` for every representative — explicit in standard form.
 
-        Canonicalized through ``find``: source terms are accumulated
-        from *every* variable's bucket onto its representative, not
-        read off ``sources[rep]`` alone, so the result is correct even
-        if a collapse has absorbed a source-carrying vertex whose
-        bucket migration is still pending on the worklist (``_absorb``
-        re-emits absorbed sources as worklist operations rather than
-        moving them synchronously).  Pure read — no counters or
-        journals are touched.
+        Source terms are accumulated from every variable's bucket onto
+        its representative.  Absorbed buckets are empty (see
+        :meth:`least_solution_of`), so this equals reading
+        ``sources[rep]``.  Pure read — no counters or journals are
+        touched.
         """
         find = self.find
         sources = self.sources

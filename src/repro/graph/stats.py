@@ -52,6 +52,7 @@ class SolverStats:
     periodic_sweeps: int = 0
 
     #: wall-clock seconds for closure and for least-solution computation
+    #: (incrementally: summed over every ``add`` and every query)
     closure_seconds: float = 0.0
     least_solution_seconds: float = 0.0
 

@@ -174,6 +174,12 @@ def _compare(
     return None
 
 
+#: The incremental replay queries one variable after every this many
+#: additions, so least-solution memos are filled mid-stream and every
+#: later ``add`` has to invalidate them.
+INCREMENTAL_QUERY_STRIDE = 3
+
+
 def solve_incremental(
     system: ConstraintSystem, options: SolverOptions
 ) -> IncrementalSolver:
@@ -181,12 +187,18 @@ def solve_incremental(
     constraint per ``add``.
 
     Variables are created in the system's order, so the solver's
-    variable indices equal the system's.
+    variable indices equal the system's.  After every
+    :data:`INCREMENTAL_QUERY_STRIDE`-th ``add`` the least solution of a
+    variable drawn from ``options.seed`` is queried.
     """
     solver = IncrementalSolver(options)
     rebuild = _rebuilder(system, solver)
-    for left, right in system.constraints:
+    variables = solver.system.variables
+    rng = random.Random(options.seed)
+    for count, (left, right) in enumerate(system.constraints, 1):
         solver.add(rebuild(left), rebuild(right))
+        if variables and count % INCREMENTAL_QUERY_STRIDE == 0:
+            solver.least_solution(rng.choice(variables))
     return solver
 
 

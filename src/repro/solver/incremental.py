@@ -6,6 +6,13 @@ needs to see the constraint set up front — so expose that: an
 the graph after each batch) and answers least-solution queries between
 additions.  Batch solving is the special case of one big batch.
 
+Queries are demand-driven: ``least_solution(v)`` evaluates the paper's
+equation (1) only on ``v``'s predecessor cone (inductive form) or reads
+``v``'s representative's source bucket (standard form), memoized per
+representative until the next :meth:`IncrementalSolver.add`.  An edit
+followed by a query therefore costs in proportion to the edit and the
+cone, not to the whole graph; batch solving keeps its one full sweep.
+
 Each addition runs through the same engine drain as a batch solve, so
 budgets, cancellation and audits apply per addition (the ``final``
 audit after every closed addition).  Whole-system validation stays
@@ -19,6 +26,7 @@ created through :meth:`fresh_var` so the graph can grow with them.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, FrozenSet, List, Optional
 
 from ..constraints.errors import ConstraintDiagnostic
@@ -44,7 +52,8 @@ class IncrementalSolver:
         self.system = ConstraintSystem("incremental")
         self.options = options
         self._engine = SolverEngine(self.system, options)
-        self._least: Optional[Dict[int, FrozenSet[Term]]] = None
+        #: solved representatives since the last change to the graph
+        self._memo: Dict[int, FrozenSet[Term]] = {}
 
     # ------------------------------------------------------------------
     # Construction API (delegates to the underlying system)
@@ -81,7 +90,7 @@ class IncrementalSolver:
         next ``add`` finishes it before its own constraint.
         """
         self.system.add(left, right)
-        self._least = None  # invalidate
+        self._memo = {}
         self._engine.pending.append((OP_RESOLVE, left, right))
         self._engine.drain()
 
@@ -90,20 +99,27 @@ class IncrementalSolver:
             self.add(left, right)
 
     def least_solution(self, var: Var) -> FrozenSet[Term]:
-        """Current least solution of ``var`` (recomputed lazily).
+        """Current least solution of ``var``.
 
-        Shares :meth:`~repro.graph.base.ConstraintGraphBase.
-        compute_least_solution` with the batch engine; for standard
-        form that accumulates source buckets through ``find`` instead
-        of reading ``sources[rep]`` directly, so a query between
-        batches cannot miss terms still attached to a vertex an online
-        collapse absorbed (the SF-Online differential tests pin this
-        against the reference solver).
+        Answered by the graph's :meth:`~repro.graph.base.
+        ConstraintGraphBase.least_solution_of` from the memo kept since
+        the last :meth:`add`.  After a partial drain the answer is a
+        subset of the complete one (see :attr:`status`).  The time is
+        added to ``stats.least_solution_seconds`` and, with a trace
+        sink, spanned as a ``least-solution`` phase.
         """
-        if self._least is None:
-            self._least = self._engine.graph.compute_least_solution()
-        rep = self._engine.graph.find(var.index)
-        return self._least.get(rep, frozenset())
+        engine = self._engine
+        sink = engine.sink
+        started = time.perf_counter()
+        if sink is not None:
+            sink.phase_begin("least-solution")
+        answer = engine.graph.least_solution_of(var.index, self._memo)
+        engine.stats.least_solution_seconds += (
+            time.perf_counter() - started
+        )
+        if sink is not None:
+            sink.phase_end("least-solution")
+        return answer
 
     # ------------------------------------------------------------------
     # Checkpoint / restore between batches
@@ -130,7 +146,7 @@ class IncrementalSolver:
         self._engine = restore_engine(
             self.system, self.options, checkpoint
         )
-        self._least = None  # invalidate
+        self._memo = {}
 
     def representative(self, var: Var) -> int:
         """Index of the component ``var`` was collapsed into."""

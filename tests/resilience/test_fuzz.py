@@ -186,3 +186,23 @@ class TestIncrementalReplay:
         found = check_system(system, labels=["IF-Online"])
         assert found is not None
         assert found[0] == "IF-Online/incremental"
+
+    @pytest.mark.parametrize("label", INCREMENTAL_LABELS)
+    def test_mid_stream_queries_expose_stale_memos(self, monkeypatch,
+                                                   label):
+        """An ``add`` that keeps the query memo is caught, because the
+        replay queries between additions."""
+        from repro.solver.incremental import IncrementalSolver
+
+        real_add = IncrementalSolver.add
+
+        def stale_add(self, left, right):
+            memo = self._memo
+            real_add(self, left, right)
+            self._memo = memo
+
+        monkeypatch.setattr(IncrementalSolver, "add", stale_add)
+        system = random_system(RandomSystemConfig(seed=0))
+        found = check_system(system, labels=[label])
+        assert found is not None
+        assert found[:2] == (f"{label}/incremental", "least-solution")

@@ -151,19 +151,20 @@ def _make_script(seed, var_count=14, steps=60):
 class TestStandardFormDifferential:
     """Pin SF-Online interleaved queries against the reference solver.
 
-    Regression guard for ``least_solution`` under standard form: the
-    solution must be read through ``find`` (accumulating every
-    variable's source bucket onto its representative), not off
-    ``sources[rep]`` directly, or queries issued between batches can
-    miss terms after an online collapse.
+    Regression guard for the demand-driven ``least_solution``: queries
+    issued between additions, and right after an online collapse
+    absorbed source-carrying variables, must see every term.  The
+    subclass below runs the same tests under IF-Online.
     """
+
+    form = GraphForm.STANDARD
 
     def _run_differential(self, seed, query_stride):
         from repro.solver import solve_reference
         from repro import ConstraintSystem
 
         script, var_count = _make_script(seed)
-        solver = make_solver(form=GraphForm.STANDARD)
+        solver = make_solver(form=self.form)
         box = solver.constructor("box", (Variance.COVARIANT,))
         inc_vars = [solver.fresh_var(f"v{i}") for i in range(var_count)]
 
@@ -208,7 +209,7 @@ class TestStandardFormDifferential:
     def test_query_immediately_after_collapse(self):
         """Crafted worst case: query the instant a collapse absorbs a
         variable that owns source terms."""
-        solver = make_solver(form=GraphForm.STANDARD)
+        solver = make_solver(form=self.form)
         box = solver.constructor("box", (Variance.COVARIANT,))
         a, b, c = (solver.fresh_var(n) for n in "abc")
         pa = solver.term(box, (solver.zero,), label="pa")
@@ -231,16 +232,52 @@ class TestStandardFormDifferential:
             assert {str(t) for t in solver.least_solution(var)} \
                 == {"box[pa](0)", "box[pb](1)"}, str(var)
 
+    def test_every_add_matches_full_sweep(self):
+        """After every ``add``, each variable's demand-driven answer
+        equals the batch sweep's, read through ``find``."""
+        import random
 
-def _chain_then_source(solver, length=40):
+        for seed in range(4):
+            script, var_count = _make_script(seed)
+            solver = make_solver(form=self.form)
+            solver.constructor("box", (Variance.COVARIANT,))
+            variables = [solver.fresh_var() for _ in range(var_count)]
+
+            def term(step):
+                return solver.term("box", (solver.zero,), label=f"t{step}")
+
+            rng = random.Random(seed)
+            graph = solver._engine.graph
+            for op in script:
+                _apply_script([op], solver.add, term, variables)
+                full = graph.compute_least_solution()
+                # Random query order, so memoized cones get shared.
+                for var in rng.sample(variables, len(variables)):
+                    assert solver.least_solution(var) == full.get(
+                        graph.find(var.index), frozenset()
+                    ), (seed, op, str(var))
+
+
+class TestInductiveFormDifferential(TestStandardFormDifferential):
+    """The interleaved differential tests under IF-Online, where a
+    query walks the variable's predecessor cone."""
+
+    form = GraphForm.INDUCTIVE
+
+
+def _chain_then_source(solver, length=40, descending=False):
     """Add a var chain ``x0 <= ... <= xn``, then a source at ``x0``.
 
     Under standard form every chain edge costs one work unit and the
     final source add costs one per chain variable, so only that last
-    add can exhaust a small per-add budget.  Returns the chain.
+    add can exhaust a small per-add budget.  ``descending`` creates the
+    chain back to front, which gives inductive form the same costs.
+    Returns the chain.
     """
     box = solver.constructor("box", (Variance.COVARIANT,))
     chain = [solver.fresh_var(f"x{i}") for i in range(length)]
+    if descending:
+        chain.reverse()
     for left, right in zip(chain, chain[1:]):
         solver.add(left, right)
     solver.add(solver.term(box, (solver.zero,), label="p"), chain[0])
@@ -316,3 +353,74 @@ class TestSupervisedAdd:
         solve_incremental(system, options_for("IF-Online", audit="stride-2"))
         # The end-of-add audit alone would run once per constraint.
         assert len(calls) > len(system.constraints)
+
+
+class TestDemandQueries:
+    """The memoized per-variable query path of ``least_solution``."""
+
+    def test_queries_are_timed_and_spanned(self):
+        from repro.trace import CollectorSink
+
+        sink = CollectorSink()
+        solver = make_solver(sink=sink)
+        x, y = solver.fresh_var(), solver.fresh_var()
+        solver.add(x, y)
+        assert solver.stats.least_solution_seconds == 0.0
+        solver.least_solution(y)
+        solver.least_solution(x)
+        assert solver.stats.least_solution_seconds > 0.0
+        spans = [
+            event.name for event in sink.events
+            if event.name.startswith("phase.")
+            and event.args["name"] == "least-solution"
+        ]
+        assert spans == ["phase.begin", "phase.end"] * 2
+
+    def test_pred_chain_longer_than_recursion_limit(self):
+        import sys
+
+        # Incrementally created variables are ranked by creation, so
+        # every chain edge is a predecessor edge and the last
+        # variable's cone is the whole chain.
+        solver = make_solver()
+        box = solver.constructor("box", (Variance.COVARIANT,))
+        length = sys.getrecursionlimit() + 100
+        chain = [solver.fresh_var() for _ in range(length)]
+        payload = solver.term(box, (solver.zero,), label="p")
+        solver.add(payload, chain[0])
+        for left, right in zip(chain, chain[1:]):
+            solver.add(left, right)
+        assert solver.least_solution(chain[-1]) == frozenset({payload})
+
+    @pytest.mark.parametrize("form", (GraphForm.STANDARD,
+                                      GraphForm.INDUCTIVE))
+    def test_add_growing_the_cone_invalidates(self, form):
+        solver = make_solver(form=form)
+        box = solver.constructor("box", (Variance.COVARIANT,))
+        x, y, z = (solver.fresh_var(n) for n in "xyz")
+        p = solver.term(box, (solver.zero,), label="p")
+        q = solver.term(box, (solver.one,), label="q")
+        solver.add(p, x)
+        solver.add(x, y)
+        assert solver.least_solution(y) == frozenset({p})
+        solver.add(q, z)
+        solver.add(z, x)
+        assert solver.least_solution(y) == frozenset({p, q})
+
+    @pytest.mark.parametrize("form", (GraphForm.STANDARD,
+                                      GraphForm.INDUCTIVE))
+    def test_restore_invalidates(self, form):
+        # A chain against creation order is all successor edges, so
+        # under both forms the budget stops the final source add
+        # before the term reaches the end of the chain.
+        partial = make_solver(form=form,
+                              budget=SolveBudget(max_work=25),
+                              on_budget="partial", check_stride=1)
+        chain = _chain_then_source(partial, descending=True)
+        assert partial.status is SolveStatus.BUDGET_EXHAUSTED
+        assert partial.least_solution(chain[-1]) == frozenset()
+
+        complete = make_solver(form=form, checkpointable=True)
+        _chain_then_source(complete, descending=True)
+        partial.restore(complete.checkpoint())
+        assert len(partial.least_solution(chain[-1])) == 1
