@@ -1,14 +1,20 @@
-"""A hand-written lexer for the C subset.
+"""A regex-driven lexer for the C subset.
 
-Handles identifiers/keywords, integer, float, character and string
-constants (with the usual escapes), both comment styles, and skips
-preprocessor directives (the frontend consumes already-preprocessed or
-directive-free source, like the paper's benchmarks).
+One compiled master pattern (:data:`_TOKEN`) has a named alternative per
+token class: whitespace, newlines, preprocessor directives (skipped:
+like the paper's benchmarks, the frontend consumes directive-free
+source), both comment styles, identifiers/keywords, integer and float
+constants, string and character literals with the usual escapes, and
+the punctuators longest first.  :class:`Lexer` advances with one
+``match(source, pos)`` per lexeme.  Positions are 1-based, and newlines
+inside directives, comments and literals (backslash continuations)
+count.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List
 
 from .errors import LexError
 from .tokens import (
@@ -25,12 +31,46 @@ from .tokens import (
     Token,
 )
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+#: Alternatives are tried in order.  Where two share a first character
+#: the longer form comes first: ``number`` before the ``.`` punctuator,
+#: comments before ``/``.  Each ``open_*`` alternative follows its full
+#: form, so it matches only an unterminated comment or literal.
+_TOKEN = re.compile(
+    r"""
+    (?P<space>[ \t\r]+)
+  | (?P<newline>\n[ \t\r]*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<number>0[xX][0-9a-fA-F]*[uUlLfF]*
+      | (?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]*)?[uUlLfF]*)
+  | (?P<comment>//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
+  | (?P<open_comment>/\*)
+  | (?P<punct>PUNCT)
+  | (?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
+  | (?P<char>'[^'\\\n]*(?:\\.[^'\\\n]*)*')
+  | (?P<directive>\#(?:[^\n\\]|\\\n?)*\n?)
+  | (?P<open_string>")
+  | (?P<open_char>')
+    """.replace("PUNCT", "|".join(map(re.escape, PUNCTUATORS))),
+    re.VERBOSE | re.DOTALL,
 )
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = _DIGITS | frozenset("abcdefABCDEF")
+
+_LITERAL_KINDS = {"string": STRING_CONST, "char": CHAR_CONST}
+_UNTERMINATED = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_char": "unterminated character literal",
+}
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+
+
+def _number_kind(text: str) -> str:
+    """A float has a fraction, an exponent or an ``f`` suffix."""
+    if text[:2] in ("0x", "0X"):
+        text = text[2:].lstrip(_HEX_DIGITS)  # leaves the suffix
+    for mark in ".eEfF":
+        if mark in text:
+            return FLOAT_CONST
+    return INT_CONST
 
 
 class Lexer:
@@ -39,213 +79,57 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<input>") -> None:
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
-    # ------------------------------------------------------------------
     def tokens(self) -> List[Token]:
         """Lex the whole input, appending a single EOF token."""
-        out = list(self._iter_tokens())
-        out.append(Token(EOF, "", self.line, self.column))
+        source = self.source
+        length = len(source)
+        match = _TOKEN.match
+        make = Token._make
+        out: List[Token] = []
+        append = out.append
+        pos = 0
+        line = 1
+        line_start = 0  # offset of the current line's first character
+        while pos < length:
+            found = match(source, pos)
+            if found is None:
+                raise LexError(
+                    f"unexpected character {source[pos]!r}",
+                    line, pos - line_start + 1,
+                )
+            group = found.lastgroup
+            end = found.end()
+            if group == "ident":
+                text = found.group()
+                append(make((KEYWORD if text in KEYWORDS else IDENT,
+                             text, line, pos - line_start + 1)))
+            elif group == "punct":
+                append(make((PUNCT, found.group(), line,
+                             pos - line_start + 1)))
+            elif group == "newline":
+                line += 1
+                line_start = pos + 1
+            elif group == "number":
+                text = found.group()
+                append(make((_number_kind(text), text, line,
+                             pos - line_start + 1)))
+            elif group in _UNTERMINATED:
+                raise LexError(_UNTERMINATED[group],
+                               line, pos - line_start + 1)
+            elif group != "space":
+                # A literal, comment or directive: it may span lines.
+                text = found.group()
+                if group in _LITERAL_KINDS:
+                    append(make((_LITERAL_KINDS[group], text, line,
+                                 pos - line_start + 1)))
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + text.rfind("\n") + 1
+            pos = end
+        out.append(make((EOF, "", line, pos - line_start + 1)))
         return out
-
-    # ------------------------------------------------------------------
-    def _iter_tokens(self) -> Iterator[Token]:
-        source = self.source
-        length = len(source)
-        while self.pos < length:
-            char = source[self.pos]
-            if char in " \t\r":
-                self._advance(1)
-                continue
-            if char == "\n":
-                self._newline()
-                continue
-            if char == "#":
-                self._skip_directive()
-                continue
-            if char == "/" and self.pos + 1 < length:
-                after = source[self.pos + 1]
-                if after == "/":
-                    self._skip_line_comment()
-                    continue
-                if after == "*":
-                    self._skip_block_comment()
-                    continue
-            if char in _IDENT_START:
-                yield self._lex_ident()
-                continue
-            if char in _DIGITS or (
-                char == "."
-                and self.pos + 1 < length
-                and source[self.pos + 1] in _DIGITS
-            ):
-                yield self._lex_number()
-                continue
-            if char == '"':
-                yield self._lex_string()
-                continue
-            if char == "'":
-                yield self._lex_char()
-                continue
-            punct = self._match_punct()
-            if punct is not None:
-                yield punct
-                continue
-            raise LexError(
-                f"unexpected character {char!r}", self.line, self.column
-            )
-
-    # ------------------------------------------------------------------
-    # Movement helpers
-    # ------------------------------------------------------------------
-    def _advance(self, count: int) -> None:
-        self.pos += count
-        self.column += count
-
-    def _newline(self) -> None:
-        self.pos += 1
-        self.line += 1
-        self.column = 1
-
-    def _skip_directive(self) -> None:
-        """Skip a preprocessor line, honouring backslash continuations."""
-        source = self.source
-        length = len(source)
-        while self.pos < length:
-            if source[self.pos] == "\n":
-                if self.pos > 0 and source[self.pos - 1] == "\\":
-                    self._newline()
-                    continue
-                self._newline()
-                return
-            self.pos += 1
-            self.column += 1
-
-    def _skip_line_comment(self) -> None:
-        source = self.source
-        length = len(source)
-        while self.pos < length and source[self.pos] != "\n":
-            self.pos += 1
-
-    def _skip_block_comment(self) -> None:
-        start_line, start_col = self.line, self.column
-        self._advance(2)
-        source = self.source
-        length = len(source)
-        while self.pos < length:
-            char = source[self.pos]
-            if (char == "*" and self.pos + 1 < length
-                    and source[self.pos + 1] == "/"):
-                self._advance(2)
-                return
-            if char == "\n":
-                self._newline()
-            else:
-                self._advance(1)
-        raise LexError("unterminated block comment", start_line, start_col)
-
-    # ------------------------------------------------------------------
-    # Token classes
-    # ------------------------------------------------------------------
-    def _lex_ident(self) -> Token:
-        start = self.pos
-        line, column = self.line, self.column
-        source = self.source
-        length = len(source)
-        while self.pos < length and source[self.pos] in _IDENT_CONT:
-            self._advance(1)
-        text = source[start : self.pos]
-        kind = KEYWORD if text in KEYWORDS else IDENT
-        return Token(kind, text, line, column)
-
-    def _lex_number(self) -> Token:
-        start = self.pos
-        line, column = self.line, self.column
-        source = self.source
-        length = len(source)
-        is_float = False
-        if source[self.pos] == "0" and self.pos + 1 < length and source[
-            self.pos + 1
-        ] in "xX":
-            self._advance(2)
-            while self.pos < length and source[self.pos] in _HEX_DIGITS:
-                self._advance(1)
-        else:
-            while self.pos < length and source[self.pos] in _DIGITS:
-                self._advance(1)
-            if self.pos < length and source[self.pos] == ".":
-                is_float = True
-                self._advance(1)
-                while self.pos < length and source[self.pos] in _DIGITS:
-                    self._advance(1)
-            if self.pos < length and source[self.pos] in "eE":
-                is_float = True
-                self._advance(1)
-                if self.pos < length and source[self.pos] in "+-":
-                    self._advance(1)
-                while self.pos < length and source[self.pos] in _DIGITS:
-                    self._advance(1)
-        # Integer / float suffixes.
-        while self.pos < length and source[self.pos] in "uUlLfF":
-            if source[self.pos] in "fF":
-                is_float = True
-            self._advance(1)
-        text = source[start : self.pos]
-        kind = FLOAT_CONST if is_float else INT_CONST
-        return Token(kind, text, line, column)
-
-    def _lex_string(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        self._advance(1)
-        source = self.source
-        length = len(source)
-        while self.pos < length:
-            char = source[self.pos]
-            if char == "\\":
-                self._advance(2)
-                continue
-            if char == '"':
-                self._advance(1)
-                return Token(
-                    STRING_CONST, source[start : self.pos], line, column
-                )
-            if char == "\n":
-                break
-            self._advance(1)
-        raise LexError("unterminated string literal", line, column)
-
-    def _lex_char(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        self._advance(1)
-        source = self.source
-        length = len(source)
-        while self.pos < length:
-            char = source[self.pos]
-            if char == "\\":
-                self._advance(2)
-                continue
-            if char == "'":
-                self._advance(1)
-                return Token(
-                    CHAR_CONST, source[start : self.pos], line, column
-                )
-            if char == "\n":
-                break
-            self._advance(1)
-        raise LexError("unterminated character literal", line, column)
-
-    def _match_punct(self) -> Token:
-        source = self.source
-        for punct in PUNCTUATORS:
-            if source.startswith(punct, self.pos):
-                token = Token(PUNCT, punct, self.line, self.column)
-                self._advance(len(punct))
-                return token
-        return None
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:

@@ -83,8 +83,10 @@ class Parser:
     # Token plumbing
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:  # lookahead past the end sees EOF
+            return self.tokens[-1]
 
     def _next(self) -> Token:
         token = self._peek()

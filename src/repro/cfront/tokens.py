@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Token kinds.
 IDENT = "ident"
@@ -23,8 +23,8 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-#: Multi-character punctuators, longest first so the lexer can greedily
-#: match (e.g. ``>>=`` before ``>>`` before ``>``).
+#: Punctuators, longest first: the lexer's alternation tries them in
+#: this order, so ``>>=`` wins over ``>>`` over ``>``.
 PUNCTUATORS = (
     "<<=", ">>=", "...",
     "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
@@ -34,9 +34,12 @@ PUNCTUATORS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source position."""
+class Token(NamedTuple):
+    """One lexical token with its source position.
+
+    A named tuple: cheap to build, and equal to the plain tuple
+    ``(kind, text, line, column)``.
+    """
 
     kind: str
     text: str

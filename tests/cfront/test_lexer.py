@@ -12,6 +12,7 @@ from repro.cfront.tokens import (
     KEYWORD,
     PUNCT,
     STRING_CONST,
+    Token,
 )
 
 
@@ -136,3 +137,71 @@ class TestErrors:
         with pytest.raises(LexError) as info:
             tokenize("x\n  @")
         assert info.value.line == 2
+
+    @pytest.mark.parametrize(
+        "source, message, line, column",
+        [
+            ("x;\n  @ y", "unexpected character '@'", 2, 3),
+            ("x;\n\tint \f", "unexpected character '\\x0c'", 2, 6),
+            ('x;\n  "abc', "unterminated string literal", 2, 3),
+            ('x;\n  "abc\ny"', "unterminated string literal", 2, 3),
+            ('"ok"; "a\\', "unterminated string literal", 1, 7),
+            ("x;\n  'a", "unterminated character literal", 2, 3),
+            ("x;\n  'a\n'", "unterminated character literal", 2, 3),
+            ("/* a */ x;\n  /* never\nends", "unterminated block comment",
+             2, 3),
+            ('"a\\\nb" @', "unexpected character '@'", 2, 4),
+            ("x; // c\n y /* c\n */ @", "unexpected character '@'", 3, 5),
+        ],
+    )
+    def test_error_keeps_message_and_position(
+        self, source, message, line, column
+    ):
+        with pytest.raises(LexError) as info:
+            tokenize(source)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value) == f"{message} at {line}:{column}"
+
+
+def positions(source):
+    return [(t.text, t.line, t.column) for t in tokenize(source)]
+
+
+class TestPositionRegressions:
+    def test_backslash_newline_in_string_counts_a_line(self):
+        assert positions('s = "a\\\nb";\nint y;')[-5:] == [
+            (";", 2, 3), ("int", 3, 1), ("y", 3, 5), (";", 3, 6), ("", 3, 7),
+        ]
+
+    def test_backslash_newline_in_char_counts_a_line(self):
+        assert positions("c = '\\\n';\nint y;")[-5:] == [
+            (";", 2, 2), ("int", 3, 1), ("y", 3, 5), (";", 3, 6), ("", 3, 7),
+        ]
+
+    def test_eof_column_after_trailing_line_comment(self):
+        assert positions("int x; // c")[-1] == ("", 1, 12)
+
+    def test_eof_position_after_block_comment_and_directive(self):
+        assert positions("/* a\nbc */")[-1] == ("", 2, 6)
+        assert positions("#define A \\\n 1")[-1] == ("", 2, 3)
+        assert positions("#define A 1\n")[-1] == ("", 2, 1)
+
+
+class TestToken:
+    def test_is_a_plain_tuple(self):
+        token = tokenize("x")[0]
+        assert token == (IDENT, "x", 1, 1)
+        assert token == Token(IDENT, "x", 1, 1)
+        kind, text, line, column = token
+        assert (kind, text, line, column) == ("ident", "x", 1, 1)
+
+    def test_is_immutable(self):
+        token = Token(IDENT, "x", 1, 1)
+        with pytest.raises(AttributeError):
+            token.text = "y"
+
+    def test_predicates_and_str(self):
+        plus, kw = tokenize("+ while")[:2]
+        assert plus.is_punct("+") and not plus.is_keyword("+")
+        assert kw.is_keyword("while") and not kw.is_punct("while")
+        assert str(kw) == "'while'@1:3"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cfront import ParseError, ast, parse
+from repro.cfront import ParseError, Parser, ast, parse
+from repro.cfront.tokens import EOF
 from repro.cfront.types import (
     Array,
     Function,
@@ -235,3 +236,20 @@ class TestErrors:
     def test_missing_type(self):
         with pytest.raises(ParseError):
             parse("; x;")
+
+
+class TestLookahead:
+    def test_lookahead_past_the_end_sees_eof(self):
+        parser = Parser("int x")
+        assert parser._peek(1).text == "x"
+        for offset in (2, 3, 100):
+            assert parser._peek(offset).kind == EOF
+        parser.pos = 2
+        assert parser._peek().kind == EOF
+        assert parser._next().kind == EOF
+        assert parser.pos == 2
+
+    def test_truncated_declarator_reports_eof_position(self):
+        with pytest.raises(ParseError) as info:
+            parse("int f(")
+        assert (info.value.line, info.value.column) == (1, 7)
