@@ -22,7 +22,6 @@ with ``PYTHONHASHSEED=0``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -33,7 +32,7 @@ from .baseline import (
     write_next_report,
     write_report,
 )
-from ..parallel.pool import ParallelError
+from ..parallel.pool import ParallelError, repin_hash_seed
 from .compare import IncomparableReportsError, compare_reports
 from .harness import (
     BenchTimeoutError,
@@ -130,22 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _repin_hash_seed(argv: List[str]) -> Optional[int]:
-    """Re-exec once with PYTHONHASHSEED=0 unless already pinned."""
-    if os.environ.get("PYTHONHASHSEED") is not None:
-        return None
-    import subprocess
-
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    command = [sys.executable, "-m", "repro.bench", *argv]
-    return subprocess.call(command, env=env)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
     if not args.no_pin_hashseed:
-        code = _repin_hash_seed(argv)
+        code = repin_hash_seed("repro.bench", argv)
         if code is not None:
             return code
     suite_name = args.suite or SMOKE_SUITE

@@ -207,7 +207,7 @@ def run_bench(
     completed (benchmark, experiment) pair.
 
     ``trace_dir`` attaches a bounded-memory telemetry sink
-    (:class:`repro.trace.histogram.HistogramSink`) to every run and
+    (:class:`repro.metrics.sink.MetricsSink`) to every run and
     writes ``trace_summary.json`` (per-run distributions and phase
     times) plus ``trace_spans.json`` (a Chrome/Perfetto view of the
     phase spans) into that directory.  Sinks observe without steering,
@@ -226,9 +226,11 @@ def run_bench(
     timeout-bounded reports should not be promoted to timing baselines
     either.
 
-    ``metrics_dir`` attaches a :class:`repro.metrics.sink.MetricsSink`
-    (labeled with the suite, benchmark, form and mode of every run) to
-    a fresh :class:`~repro.metrics.registry.MetricsRegistry` and writes
+    ``metrics_dir`` points every run's
+    :class:`~repro.metrics.sink.MetricsSink` (labeled with the suite,
+    benchmark, form and mode of the run, so the trace summary still
+    counts one run) at one fresh
+    :class:`~repro.metrics.registry.MetricsRegistry` and writes
     ``metrics.json`` (a loadable snapshot) and ``metrics.prom``
     (Prometheus text exposition) into that directory after the suite
     completes.  The same observe-don't-steer contract applies: counters
@@ -287,24 +289,20 @@ def run_bench(
                     budget=SolveBudget(deadline_seconds=remaining)
                 )
             sink = None
-            if trace_dir is not None:
-                from ..trace.histogram import HistogramSink
-
-                sink = HistogramSink(label=f"{bench.name}/{label}")
-            if metrics_registry is not None:
+            if trace_dir is not None or metrics_registry is not None:
+                from ..metrics.registry import MetricsRegistry
                 from ..metrics.sink import MetricsSink
-                from ..trace.sinks import combine
 
-                metrics_sink = MetricsSink.for_options(
+                # Without --metrics the sink gets a private registry
+                # that only its trace summary reads.
+                sink = MetricsSink.for_options(
                     options,
-                    registry=metrics_registry,
+                    registry=(metrics_registry if metrics_registry
+                              is not None else MetricsRegistry()),
                     suite=suite_name,
                     benchmark=bench.name,
+                    label=f"{bench.name}/{label}",
                 )
-                options = options.replace(
-                    sink=combine(sink, metrics_sink)
-                )
-            elif sink is not None:
                 options = options.replace(sink=sink)
             try:
                 measured = measure_system(system, options, repeats=repeats)
@@ -315,7 +313,7 @@ def run_bench(
                     f"{bench.name}/{label}: {error}",
                     completed=len(records),
                 ) from error
-            if sink is not None:
+            if trace_dir is not None:
                 telemetry.append(
                     (bench.name, label, sink.summary(), sink.spans)
                 )
@@ -532,7 +530,7 @@ def _write_trace_outputs(report: BenchReport, telemetry: List[tuple],
     """
     import json
 
-    from ..trace.chrome import chrome_document, spans_to_chrome, write_chrome
+    from ..trace.chrome import runs_to_chrome, write_chrome
 
     os.makedirs(trace_dir, exist_ok=True)
     summary = {
@@ -549,24 +547,12 @@ def _write_trace_outputs(report: BenchReport, telemetry: List[tuple],
     with open(summary_path, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)
         handle.write("\n")
-    all_spans = [
-        span for _, _, _, spans in telemetry for span in spans
-    ]
-    origin = min((span[1] for span in all_spans), default=0.0)
-    events: List[dict] = []
-    for tid, (name, label, _, spans) in enumerate(telemetry, start=1):
-        events.extend(spans_to_chrome(
-            spans,
-            pid=1,
-            tid=tid,
-            process_name=f"repro.bench suite={report.suite}",
-            thread_name=f"{name} {label}",
-            time_origin=origin,
-            args={"benchmark": name, "experiment": label},
-        ))
     write_chrome(
-        chrome_document(events, {"suite": report.suite,
-                                 "seed": report.seed}),
+        runs_to_chrome(
+            [(name, label, spans) for name, label, _, spans in telemetry],
+            process_name=f"repro.bench suite={report.suite}",
+            other_data={"suite": report.suite, "seed": report.seed},
+        ),
         os.path.join(trace_dir, "trace_spans.json"),
     )
 

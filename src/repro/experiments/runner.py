@@ -35,6 +35,7 @@ from ..workloads import Benchmark, suite
 from .config import EXPERIMENT_LABELS, options_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..graph.stats import SolverStats
     from ..trace.sinks import TraceSink
 
 
@@ -52,6 +53,23 @@ class RunRecord:
     cycles_found: int
     mean_search_visits: float
     clashes: int
+
+    @classmethod
+    def from_stats(cls, benchmark: str, experiment: str,
+                   stats: "SolverStats") -> "RunRecord":
+        """The record of one run, read off its solver counters."""
+        return cls(
+            benchmark=benchmark,
+            experiment=experiment,
+            work=stats.work,
+            final_edges=stats.final_edges,
+            closure_seconds=stats.closure_seconds,
+            least_solution_seconds=stats.least_solution_seconds,
+            vars_eliminated=stats.vars_eliminated,
+            cycles_found=stats.cycles_found,
+            mean_search_visits=stats.mean_search_visits,
+            clashes=stats.clashes,
+        )
 
     @property
     def total_seconds(self) -> float:
@@ -196,19 +214,7 @@ class SuiteResults:
         self._solutions.move_to_end((benchmark_name, experiment))
         while len(self._solutions) > self._solution_cache_size:
             self._solutions.popitem(last=False)
-        stats = best.stats
-        return RunRecord(
-            benchmark=benchmark_name,
-            experiment=experiment,
-            work=stats.work,
-            final_edges=stats.final_edges,
-            closure_seconds=stats.closure_seconds,
-            least_solution_seconds=stats.least_solution_seconds,
-            vars_eliminated=stats.vars_eliminated,
-            cycles_found=stats.cycles_found,
-            mean_search_visits=stats.mean_search_visits,
-            clashes=stats.clashes,
-        )
+        return RunRecord.from_stats(benchmark_name, experiment, best.stats)
 
     def run_all(self, experiments: Iterable[str] = EXPERIMENT_LABELS
                 ) -> List[RunRecord]:

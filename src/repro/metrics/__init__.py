@@ -7,8 +7,8 @@ service is monitored through:
 
 * **Instruments** (:mod:`repro.metrics.instruments`): ``Counter``,
   ``Gauge`` and ``Histogram`` families labeled by graph form, cycle
-  policy, suite and benchmark.  Histograms share bucket boundaries
-  with the trace-side histograms via :mod:`repro.trace.buckets`.
+  policy, suite and benchmark.  ``Histogram`` is the repo's only
+  histogram (exact below 16, power-of-two buckets above).
 * **Registry** (:mod:`repro.metrics.registry`): a process-wide
   :class:`MetricsRegistry` with Prometheus text exposition
   (:meth:`~MetricsRegistry.expose`), JSON snapshots, and periodic
@@ -17,6 +17,8 @@ service is monitored through:
   the registry onto the :class:`repro.trace.sinks.TraceSink` protocol,
   so metrics reuse the solver's existing instrumentation points and
   disabled metrics keep the one-attribute-check overhead guarantee.
+  It is the only sink that aggregates: the trace report and
+  ``repro.bench --trace`` read its per-run ``summary()`` and spans.
 * **Exporters** (:mod:`repro.metrics.exposition`,
   :mod:`repro.metrics.server`): exposition rendering + validation and
   a stdlib-only HTTP scrape endpoint

@@ -13,10 +13,11 @@ Design constraints, in order:
   paths pre-bind children once (see
   :class:`repro.metrics.sink.MetricsSink`) so label resolution is paid
   at wiring time, not per event.
-* **Shared buckets.** :class:`Histogram` buckets integer samples with
-  :mod:`repro.trace.buckets` — the same scheme as the trace-side
-  :class:`repro.trace.histogram.OnlineHistogram`, so the two can never
-  drift on boundaries.
+* **One bucket scheme.** :class:`Histogram` is the repo's only
+  histogram: values below :data:`EXACT_LIMIT` are counted exactly,
+  larger ones in power-of-two buckets, with exact count/sum/min/max —
+  enough for the mean partial-search visit count Theorem 5.2 bounds
+  at about 2.2, in O(log max) memory per series.
 * **No clock reads, no locks.** The solver is single-threaded per run;
   cross-thread aggregation happens at registry level by merging
   snapshots.  Exposition readers see a consistent-enough view without
@@ -27,12 +28,34 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..trace.buckets import bucket_floor, bucket_rows, cumulative_bounds
-
 #: Instrument type names as they appear in snapshots and ``# TYPE``.
 COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
+
+#: Histogram values below this are counted in exact (width-1) buckets.
+EXACT_LIMIT = 16
+
+
+def bucket_floor(value: int) -> int:
+    """The lower bound of the bucket holding ``value``.
+
+    Exact below :data:`EXACT_LIMIT`; the largest power of two not
+    exceeding ``value`` above it.
+    """
+    if value < EXACT_LIMIT:
+        return value
+    return 1 << (value.bit_length() - 1)
+
+
+def bucket_ceiling(floor: int) -> int:
+    """The inclusive upper bound of the bucket whose floor is ``floor``.
+
+    For cumulative exposition this is the Prometheus ``le`` bound.
+    """
+    if floor < EXACT_LIMIT:
+        return floor
+    return floor * 2 - 1
 
 
 class Counter:
@@ -74,19 +97,22 @@ class Gauge:
 
 
 class Histogram:
-    """Integer-sample histogram on the shared trace bucket scheme.
+    """Integer-sample histogram: exact below 16, power-of-two above.
 
-    Mirrors :class:`repro.trace.histogram.OnlineHistogram` exactly in
-    where a sample lands (both delegate to
-    :func:`repro.trace.buckets.bucket_floor`), and additionally tracks
-    ``sum``/``count`` for exposition as a Prometheus histogram.
+    Tracks ``count``/``sum``/``min``/``max`` exactly (``min``/``max``
+    are ``None`` until the first sample) and a sparse bucket map keyed
+    by :func:`bucket_floor`.  Snapshots and exposition carry
+    ``count``/``sum``/``buckets``; ``min``/``max`` are per-process
+    extras for reports.
     """
 
-    __slots__ = ("count", "sum", "buckets")
+    __slots__ = ("count", "sum", "min", "max", "buckets")
 
     def __init__(self) -> None:
         self.count = 0
         self.sum = 0
+        self.min: Optional[int] = None
+        self.max: Optional[int] = None
         #: bucket floor -> samples in the bucket (sparse)
         self.buckets: Dict[int, int] = {}
 
@@ -95,20 +121,45 @@ class Histogram:
             raise ValueError(f"histogram samples must be >= 0, got {value}")
         self.count += count
         self.sum += value * count
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
         floor = bucket_floor(value)
         self.buckets[floor] = self.buckets.get(floor, 0) + count
+
+    def merge(self, other: "Histogram") -> None:
+        """Fold another histogram into this one (bucket-wise exact)."""
+        self.count += other.count
+        self.sum += other.sum
+        if other.min is not None and (self.min is None
+                                      or other.min < self.min):
+            self.min = other.min
+        if other.max is not None and (self.max is None
+                                      or other.max > self.max):
+            self.max = other.max
+        for floor, count in other.buckets.items():
+            self.buckets[floor] = self.buckets.get(floor, 0) + count
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
     def bucket_rows(self) -> List[Tuple[int, int, int]]:
-        """Sorted ``(lo, hi_inclusive, count)`` rows (shared scheme)."""
-        return bucket_rows(self.buckets)
+        """Sorted ``(lo, hi_inclusive, count)`` rows for reporting."""
+        return [
+            (floor, bucket_ceiling(floor), self.buckets[floor])
+            for floor in sorted(self.buckets)
+        ]
 
     def cumulative(self) -> List[Tuple[int, int]]:
         """Sorted ``(le, cumulative_count)`` rows, without ``+Inf``."""
-        return cumulative_bounds(self.buckets)
+        running = 0
+        rows: List[Tuple[int, int]] = []
+        for _, ceiling, count in self.bucket_rows():
+            running += count
+            rows.append((ceiling, running))
+        return rows
 
 
 _TYPE_CLASSES = {COUNTER: Counter, GAUGE: Gauge, HISTOGRAM: Histogram}

@@ -33,6 +33,8 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import subprocess
+import sys
 import time
 import traceback
 from collections import deque
@@ -140,6 +142,20 @@ def _pin_hash_seed() -> None:
     """
     if os.environ.get("PYTHONHASHSEED") is None:
         os.environ["PYTHONHASHSEED"] = "0"
+
+
+def repin_hash_seed(module: str, argv: List[str]) -> Optional[int]:
+    """Re-run ``python -m module *argv`` once with ``PYTHONHASHSEED=0``.
+
+    The CLIs whose output carries work counts call this first.  Returns
+    ``None`` without re-executing when ``PYTHONHASHSEED`` is already
+    set (including in the re-executed child), else the child's exit
+    code.
+    """
+    if os.environ.get("PYTHONHASHSEED") is not None:
+        return None
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    return subprocess.call([sys.executable, "-m", module, *argv], env=env)
 
 
 def run_tasks(

@@ -12,6 +12,7 @@ dict/list/tuple structure the parent merges deterministically.
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 from typing import Any, Dict, List
 
 from ..experiments.config import options_for
@@ -25,9 +26,9 @@ def bench_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     Payload keys: ``benchmark`` (a :data:`repro.workloads.FULL_SUITE`
     name), ``experiment`` (Table-4 label), ``seed``, ``repeats``,
     ``suite`` (label metadata only), ``trace`` / ``metrics`` (bools —
-    attach a :class:`~repro.trace.histogram.HistogramSink` /
-    :class:`~repro.metrics.sink.MetricsSink` and return their
-    serialized state), ``budget_seconds`` (optional per-solve
+    attach one :class:`~repro.metrics.sink.MetricsSink` on a
+    per-task registry and return its trace summary and spans / its
+    registry snapshot), ``budget_seconds`` (optional per-solve
     :class:`~repro.resilience.budget.SolveBudget` deadline).
 
     Returns ``{"status": "ok", "counters", "wall_times", "telemetry",
@@ -47,26 +48,19 @@ def bench_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         options = options.replace(
             budget=SolveBudget(deadline_seconds=budget_seconds)
         )
-    sink = None
-    if payload.get("trace"):
-        from ..trace.histogram import HistogramSink
-
-        sink = HistogramSink(label=f"{bench.name}/{label}")
-    registry = None
-    if payload.get("metrics"):
+    registry = sink = None
+    if payload.get("trace") or payload.get("metrics"):
         from ..metrics.registry import MetricsRegistry
         from ..metrics.sink import MetricsSink
-        from ..trace.sinks import combine
 
         registry = MetricsRegistry()
-        metrics_sink = MetricsSink.for_options(
+        sink = MetricsSink.for_options(
             options,
             registry=registry,
             suite=payload.get("suite", ""),
             benchmark=bench.name,
+            label=f"{bench.name}/{label}",
         )
-        options = options.replace(sink=combine(sink, metrics_sink))
-    elif sink is not None:
         options = options.replace(sink=sink)
     try:
         measured = measure_system(
@@ -81,12 +75,12 @@ def bench_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         "telemetry": None,
         "metrics": None,
     }
-    if sink is not None:
+    if payload.get("trace"):
         result["telemetry"] = {
             "summary": sink.summary(),
             "spans": [tuple(span) for span in sink.spans],
         }
-    if registry is not None:
+    if payload.get("metrics"):
         result["metrics"] = registry.snapshot()
     return result
 
@@ -100,6 +94,7 @@ def suite_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     locally on demand).
     """
     from ..bench.measure import measure_system
+    from ..experiments.runner import RunRecord
     from ..workloads import benchmark
 
     bench = benchmark(payload["benchmark"])
@@ -107,19 +102,10 @@ def suite_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     measured = measure_system(
         bench.program.system, options, repeats=payload["repeats"]
     )
-    stats = measured.solution.stats
-    return {
-        "benchmark": payload["benchmark"],
-        "experiment": payload["experiment"],
-        "work": stats.work,
-        "final_edges": stats.final_edges,
-        "closure_seconds": stats.closure_seconds,
-        "least_solution_seconds": stats.least_solution_seconds,
-        "vars_eliminated": stats.vars_eliminated,
-        "cycles_found": stats.cycles_found,
-        "mean_search_visits": stats.mean_search_visits,
-        "clashes": stats.clashes,
-    }
+    return asdict(RunRecord.from_stats(
+        payload["benchmark"], payload["experiment"],
+        measured.solution.stats,
+    ))
 
 
 def fuzz_task(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -6,11 +6,11 @@ The subsystem has three layers:
   solver events — edge insertions with their outcome, resolution-rule
   firings, partial-cycle-search start/visit/hit, collapses, periodic
   sweeps, and phase spans.
-* **Sinks** (:mod:`repro.trace.sinks`,
-  :mod:`repro.trace.histogram`): where events go.  ``CollectorSink``
-  keeps them in memory, ``JsonlSink`` streams them to disk,
-  ``HistogramSink`` folds them into bounded-memory online histograms
-  and per-phase wall-time totals.  Tracing is enabled by setting
+* **Sinks** (:mod:`repro.trace.sinks`): where events go.
+  ``CollectorSink`` keeps them in memory, ``JsonlSink`` streams them
+  to disk.  Aggregation — bounded-memory histograms, counts and
+  per-phase wall-time spans — is :class:`repro.metrics.sink.MetricsSink`,
+  the one sink that keeps totals.  Tracing is enabled by setting
   ``SolverOptions(sink=...)``; when no sink is attached the
   instrumentation costs one attribute check per operation.
 * **Export & reporting** (:mod:`repro.trace.chrome`,
@@ -38,18 +38,16 @@ from .chrome import (
     convert_jsonl,
     events_from_chrome,
     events_to_chrome,
+    runs_to_chrome,
     spans_to_chrome,
     write_chrome,
 )
 from .events import EVENT_NAMES, TraceEvent
-from .histogram import HistogramSink, OnlineHistogram
 from .sinks import (
     NULL_SINK,
     CollectorSink,
     JsonlSink,
-    TeeSink,
     TraceSink,
-    combine,
     events_to_jsonl_text,
     read_jsonl,
 )
@@ -57,20 +55,17 @@ from .sinks import (
 __all__ = [
     "CollectorSink",
     "EVENT_NAMES",
-    "HistogramSink",
     "JsonlSink",
     "NULL_SINK",
-    "OnlineHistogram",
-    "TeeSink",
     "TraceEvent",
     "TraceSink",
     "chrome_document",
-    "combine",
     "convert_jsonl",
     "events_from_chrome",
     "events_to_chrome",
     "events_to_jsonl_text",
     "read_jsonl",
+    "runs_to_chrome",
     "spans_to_chrome",
     "write_chrome",
 ]

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
+from ..parallel.pool import repin_hash_seed
 from .chrome import convert_jsonl, write_chrome
 from .report import DEFAULT_EXPERIMENTS, trace_suite
 from .sinks import JsonlSink
@@ -121,17 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="downsample high-frequency instants",
     )
     return parser
-
-
-def _repin_hash_seed(argv: List[str]) -> Optional[int]:
-    """Re-exec once with PYTHONHASHSEED=0 unless already pinned."""
-    if os.environ.get("PYTHONHASHSEED") is not None:
-        return None
-    import subprocess
-
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    command = [sys.executable, "-m", "repro.trace", *argv]
-    return subprocess.call(command, env=env)
 
 
 def _check_baseline(report, baseline_path: str) -> int:
@@ -299,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = ["report", *argv]
     args = _build_parser().parse_args(argv)
     if args.command != "convert" and not args.no_pin_hashseed:
-        code = _repin_hash_seed(argv)
+        code = repin_hash_seed("repro.trace", argv)
         if code is not None:
             return code
     if args.command == "report":

@@ -155,6 +155,36 @@ def spans_to_chrome(
     return events
 
 
+def runs_to_chrome(
+    runs: Sequence[Tuple[str, str, Sequence[Tuple[str, float, float]]]],
+    process_name: str,
+    other_data: Optional[dict] = None,
+) -> dict:
+    """A span timeline with one track per ``(benchmark, experiment,
+    spans)`` run.
+
+    Every run is rebased on one shared origin (the earliest span
+    begin), so runs recorded one after another — or concurrently in
+    worker processes, whose ``perf_counter`` is the same monotonic
+    clock — line up on one timeline.
+    """
+    origin = min(
+        (span[1] for _, _, spans in runs for span in spans), default=0.0
+    )
+    events: List[dict] = []
+    for tid, (benchmark, experiment, spans) in enumerate(runs, start=1):
+        events.extend(spans_to_chrome(
+            spans,
+            pid=1,
+            tid=tid,
+            process_name=process_name,
+            thread_name=f"{benchmark} {experiment}",
+            time_origin=origin,
+            args={"benchmark": benchmark, "experiment": experiment},
+        ))
+    return chrome_document(events, other_data)
+
+
 def chrome_document(trace_events: List[dict],
                     other_data: Optional[dict] = None) -> dict:
     """Wrap a raw event list in the Chrome trace JSON envelope."""

@@ -1,9 +1,9 @@
 """Traced suite runs and the summary report.
 
 :func:`trace_suite` solves a workload suite with a
-:class:`~repro.trace.histogram.HistogramSink` attached to every run and
-assembles a :class:`TraceReport` that answers the paper's
-per-operation questions directly from live telemetry:
+:class:`~repro.metrics.sink.MetricsSink` (on its own registry) attached
+to every run and assembles a :class:`TraceReport` that answers the
+paper's per-operation questions directly from live telemetry:
 
 * the **empirical mean partial-search visit count** per experiment —
   the quantity Theorem 5.2 bounds at ≈2.2 nodes for sparse graphs;
@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..experiments.config import options_for
 from ..experiments.runner import RunRecord, SuiteResults
 from ..graph.stats import SolverStats
-from .chrome import chrome_document, spans_to_chrome
-from .histogram import HistogramSink
+from ..metrics.registry import MetricsRegistry
+from ..metrics.sink import MetricsSink
+from .chrome import runs_to_chrome
 
 #: Experiments traced by default: the two online configurations, whose
 #: search/elimination behaviour is what the subsystem exists to observe.
@@ -43,7 +45,7 @@ class TracedRun:
 
     def __init__(self, benchmark: str, experiment: str,
                  record: RunRecord, stats: SolverStats,
-                 telemetry: HistogramSink) -> None:
+                 telemetry: MetricsSink) -> None:
         self.benchmark = benchmark
         self.experiment = experiment
         self.record = record
@@ -95,8 +97,8 @@ class TraceReport:
                 )
         return sum(fractions) / len(fractions) if fractions else 0.0
 
-    def merged_telemetry(self, experiment: str) -> HistogramSink:
-        merged = HistogramSink(label=experiment)
+    def merged_telemetry(self, experiment: str) -> MetricsSink:
+        merged = MetricsSink(MetricsRegistry(), label=experiment)
         for run in self.runs_for(experiment):
             merged.merge(run.telemetry)
         return merged
@@ -104,25 +106,11 @@ class TraceReport:
     # -- export ---------------------------------------------------------
     def chrome_trace(self) -> dict:
         """All runs' phase spans on one timeline, one track per run."""
-        trace_events: List[dict] = []
-        all_spans = [
-            span for run in self.runs for span in run.telemetry.spans
-        ]
-        origin = min((span[1] for span in all_spans), default=0.0)
-        for tid, run in enumerate(self.runs, start=1):
-            trace_events.extend(spans_to_chrome(
-                run.telemetry.spans,
-                pid=1,
-                tid=tid,
-                process_name=f"repro.trace suite={self.suite}",
-                thread_name=f"{run.benchmark} {run.experiment}",
-                time_origin=origin,
-                args={"benchmark": run.benchmark,
-                      "experiment": run.experiment},
-            ))
-        return chrome_document(
-            trace_events,
-            {"suite": self.suite, "seed": self.seed},
+        return runs_to_chrome(
+            [(run.benchmark, run.experiment, run.telemetry.spans)
+             for run in self.runs],
+            process_name=f"repro.trace suite={self.suite}",
+            other_data={"suite": self.suite, "seed": self.seed},
         )
 
     def to_dict(self) -> dict:
@@ -195,9 +183,7 @@ class TraceReport:
             )
             phase_totals = ", ".join(
                 f"{name}={seconds * 1000:.1f}ms"
-                for name, seconds in sorted(
-                    telemetry.phase_seconds.items()
-                )
+                for name, seconds in telemetry.phase_seconds().items()
             )
             lines.append(f"  phases: {phase_totals or '-'}")
         if len(self.experiments) >= 2:
@@ -233,10 +219,18 @@ def trace_suite(
 ) -> TraceReport:
     """Run ``experiments`` over a suite with telemetry sinks attached."""
     experiments = tuple(experiments)
-    sinks: Dict[Tuple[str, str], HistogramSink] = {}
+    sinks: Dict[Tuple[str, str], MetricsSink] = {}
 
-    def sink_factory(benchmark: str, experiment: str) -> HistogramSink:
-        sink = HistogramSink(label=f"{benchmark}/{experiment}")
+    def sink_factory(benchmark: str, experiment: str) -> MetricsSink:
+        # A registry per run: each run's summary counts only its own
+        # events.
+        sink = MetricsSink.for_options(
+            options_for(experiment, seed=seed),
+            MetricsRegistry(),
+            suite=suite_name,
+            benchmark=benchmark,
+            label=f"{benchmark}/{experiment}",
+        )
         sinks[(benchmark, experiment)] = sink
         return sink
 

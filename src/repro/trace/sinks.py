@@ -110,23 +110,16 @@ class TraceSink:
 NULL_SINK = TraceSink()
 
 
-class CollectorSink(TraceSink):
-    """Record every event in memory as :class:`TraceEvent` objects.
+class _EmittingSink(TraceSink):
+    """Every event as one ``_emit(event_name, **args)`` call.
 
-    Timestamps are ``time.perf_counter()`` relative to construction.
-    Intended for tests, the traced viz renderer, and small recordings —
-    a full medium-suite run emits millions of events; use
-    :class:`repro.trace.histogram.HistogramSink` for those.
+    The per-event argument mapping lives here once, shared by
+    :class:`CollectorSink` and :class:`JsonlSink`, so no event can
+    reach one of them and be missed by the other.
     """
 
-    def __init__(self) -> None:
-        self.epoch = time.perf_counter()
-        self.events: List[TraceEvent] = []
-
     def _emit(self, _event: str, **args: object) -> None:
-        self.events.append(
-            TraceEvent(_event, time.perf_counter() - self.epoch, args)
-        )
+        raise NotImplementedError
 
     def edge(self, kind, src, dst, outcome):
         self._emit(EV_EDGE, kind=kind, src=src, dst=dst, outcome=outcome)
@@ -175,63 +168,23 @@ class CollectorSink(TraceSink):
         self._emit(EV_PHASE_END, name=name)
 
 
-class TeeSink(TraceSink):
-    """Fan every event out to several sinks, in order."""
+class CollectorSink(_EmittingSink):
+    """Record every event in memory as :class:`TraceEvent` objects.
 
-    def __init__(self, sinks: Iterable[TraceSink]) -> None:
-        self.sinks: List[TraceSink] = list(sinks)
+    Timestamps are ``time.perf_counter()`` relative to construction.
+    Intended for tests, the traced viz renderer, and small recordings —
+    a full medium-suite run emits millions of events; use
+    :class:`repro.metrics.sink.MetricsSink` for those.
+    """
 
-    def edge(self, kind, src, dst, outcome):
-        for sink in self.sinks:
-            sink.edge(kind, src, dst, outcome)
+    def __init__(self) -> None:
+        self.epoch = time.perf_counter()
+        self.events: List[TraceEvent] = []
 
-    def resolve(self, left, right):
-        for sink in self.sinks:
-            sink.resolve(left, right)
-
-    def clash(self, diagnostic):
-        for sink in self.sinks:
-            sink.clash(diagnostic)
-
-    def search_start(self, start, target):
-        for sink in self.sinks:
-            sink.search_start(start, target)
-
-    def search_visit(self, node):
-        for sink in self.sinks:
-            sink.search_visit(node)
-
-    def search_end(self, found, visits, length):
-        for sink in self.sinks:
-            sink.search_end(found, visits, length)
-
-    def collapse(self, witness, members):
-        for sink in self.sinks:
-            sink.collapse(witness, members)
-
-    def sweep(self, eliminated):
-        for sink in self.sinks:
-            sink.sweep(eliminated)
-
-    def audit_failure(self, failure):
-        for sink in self.sinks:
-            sink.audit_failure(failure)
-
-    def budget_stop(self, reason, limit, value):
-        for sink in self.sinks:
-            sink.budget_stop(reason, limit, value)
-
-    def phase_begin(self, name):
-        for sink in self.sinks:
-            sink.phase_begin(name)
-
-    def phase_end(self, name):
-        for sink in self.sinks:
-            sink.phase_end(name)
-
-    def close(self):
-        for sink in self.sinks:
-            sink.close()
+    def _emit(self, _event: str, **args: object) -> None:
+        self.events.append(
+            TraceEvent(_event, time.perf_counter() - self.epoch, args)
+        )
 
 
 def _jsonable(value: object) -> object:
@@ -243,7 +196,7 @@ def _jsonable(value: object) -> object:
     return str(value)
 
 
-class JsonlSink(TraceSink):
+class JsonlSink(_EmittingSink):
     """Stream events to a JSON-Lines file, one object per line.
 
     The first line is a meta record ``{"ev": "meta", "schema": 1}``;
@@ -306,44 +259,6 @@ class JsonlSink(TraceSink):
             obj[key] = _jsonable(value)
         self._write_line(json.dumps(obj))
 
-    def edge(self, kind, src, dst, outcome):
-        self._emit(EV_EDGE, kind=kind, src=src, dst=dst, outcome=outcome)
-
-    def resolve(self, left, right):
-        self._emit(EV_RESOLVE, left=left, right=right)
-
-    def clash(self, diagnostic):
-        self._emit(
-            EV_CLASH,
-            kind=getattr(diagnostic, "kind", "unknown"),
-            message=str(diagnostic),
-        )
-
-    def search_start(self, start, target):
-        self._emit(EV_SEARCH_START, start=start, target=target)
-
-    def search_visit(self, node):
-        self._emit(EV_SEARCH_VISIT, node=node)
-
-    def search_end(self, found, visits, length):
-        self._emit(EV_SEARCH_END, found=found, visits=visits,
-                   length=length)
-
-    def collapse(self, witness, members):
-        self._emit(EV_COLLAPSE, witness=witness, members=list(members))
-
-    def sweep(self, eliminated):
-        self._emit(EV_SWEEP, eliminated=eliminated)
-
-    def budget_stop(self, reason, limit, value):
-        self._emit(EV_BUDGET_STOP, reason=reason, limit=limit, value=value)
-
-    def phase_begin(self, name):
-        self._emit(EV_PHASE_BEGIN, name=name)
-
-    def phase_end(self, name):
-        self._emit(EV_PHASE_END, name=name)
-
     def close(self):
         if self._file is None:
             return
@@ -404,13 +319,3 @@ def events_to_jsonl_text(events: Iterable[TraceEvent]) -> str:
             obj[key] = _jsonable(value)
         buffer.write(json.dumps(obj) + "\n")
     return buffer.getvalue()
-
-
-def combine(*sinks: Optional[TraceSink]) -> Optional[TraceSink]:
-    """Combine optional sinks: None if all are, one as-is, else a tee."""
-    present = [sink for sink in sinks if sink is not None]
-    if not present:
-        return None
-    if len(present) == 1:
-        return present[0]
-    return TeeSink(present)

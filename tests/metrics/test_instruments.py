@@ -7,10 +7,10 @@ from repro.metrics.instruments import (
     Family,
     Gauge,
     Histogram,
+    bucket_floor,
     valid_label_name,
     valid_metric_name,
 )
-from repro.trace.buckets import bucket_floor
 
 
 class TestCounter:
@@ -44,10 +44,24 @@ class TestHistogram:
         assert hist.mean == 319 / 4
 
     def test_buckets_shared_with_trace(self):
-        """Metrics histograms use the trace-side bucket boundaries."""
+        """The trace summary reports the instrument's own buckets."""
+        from repro.metrics import MetricsRegistry, MetricsSink
+
+        sink = MetricsSink(MetricsRegistry())
+        sink.search_end(False, 17, 0)
+        assert list(sink.search_visits.buckets) == [bucket_floor(17)]
+        assert sink.summary()["search_visits"]["buckets"] == {"16": 1}
+
+    def test_min_max_exact_and_merge_of_empty(self):
         hist = Histogram()
-        hist.observe(17)
-        assert list(hist.buckets) == [bucket_floor(17)]
+        assert (hist.min, hist.max) == (None, None)
+        hist.merge(Histogram())
+        assert (hist.min, hist.max, hist.count) == (None, None, 0)
+        other = Histogram()
+        for value in (40, 3):
+            other.observe(value)
+        hist.merge(other)
+        assert (hist.min, hist.max) == (3, 40)
 
     def test_cumulative_monotone(self):
         hist = Histogram()

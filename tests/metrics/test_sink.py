@@ -129,3 +129,34 @@ class TestSinkMirrorsStats:
         assert value_of(
             registry, "repro_solver_audit_failures_total"
         ) == 1
+
+
+class TestPerRunViews:
+    """Summaries read the sink's own label series, not the registry's."""
+
+    def test_shared_registry_keeps_runs_apart(self):
+        registry = MetricsRegistry()
+        summaries = {}
+        for cycles in (CyclePolicy.NONE, CyclePolicy.ONLINE):
+            opts = options(None, cycles=cycles)
+            sink = MetricsSink.for_options(
+                opts, registry, suite="s", benchmark="b",
+                label=cycles.value,
+            )
+            stats = solve(build_system(), opts.replace(sink=sink)).stats
+            summaries[cycles] = (sink.summary(), stats)
+        for summary, stats in summaries.values():
+            assert sum(summary["edge_outcomes"].values()) == stats.work
+            assert summary["searches"] == stats.cycle_searches
+        assert value_of(registry, "repro_solver_edges_total") == sum(
+            stats.work for _, stats in summaries.values()
+        )
+        assert summaries[CyclePolicy.ONLINE][0]["label"] == "online"
+
+    def test_disabled_registry_records_no_spans(self):
+        registry = MetricsRegistry()
+        registry.disable()
+        sink = MetricsSink(registry)
+        solve(build_system(), options(sink))
+        assert sink.spans == []
+        assert sink.summary()["searches"] == 0

@@ -150,3 +150,33 @@ class TestShardRanges:
         ranges = shard_ranges(97, 8)
         assert ranges[0][0] == 0 and ranges[-1][1] == 97
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+class TestRepinHashSeed:
+    """The CLIs' one-shot ``PYTHONHASHSEED=0`` re-exec."""
+
+    def test_no_reexec_when_hash_seed_already_set(self, monkeypatch):
+        from repro.parallel import pool
+
+        def reexec(*args, **kwargs):
+            raise AssertionError("re-executed despite a pinned seed")
+
+        monkeypatch.setenv("PYTHONHASHSEED", "123")
+        monkeypatch.setattr(pool.subprocess, "call", reexec)
+        assert pool.repin_hash_seed("repro.bench", ["--smoke"]) is None
+
+    def test_reexecs_module_once_with_seed_zero(self, monkeypatch):
+        from repro.parallel import pool
+
+        calls = []
+
+        def reexec(command, env):
+            calls.append((command, env))
+            return 3
+
+        monkeypatch.delenv("PYTHONHASHSEED", raising=False)
+        monkeypatch.setattr(pool.subprocess, "call", reexec)
+        assert pool.repin_hash_seed("repro.trace", ["report"]) == 3
+        (command, env), = calls
+        assert command[1:] == ["-m", "repro.trace", "report"]
+        assert env["PYTHONHASHSEED"] == "0"

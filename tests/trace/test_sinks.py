@@ -1,4 +1,4 @@
-"""Sink API contracts: null-sink overhead guard, tee, JSONL."""
+"""Sink API contracts: null-sink overhead guard, event encoding, JSONL."""
 
 import io
 import json
@@ -13,9 +13,7 @@ from repro.trace import (
     NULL_SINK,
     CollectorSink,
     JsonlSink,
-    TeeSink,
     TraceSink,
-    combine,
     read_jsonl,
 )
 
@@ -69,7 +67,7 @@ class TestOverheadGuard:
         for sink in (
             NULL_SINK,
             CollectorSink(),
-            TeeSink([CollectorSink(), TraceSink()]),
+            JsonlSink(io.StringIO()),
             MetricsSink(MetricsRegistry(),
                         form=form.value, mode=policy.value),
             MetricsSink(disabled_registry,
@@ -204,21 +202,57 @@ class TestEventStream:
             assert len(event.args["members"]) > 1
 
 
-class TestTeeAndCombine:
-    def test_tee_fans_out_in_order(self):
-        first, second = CollectorSink(), CollectorSink()
-        solve(build_system(), options(sink=TeeSink([first, second])))
-        assert [e.name for e in first.events] == [
-            e.name for e in second.events
-        ]
-        assert first.events
+class _Failure:
+    """A stand-in for an audit failure / clash diagnostic."""
 
-    def test_combine_degenerate_cases(self):
-        assert combine(None, None) is None
-        only = CollectorSink()
-        assert combine(None, only, None) is only
-        tee = combine(CollectorSink(), CollectorSink())
-        assert isinstance(tee, TeeSink)
+    kind = "mismatch"
+    check = "acyclic"
+    subject = 7
+    detail = "v7 reaches itself"
+
+    def __str__(self):
+        return "v7 reaches itself"
+
+
+#: One sample call per public TraceSink event method.
+EVENT_SAMPLES = {
+    "edge": ("vv", 1, 2, "added"),
+    "resolve": ("box(s)", "box(t)"),
+    "clash": (_Failure(),),
+    "search_start": (0, 1),
+    "search_visit": (3,),
+    "search_end": (True, 2, 3),
+    "collapse": (0, (0, 1, 2)),
+    "sweep": (4,),
+    "audit_failure": (_Failure(),),
+    "budget_stop": ("work", 100.0, 101.0),
+    "phase_begin": ("closure",),
+    "phase_end": ("closure",),
+}
+
+
+class TestEventEncoding:
+    """CollectorSink and JsonlSink encode every event identically."""
+
+    def test_samples_cover_every_event_method(self):
+        public = {
+            name for name, value in vars(TraceSink).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert public - {"close"} == set(EVENT_SAMPLES)
+
+    @pytest.mark.parametrize("method", sorted(EVENT_SAMPLES))
+    def test_jsonl_round_trip_equals_collector(self, method):
+        collector = CollectorSink()
+        buffer = io.StringIO()
+        jsonl = JsonlSink(buffer)
+        getattr(collector, method)(*EVENT_SAMPLES[method])
+        getattr(jsonl, method)(*EVENT_SAMPLES[method])
+        jsonl.close()
+        buffer.seek(0)
+        recorded = [(e.name, e.args) for e in collector.events]
+        assert len(recorded) == 1
+        assert [(e.name, e.args) for e in read_jsonl(buffer)] == recorded
 
 
 class TestJsonl:
