@@ -8,10 +8,9 @@ regime where the paper's factors are visible) and can be overridden::
 
 One ``SuiteResults`` instance is shared by the whole session so each
 (benchmark, experiment) pair is solved exactly once no matter how many
-tables and figures read it.  It is constructed through
-:func:`repro.bench.harness.suite_results` so these scripts and the
-regression harness (``python -m repro.bench``) share one measurement
-path.
+tables and figures read it.  ``SuiteResults`` solves through
+:func:`repro.bench.measure.measure_system`, the measurement path the
+counter gate (``python -m repro.bench``) uses too.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import os
 
 import pytest
 
-from repro.bench.harness import bench_once, suite_results
+from repro.bench.harness import bench_once
 from repro.experiments import SuiteResults
 
 
@@ -30,7 +29,7 @@ def suite_name() -> str:
 
 @pytest.fixture(scope="session")
 def results() -> SuiteResults:
-    return suite_results(suite_name())
+    return SuiteResults.for_suite(suite_name())
 
 
 @pytest.fixture(scope="session")

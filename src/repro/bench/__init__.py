@@ -1,4 +1,8 @@
-"""Benchmark-regression subsystem (``python -m repro.bench``).
+"""Counter-identity gate (``python -m repro.bench``).
+
+Solves a pinned suite under the six Table-4 configurations and requires
+every deterministic solver counter to equal the committed baseline.
+Wall time belongs to ``perfbench/``, not to this package.
 
 Layout:
 
@@ -8,8 +12,8 @@ Layout:
   cycle);
 * :mod:`repro.bench.harness` — suite runner producing schema-versioned
   :class:`~repro.bench.harness.BenchReport` objects;
-* :mod:`repro.bench.baseline` — ``BENCH_<n>.json`` / baseline I/O;
-* :mod:`repro.bench.compare` — the regression gate;
+* :mod:`repro.bench.baseline` — report / baseline JSON I/O;
+* :mod:`repro.bench.compare` — the exact counter comparison;
 * :mod:`repro.bench.__main__` — the CLI.
 """
 

@@ -1,47 +1,29 @@
 """Reading and writing benchmark reports and baselines.
 
-Fresh harness runs are written as ``BENCH_<n>.json`` scratch files
-(numbered, never overwriting an earlier run; gitignored).  The
-*baseline* is one committed report — by convention
+The *baseline* is one committed report — by convention
 ``benchmarks/BASELINE.json`` — that the compare step
-(:mod:`repro.bench.compare`) diffs fresh runs against.
+(:mod:`repro.bench.compare`) diffs fresh runs against.  Reports are
+written only on request (``python -m repro.bench --write-baseline``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
-from typing import Tuple
 
 from .harness import SCHEMA_VERSION, BenchReport
 
 #: Default committed baseline location, relative to the repo root.
 DEFAULT_BASELINE = os.path.join("benchmarks", "BASELINE.json")
 
-#: Schema versions :func:`load_report` accepts.  v1 reports predate the
-#: ``git_sha``/``timestamp`` provenance stamps; the loader defaults
-#: those fields so committed v1 baselines keep working unchanged.
-SUPPORTED_SCHEMA_VERSIONS = (1, SCHEMA_VERSION)
-
-_BENCH_FILE = re.compile(r"^BENCH_(\d+)\.json$")
+#: Schema versions :func:`load_report` accepts.  v1 and v2 records also
+#: carry wall times (v2 adds commit/time provenance stamps); the
+#: loader ignores those fields, so old baselines keep working unchanged.
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, SCHEMA_VERSION)
 
 
 class BaselineError(ValueError):
     """A baseline/report file is missing, malformed, or incompatible."""
-
-
-def next_bench_path(directory: str = ".") -> Tuple[str, int]:
-    """The first unused ``BENCH_<n>.json`` path in ``directory``."""
-    taken = set()
-    for entry in os.listdir(directory or "."):
-        match = _BENCH_FILE.match(entry)
-        if match:
-            taken.add(int(match.group(1)))
-    n = 1
-    while n in taken:
-        n += 1
-    return os.path.join(directory or ".", f"BENCH_{n}.json"), n
 
 
 def write_report(report: BenchReport, path: str) -> str:
@@ -54,12 +36,6 @@ def write_report(report: BenchReport, path: str) -> str:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def write_next_report(report: BenchReport, directory: str = ".") -> str:
-    """Write ``report`` to the next free ``BENCH_<n>.json``."""
-    path, _ = next_bench_path(directory)
-    return write_report(report, path)
 
 
 def load_report(path: str) -> BenchReport:

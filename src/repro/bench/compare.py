@@ -1,29 +1,29 @@
-"""The regression gate: diff a fresh report against the baseline.
+"""The counter-identity gate: diff a fresh report against the baseline.
 
-Two kinds of checks, reflecting the two kinds of numbers the harness
-records:
-
-* **Work counts are exact.**  They are deterministic for a pinned
-  workload, seed, and ``PYTHONHASHSEED``, so *any* increase in ``work``
-  is a regression — there is no noise to tolerate.  A (benchmark,
-  experiment) pair present in the baseline but missing from the fresh
-  run also fails: silently shrinking the suite must not read as green.
-* **Wall times are noisy.**  The median must stay within
-  ``1 + time_tolerance`` of the baseline; time checks can be disabled
-  entirely (``check_time=False``) when baseline and current run were
-  produced on different machines, as in CI.
+Every :data:`~repro.bench.measure.COUNTER_FIELDS` value is deterministic
+for a pinned workload, seed, and ``PYTHONHASHSEED``, so the gate is
+exact: a counter that differs from the baseline in *either* direction
+is a regression.  A drop in ``work`` or in ``cycle_search_visits``
+breaks the oracle as surely as a rise does, and a change the author
+intended is recorded by re-writing the baseline.  A (benchmark,
+experiment) pair present in the baseline but missing from the fresh run
+also fails: silently shrinking the suite must not read as green.
 
 Comparing runs with different suites, seeds, or hash seeds is refused
 rather than attempted: the counters are only oracles when the workload
 is literally the same.
+
+:func:`counter_drift` is the one per-pair diff; ``python -m repro.trace
+report --check-baseline`` applies it to traced runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Mapping, Optional
 
 from .harness import BenchReport
+from .measure import COUNTER_FIELDS
 
 
 class IncomparableReportsError(ValueError):
@@ -32,21 +32,31 @@ class IncomparableReportsError(ValueError):
 
 @dataclass
 class Finding:
-    """One comparison outcome for one (benchmark, experiment) metric."""
+    """One counter of one (benchmark, experiment) pair that drifted."""
 
     benchmark: str
     experiment: str
     metric: str
-    baseline: float
-    current: float
+    baseline: Optional[int]
+    current: Optional[int]
 
     def __str__(self) -> str:
-        delta = self.current - self.baseline
-        rel = (delta / self.baseline * 100) if self.baseline else 0.0
         return (
             f"{self.benchmark}/{self.experiment} {self.metric}: "
-            f"{self.baseline:g} -> {self.current:g} ({rel:+.1f}%)"
+            f"baseline={self.baseline} run={self.current}"
         )
+
+
+def counter_drift(benchmark: str, experiment: str,
+                  baseline: Mapping[str, int],
+                  current: Mapping[str, int]) -> List[Finding]:
+    """Every counter whose value in ``current`` differs from ``baseline``."""
+    return [
+        Finding(benchmark, experiment, name,
+                baseline.get(name), current.get(name))
+        for name in COUNTER_FIELDS
+        if current.get(name) != baseline.get(name)
+    ]
 
 
 @dataclass
@@ -54,7 +64,6 @@ class ComparisonResult:
     """All findings from one baseline diff."""
 
     regressions: List[Finding] = field(default_factory=list)
-    improvements: List[Finding] = field(default_factory=list)
     missing: List[str] = field(default_factory=list)
 
     @property
@@ -67,20 +76,14 @@ class ComparisonResult:
             lines.append(f"MISSING    {key} (in baseline, not in this run)")
         for finding in self.regressions:
             lines.append(f"REGRESSION {finding}")
-        for finding in self.improvements:
-            lines.append(f"improved   {finding}")
         if not lines:
             lines.append("no regressions against baseline")
         return "\n".join(lines)
 
 
-def compare_reports(
-    baseline: BenchReport,
-    current: BenchReport,
-    time_tolerance: float = 0.25,
-    check_time: bool = True,
-) -> ComparisonResult:
-    """Diff ``current`` against ``baseline`` and classify the findings."""
+def compare_reports(baseline: BenchReport,
+                    current: BenchReport) -> ComparisonResult:
+    """Diff ``current``'s counters against ``baseline``'s, pair by pair."""
     for attr in ("suite", "seed"):
         if getattr(baseline, attr) != getattr(current, attr):
             raise IncomparableReportsError(
@@ -100,29 +103,8 @@ def compare_reports(
         record = current_by_key.get(key)
         if record is None:
             result.missing.append("/".join(key))
-            continue
-        finding = Finding(
-            benchmark=key[0],
-            experiment=key[1],
-            metric="work",
-            baseline=base_record.work,
-            current=record.work,
-        )
-        if record.work > base_record.work:
-            result.regressions.append(finding)
-        elif record.work < base_record.work:
-            result.improvements.append(finding)
-        if check_time:
-            base_time = base_record.median_seconds
-            time_finding = Finding(
-                benchmark=key[0],
-                experiment=key[1],
-                metric="median_seconds",
-                baseline=base_time,
-                current=record.median_seconds,
-            )
-            if record.median_seconds > base_time * (1.0 + time_tolerance):
-                result.regressions.append(time_finding)
-            elif record.median_seconds < base_time * (1.0 - time_tolerance):
-                result.improvements.append(time_finding)
+        else:
+            result.regressions.extend(counter_drift(
+                *key, base_record.counters, record.counters
+            ))
     return result

@@ -1,26 +1,25 @@
-"""The benchmark-regression harness.
+"""The counter-identity harness.
 
 ``run_bench`` solves a pinned, seeded workload suite under the six
 Table-4 experiment configurations through the shared measurement
 primitive (:func:`repro.bench.measure.measure_system`) and returns a
-schema-versioned :class:`BenchReport`:
+schema-versioned :class:`BenchReport` of the deterministic
+``SolverStats`` counters per (benchmark, experiment).  The counters are
+exact oracles, reproducible across machines when ``PYTHONHASHSEED`` is
+pinned (the CLI pins it to ``0``).  Every pair is solved ``repeats``
+times, and the repeats must agree on every counter
+(:class:`~repro.bench.measure.NondeterministicRunError` otherwise).
 
-* the deterministic ``SolverStats`` counters per (benchmark,
-  experiment) — exact regression oracles, reproducible across machines
-  when ``PYTHONHASHSEED`` is pinned (the CLI pins it to ``0``);
-* median-of-N wall times — noisy, gated only by a tolerance.
-
-The report serializes to ``BENCH_<n>.json`` (see
-:mod:`repro.bench.baseline`) and diffs against a committed baseline
-(see :mod:`repro.bench.compare`).
+Wall time is not recorded here; ``perfbench/`` and the bounds in
+``BENCHMARK.json`` own timing.  The report serializes through
+:mod:`repro.bench.baseline` and diffs against a committed baseline
+through :mod:`repro.bench.compare`.
 """
 
 from __future__ import annotations
 
-import datetime
 import os
 import platform
-import subprocess
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -29,45 +28,17 @@ from ..errors import ReproError
 from ..experiments.config import EXPERIMENT_LABELS, options_for
 from ..resilience.budget import SolveBudget
 from ..resilience.errors import BudgetExceededError
-from ..workloads import suite
+from ..workloads import select_benchmarks
 from .measure import measure_system
 
 #: Format version of the serialized report; bump on breaking changes.
-#: v2 added the ``git_sha``/``timestamp`` provenance stamps so the
-#: dashboard can order a report trajectory without filename parsing;
-#: v1 reports still load (the stamps default to unknown/empty).
-SCHEMA_VERSION = 2
+#: v3 records carry counters only; v1 and v2 also stored wall times
+#: (and v2 commit/time provenance stamps), which the loader ignores.
+SCHEMA_VERSION = 3
 
-#: The pinned smoke workload: small, seeded, fast enough for CI.
-SMOKE_SUITE = "quick"
-SMOKE_REPEATS = 3
-
-
-def detect_git_sha() -> str:
-    """The commit this run measures: ``$GITHUB_SHA`` or ``git rev-parse``.
-
-    Falls back to ``"unknown"`` outside a repository — provenance is
-    metadata, never a reason for a benchmark run to fail.
-    """
-    env_sha = os.environ.get("GITHUB_SHA")
-    if env_sha:
-        return env_sha
-    try:
-        result = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    sha = result.stdout.strip()
-    return sha if result.returncode == 0 and sha else "unknown"
-
-
-def _utc_now() -> str:
-    """ISO-8601 UTC stamp; lexicographic order == chronological order."""
-    return datetime.datetime.now(datetime.timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
+#: The default workload: small, seeded, fast enough for CI.
+DEFAULT_SUITE = "quick"
+DEFAULT_REPEATS = 3
 
 
 class BenchTimeoutError(ReproError):
@@ -81,36 +52,21 @@ class BenchTimeoutError(ReproError):
 
 @dataclass
 class BenchRecord:
-    """Measurements for one benchmark under one experiment."""
+    """The counters of one benchmark under one experiment."""
 
     benchmark: str
     experiment: str
     counters: Dict[str, int]
-    wall_times: List[float]
 
     @property
     def work(self) -> int:
         return self.counters["work"]
-
-    @property
-    def median_seconds(self) -> float:
-        times = sorted(self.wall_times)
-        mid = len(times) // 2
-        if len(times) % 2:
-            return times[mid]
-        return (times[mid - 1] + times[mid]) / 2
-
-    @property
-    def best_seconds(self) -> float:
-        return min(self.wall_times)
 
     def to_dict(self) -> dict:
         return {
             "benchmark": self.benchmark,
             "experiment": self.experiment,
             "counters": dict(self.counters),
-            "wall_times": list(self.wall_times),
-            "median_seconds": self.median_seconds,
         }
 
     @classmethod
@@ -119,7 +75,6 @@ class BenchRecord:
             benchmark=payload["benchmark"],
             experiment=payload["experiment"],
             counters={k: int(v) for k, v in payload["counters"].items()},
-            wall_times=[float(t) for t in payload["wall_times"]],
         )
 
 
@@ -139,20 +94,12 @@ class BenchReport:
     hash_seed: str = field(
         default_factory=lambda: os.environ.get("PYTHONHASHSEED", "random")
     )
-    #: commit the run measured (schema v2; "unknown" on v1 reports)
-    git_sha: str = field(default_factory=detect_git_sha)
-    #: ISO-8601 UTC stamp of the run (schema v2; "" on v1 reports)
-    timestamp: str = field(default_factory=_utc_now)
 
     def key(self) -> Dict[Tuple[str, str], BenchRecord]:
         return {
             (record.benchmark, record.experiment): record
             for record in self.records
         }
-
-    @property
-    def total_median_seconds(self) -> float:
-        return sum(record.median_seconds for record in self.records)
 
     def to_dict(self) -> dict:
         return {
@@ -163,15 +110,11 @@ class BenchReport:
             "experiments": list(self.experiments),
             "python_version": self.python_version,
             "hash_seed": self.hash_seed,
-            "git_sha": self.git_sha,
-            "timestamp": self.timestamp,
             "records": [record.to_dict() for record in self.records],
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BenchReport":
-        # v1 payloads predate the provenance stamps; default them
-        # rather than refusing — old baselines must keep loading.
         return cls(
             suite=payload["suite"],
             seed=int(payload["seed"]),
@@ -183,16 +126,19 @@ class BenchReport:
             schema_version=int(payload["schema_version"]),
             python_version=payload.get("python_version", "unknown"),
             hash_seed=str(payload.get("hash_seed", "random")),
-            git_sha=str(payload.get("git_sha", "unknown")),
-            timestamp=str(payload.get("timestamp", "")),
         )
 
 
+def _progress_line(benchmark: str, experiment: str,
+                   counters: Dict[str, int]) -> str:
+    return f"{benchmark:<14} {experiment:<10} work={counters['work']:>9}"
+
+
 def run_bench(
-    suite_name: str = SMOKE_SUITE,
+    suite_name: str = DEFAULT_SUITE,
     experiments: Optional[Iterable[str]] = None,
     seed: int = 0,
-    repeats: int = SMOKE_REPEATS,
+    repeats: int = DEFAULT_REPEATS,
     benchmarks: Optional[Iterable[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
     trace_dir: Optional[str] = None,
@@ -212,9 +158,7 @@ def run_bench(
     times) plus ``trace_spans.json`` (a Chrome/Perfetto view of the
     phase spans) into that directory.  Sinks observe without steering,
     so every deterministic counter in the returned report is identical
-    to an untraced run; only wall times carry the (small) observation
-    cost, which is why traced reports should not be promoted to timing
-    baselines.
+    to an untraced run.
 
     ``timeout_seconds`` bounds the *whole suite run* by wall clock: the
     remaining allowance is wired into each solve as a
@@ -222,9 +166,7 @@ def run_bench(
     single hung closure cannot stall the job — it raises
     :class:`BenchTimeoutError` (as does starting a run after the
     deadline has passed).  Deterministic counters are unaffected by the
-    budget machinery; wall times carry a small polling cost, so
-    timeout-bounded reports should not be promoted to timing baselines
-    either.
+    budget machinery.
 
     ``metrics_dir`` points every run's
     :class:`~repro.metrics.sink.MetricsSink` (labeled with the suite,
@@ -234,14 +176,13 @@ def run_bench(
     ``metrics.json`` (a loadable snapshot) and ``metrics.prom``
     (Prometheus text exposition) into that directory after the suite
     completes.  The same observe-don't-steer contract applies: counters
-    in the report are unchanged, wall times carry the observation cost.
+    in the report are unchanged.
 
     ``jobs > 1`` shards the (benchmark, experiment) pairs across a
     :mod:`repro.parallel` worker pool (``jobs <= 0`` means one worker
-    per core).  The report's deterministic fields are byte-identical to
-    a serial run — results merge in task submission order and every
-    worker pins ``PYTHONHASHSEED`` — and only ``wall_times`` /
-    ``median_seconds`` / ``timestamp`` differ.  ``timeout_seconds``
+    per core).  The report is identical to a serial run's — results
+    merge in task submission order and every worker pins
+    ``PYTHONHASHSEED``.  ``timeout_seconds``
     then bounds the whole run *and* each individual solve (crashed or
     hung workers are retried once, then reported); trace and metrics
     artifacts are merged across workers in the same task order.
@@ -264,7 +205,7 @@ def run_bench(
         else time.perf_counter() + timeout_seconds
     )
     labels = list(experiments) if experiments else list(EXPERIMENT_LABELS)
-    selected = _select_benchmarks(suite_name, benchmarks)
+    selected = select_benchmarks(suite_name, benchmarks)
     metrics_registry = None
     if metrics_dir is not None:
         from ..metrics.registry import MetricsRegistry
@@ -318,19 +259,11 @@ def run_bench(
                     (bench.name, label, sink.summary(), sink.spans)
                 )
             records.append(
-                BenchRecord(
-                    benchmark=bench.name,
-                    experiment=label,
-                    counters=measured.counters,
-                    wall_times=measured.wall_times,
-                )
+                BenchRecord(bench.name, label, measured.counters)
             )
             if progress is not None:
-                progress(
-                    f"{bench.name:<14} {label:<10} "
-                    f"work={measured.counters['work']:>9} "
-                    f"median={measured.median_seconds * 1000:8.1f}ms"
-                )
+                progress(_progress_line(bench.name, label,
+                                        measured.counters))
     report = BenchReport(
         suite=suite_name,
         seed=seed,
@@ -343,21 +276,6 @@ def run_bench(
     if metrics_registry is not None and metrics_dir is not None:
         _write_metrics_outputs(report, metrics_registry, metrics_dir)
     return report
-
-
-def _select_benchmarks(suite_name: str,
-                       benchmarks: Optional[Iterable[str]]) -> list:
-    """The suite's benchmark list, optionally restricted by name."""
-    selected = suite(suite_name)
-    if benchmarks is not None:
-        wanted = set(benchmarks)
-        selected = [bench for bench in selected if bench.name in wanted]
-        missing = wanted - {bench.name for bench in selected}
-        if missing:
-            raise KeyError(
-                f"benchmarks not in suite {suite_name!r}: {sorted(missing)}"
-            )
-    return selected
 
 
 def _run_bench_parallel(
@@ -382,7 +300,7 @@ def _run_bench_parallel(
     from ..parallel.tasks import bench_task
 
     labels = list(experiments) if experiments else list(EXPERIMENT_LABELS)
-    selected = _select_benchmarks(suite_name, benchmarks)
+    selected = select_benchmarks(suite_name, benchmarks)
     tasks = [
         TaskSpec(
             key=f"{bench.name}/{label}",
@@ -406,19 +324,8 @@ def _run_bench_parallel(
         if progress is None:
             return
         if result.ok and result.value.get("status") == "ok":
-            counters = result.value["counters"]
-            times = sorted(result.value["wall_times"])
-            mid = len(times) // 2
-            median = (
-                times[mid] if len(times) % 2
-                else (times[mid - 1] + times[mid]) / 2
-            )
             name, label = result.key.split("/", 1)
-            progress(
-                f"{name:<14} {label:<10} "
-                f"work={counters['work']:>9} "
-                f"median={median * 1000:8.1f}ms"
-            )
+            progress(_progress_line(name, label, result.value["counters"]))
         else:
             progress(f"{result.key}: FAILED ({result.kind})")
 
@@ -469,7 +376,6 @@ def _run_bench_parallel(
                     key: int(count)
                     for key, count in value["counters"].items()
                 },
-                wall_times=[float(t) for t in value["wall_times"]],
             )
         )
         if value.get("telemetry") is not None:
@@ -508,8 +414,6 @@ def _write_metrics_outputs(report: BenchReport, registry,
             "suite": report.suite,
             "seed": report.seed,
             "repeats": report.repeats,
-            "git_sha": report.git_sha,
-            "timestamp": report.timestamp,
         },
     )
     prom_path = os.path.join(metrics_dir, "metrics.prom")
@@ -562,34 +466,14 @@ def render_report(report: BenchReport) -> str:
     lines = [
         f"suite={report.suite} seed={report.seed} repeats={report.repeats} "
         f"python={report.python_version} hash_seed={report.hash_seed}",
-        f"{'benchmark':<14} {'experiment':<10} {'work':>10} "
-        f"{'median_ms':>10}",
+        f"{'benchmark':<14} {'experiment':<10} {'work':>10}",
     ]
     for record in report.records:
         lines.append(
             f"{record.benchmark:<14} {record.experiment:<10} "
-            f"{record.work:>10} {record.median_seconds * 1000:>10.1f}"
+            f"{record.work:>10}"
         )
-    lines.append(
-        f"total median wall time: {report.total_median_seconds:.3f}s"
-    )
     return "\n".join(lines)
-
-
-def suite_results(which: str = "medium", seed: int = 0, repeats: int = 1,
-                  jobs: int = 1):
-    """Construct the experiment runner used by the benchmark scripts.
-
-    The pytest benchmark scripts under ``benchmarks/`` build their
-    shared :class:`~repro.experiments.SuiteResults` through this hook so
-    table/figure reproduction and regression tracking enter the same
-    measurement path (``SuiteResults`` itself times runs via
-    :func:`repro.bench.measure.measure_system`).
-    """
-    from ..experiments.runner import SuiteResults
-
-    return SuiteResults.for_suite(which, seed=seed, repeats=repeats,
-                                  jobs=jobs)
 
 
 def bench_once(benchmark, func):
@@ -597,7 +481,7 @@ def bench_once(benchmark, func):
 
     The table/figure harnesses time full analysis runs (seconds);
     repeated rounds would multiply the suite cost for no statistical
-    benefit — regression tracking of solver time lives in
-    :func:`run_bench`, not in pytest-benchmark statistics.
+    benefit — solver timing is tracked by ``perfbench/``, not by
+    pytest-benchmark statistics.
     """
     return benchmark.pedantic(func, rounds=1, iterations=1)

@@ -1,26 +1,22 @@
 """The one measurement primitive every benchmark path goes through.
 
 Both the experiment runner (:class:`repro.experiments.SuiteResults`,
-which feeds the paper's tables and figures) and the regression harness
-(:mod:`repro.bench.harness`) time solver runs by calling
-:func:`measure_system`.  Keeping a single code path means a recorded
-baseline and a reproduced table can never disagree about *how* a number
-was measured.
+which feeds the paper's tables and figures) and the counter gate
+(:mod:`repro.bench.harness`) solve through :func:`measure_system`.
+Keeping a single code path means a recorded baseline and a reproduced
+table can never disagree about *how* a number was measured.
 
-A measurement solves the same system ``repeats`` times and keeps every
-wall time; callers choose the best-of (the paper's convention for CPU
-times) or the median (the regression harness's convention, more robust
-on shared CI machines).  The deterministic counters — ``work``,
-``redundant``, ``cycle_search_visits``, ... — must be identical across
-repeats; a mismatch means the solver lost reproducibility and raises
+A measurement solves the same system ``repeats`` times and keeps the
+best-timed solution (the paper's best-of convention for CPU times).
+The deterministic counters — ``work``, ``redundant``,
+``cycle_search_visits``, ... — must be identical across repeats; a mismatch means the solver lost reproducibility and raises
 :class:`NondeterministicRunError` rather than silently recording noise.
 """
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..constraints.system import ConstraintSystem
 from ..solver import Solution, SolverOptions, solve
@@ -54,19 +50,9 @@ def counters_of(solution: Solution) -> Dict[str, int]:
 
 @dataclass
 class Measurement:
-    """One system solved ``len(wall_times)`` times under one config."""
+    """One system solved under one config: the best-timed repeat."""
 
     solution: Solution
-    #: total (closure + least-solution) seconds, in run order
-    wall_times: List[float]
-
-    @property
-    def best_seconds(self) -> float:
-        return min(self.wall_times)
-
-    @property
-    def median_seconds(self) -> float:
-        return statistics.median(self.wall_times)
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -88,11 +74,9 @@ def measure_system(
     best: Solution = None  # type: ignore[assignment]
     best_time = float("inf")
     reference: Dict[str, int] = {}
-    wall_times: List[float] = []
     for attempt in range(repeats):
         solution = solve(system, options)
         elapsed = solution.stats.total_seconds
-        wall_times.append(elapsed)
         counters = counters_of(solution)
         if attempt == 0:
             reference = counters
@@ -107,4 +91,4 @@ def measure_system(
             )
         if elapsed < best_time:
             best, best_time = solution, elapsed
-    return Measurement(solution=best, wall_times=wall_times)
+    return Measurement(solution=best)

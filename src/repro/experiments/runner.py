@@ -127,24 +127,11 @@ class SuiteResults:
     def __init__(self, benchmarks: Iterable[Benchmark], seed: int = 0,
                  repeats: int = 1,
                  sink_factory: Optional[
-                     Callable[[str, str], "TraceSink"]] = None,
-                 jobs: int = 1) -> None:
-        if jobs != 1 and sink_factory is not None:
-            raise ValueError(
-                "sink_factory attaches live in-process sinks and cannot "
-                "observe runs executed in worker processes; use jobs=1 "
-                "when tracing"
-            )
+                     Callable[[str, str], "TraceSink"]] = None) -> None:
         self.benchmarks: List[Benchmark] = list(benchmarks)
         self.seed = seed
         #: best-of-N timing, like the paper's best-of-three CPU times
         self.repeats = max(1, repeats)
-        #: ``run_all`` shards uncached (benchmark, experiment) pairs
-        #: across this many worker processes (0 = one per core, 1 =
-        #: serial).  Records are identical to serial ones except for
-        #: the wall-clock fields; ``solution()`` always re-solves
-        #: locally (graphs are not worth shipping over a pipe).
-        self.jobs = jobs
         #: optional observability hook: called as ``(benchmark,
         #: experiment) -> TraceSink`` once per executed run, and the
         #: returned sink is attached to that run's solver options.  With
@@ -166,10 +153,10 @@ class SuiteResults:
     def for_suite(cls, which: str = "medium", seed: int = 0,
                   repeats: int = 1,
                   sink_factory: Optional[
-                      Callable[[str, str], "TraceSink"]] = None,
-                  jobs: int = 1) -> "SuiteResults":
+                      Callable[[str, str], "TraceSink"]] = None
+                  ) -> "SuiteResults":
         return cls(suite(which), seed=seed, repeats=repeats,
-                   sink_factory=sink_factory, jobs=jobs)
+                   sink_factory=sink_factory)
 
     # ------------------------------------------------------------------
     def benchmark(self, name: str) -> Benchmark:
@@ -219,51 +206,11 @@ class SuiteResults:
     def run_all(self, experiments: Iterable[str] = EXPERIMENT_LABELS
                 ) -> List[RunRecord]:
         experiments = list(experiments)
-        if self.jobs != 1:
-            self._run_all_parallel(experiments)
         return [
             self.run(bench.name, label)
             for bench in self.benchmarks
             for label in experiments
         ]
-
-    def _run_all_parallel(self, experiments: List[str]) -> None:
-        """Fill the record cache for every uncached pair via the pool.
-
-        Workers rebuild benchmarks by name from the suite registry
-        (:func:`repro.workloads.benchmark`), so parallel runs require
-        suite benchmarks; ad-hoc :class:`Benchmark` objects fall back
-        to the serial path in :meth:`run`.
-        """
-        from ..parallel.pool import TaskSpec, require_ok, run_tasks
-        from ..parallel.tasks import suite_task
-        from ..workloads.suite import FULL_SUITE
-
-        known = {config.name for config in FULL_SUITE}
-        pending = [
-            (bench.name, label)
-            for bench in self.benchmarks
-            for label in experiments
-            if (bench.name, label) not in self._records
-            and bench.name in known
-        ]
-        if not pending:
-            return
-        tasks = [
-            TaskSpec(
-                key=f"{name}/{label}",
-                payload={
-                    "benchmark": name,
-                    "experiment": label,
-                    "seed": self.seed,
-                    "repeats": self.repeats,
-                },
-            )
-            for name, label in pending
-        ]
-        results = require_ok(run_tasks(suite_task, tasks, jobs=self.jobs))
-        for (name, label), result in zip(pending, results):
-            self._records[(name, label)] = RunRecord(**result.value)
 
     # ------------------------------------------------------------------
     def statistics(self, benchmark_name: str) -> BenchmarkStats:

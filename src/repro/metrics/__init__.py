@@ -1,4 +1,4 @@
-"""Aggregated solver metrics: registry, exporters, dashboard.
+"""Aggregated solver metrics: registry, sink, exporters.
 
 Where :mod:`repro.trace` answers "what did this one run do, event by
 event", ``repro.metrics`` answers "what has this *process* done so
@@ -23,10 +23,6 @@ service is monitored through:
   :mod:`repro.metrics.server`): exposition rendering + validation and
   a stdlib-only HTTP scrape endpoint
   (``python -m repro.metrics serve``).
-* **Dashboard** (:mod:`repro.metrics.dashboard`): ingests
-  ``benchmarks/BASELINE.json``, ``BENCH_<n>.json`` reports and metric
-  snapshots into a self-contained static HTML view of the benchmark
-  trajectory (``python -m repro.metrics dashboard``).
 
 Quick use::
 

@@ -11,21 +11,17 @@ Typical uses::
     # file, then format-checks it with this).
     python -m repro.metrics check scraped.prom
 
-    # Build the benchmark-trajectory dashboard from the committed
-    # baseline plus fresh BENCH reports and metric snapshots.
-    python -m repro.metrics dashboard \
-        --baseline benchmarks/BASELINE.json \
-        --reports BENCH_1.json BENCH_2.json \
-        --snapshots metrics-out/metrics.json --out dashboard.html
+Exit codes: 0 success, 1 invalid exposition format (``check``), 2 an
+input file that cannot be read or loaded, or no subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
-from .dashboard import build_dashboard
 from .exposition import validate_exposition
 from .registry import MetricsRegistry, default_registry
 from .server import serve
@@ -34,8 +30,8 @@ from .server import serve
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.metrics",
-        description="aggregated solver metrics: exposition endpoint, "
-                    "format checker, and benchmark dashboard",
+        description="aggregated solver metrics: exposition endpoint "
+                    "and format checker",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -62,47 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "path", help="file of exposition text ('-' for stdin)",
     )
-
-    dashboard = sub.add_parser(
-        "dashboard", help="build the benchmark-trajectory dashboard",
-    )
-    dashboard.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="committed baseline report "
-             "(e.g. benchmarks/BASELINE.json)",
-    )
-    dashboard.add_argument(
-        "--reports", nargs="*", metavar="PATH", default=[],
-        help="BENCH_<n>.json reports to include, oldest first "
-             "(schema-v2 timestamps reorder them automatically)",
-    )
-    dashboard.add_argument(
-        "--snapshots", nargs="*", metavar="PATH", default=[],
-        help="repro.metrics snapshot JSONs to summarize",
-    )
-    dashboard.add_argument(
-        "--out", required=True, metavar="PATH",
-        help="output HTML file",
-    )
-    dashboard.add_argument(
-        "--title", default="repro benchmark trajectory",
-        help="dashboard title",
-    )
-    dashboard.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="exit nonzero if any work-count regression is flagged",
-    )
     return parser
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.snapshot:
-        import json
-
         registry = MetricsRegistry()
         for path in args.snapshot:
-            with open(path, "r", encoding="utf-8") as handle:
-                registry.load_snapshot(json.load(handle))
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    registry.load_snapshot(json.load(handle))
+            except (OSError, ValueError) as error:
+                print(f"error: cannot load snapshot {path!r}: {error}",
+                      file=sys.stderr)
+                return 2
         print(f"loaded {len(args.snapshot)} snapshot(s)")
     else:
         registry = default_registry()
@@ -123,8 +92,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.path == "-":
         text = sys.stdin.read()
     else:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(args.path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     errors = validate_exposition(text)
     if errors:
         for error in errors:
@@ -138,29 +111,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dashboard(args: argparse.Namespace) -> int:
-    if not args.baseline and not args.reports:
-        print("error: need --baseline and/or --reports",
-              file=sys.stderr)
-        return 2
-    data = build_dashboard(
-        args.baseline,
-        args.reports,
-        args.out,
-        snapshot_paths=args.snapshots,
-        title=args.title,
-    )
-    print(f"wrote {args.out} ({len(data.points)} report(s), "
-          f"{len(data.flags)} regression flag(s))")
-    for flag in data.flags:
-        print(f"REGRESSION {flag}")
-    for note in data.notes:
-        print(f"note: {note}")
-    if args.fail_on_regression and data.flags:
-        return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
@@ -169,8 +119,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_serve(args)
     if args.command == "check":
         return _cmd_check(args)
-    if args.command == "dashboard":
-        return _cmd_dashboard(args)
     parser.print_help()
     return 2
 

@@ -8,9 +8,8 @@ byte-identical to serial ones modulo wall-clock fields, because results
 are merged in task submission order and every child runs under a
 pinned ``PYTHONHASHSEED``.
 
-Entry points: ``python -m repro.bench --jobs N``, ``python -m
-repro.resilience fuzz --jobs N``,
-``SuiteResults(..., jobs=N)``; the generic pool is
+Entry points: ``python -m repro.bench --jobs N`` and ``python -m
+repro.resilience fuzz --jobs N``; the generic pool is
 :func:`~repro.parallel.pool.run_tasks`.  See ``docs/PARALLEL.md``.
 """
 

@@ -12,7 +12,6 @@ dict/list/tuple structure the parent merges deterministically.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict
 from typing import Any, Dict, List
 
 from ..experiments.config import options_for
@@ -31,8 +30,8 @@ def bench_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     registry snapshot), ``budget_seconds`` (optional per-solve
     :class:`~repro.resilience.budget.SolveBudget` deadline).
 
-    Returns ``{"status": "ok", "counters", "wall_times", "telemetry",
-    "metrics"}`` — the exact ingredients of one serial
+    Returns ``{"status": "ok", "counters", "telemetry", "metrics"}`` —
+    the exact ingredients of one serial
     :class:`~repro.bench.harness.BenchRecord` — or ``{"status":
     "timeout", "detail"}`` when the budget expires mid-solve.
     """
@@ -71,7 +70,6 @@ def bench_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     result: Dict[str, Any] = {
         "status": "ok",
         "counters": measured.counters,
-        "wall_times": measured.wall_times,
         "telemetry": None,
         "metrics": None,
     }
@@ -83,29 +81,6 @@ def bench_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     if payload.get("metrics"):
         result["metrics"] = registry.snapshot()
     return result
-
-
-def suite_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Measure one pair for :class:`~repro.experiments.SuiteResults`.
-
-    Returns the :class:`~repro.experiments.runner.RunRecord` field dict
-    (solutions stay in the worker: whole constraint graphs are not
-    worth shipping over a pipe, and ``SuiteResults.solution`` re-solves
-    locally on demand).
-    """
-    from ..bench.measure import measure_system
-    from ..experiments.runner import RunRecord
-    from ..workloads import benchmark
-
-    bench = benchmark(payload["benchmark"])
-    options = options_for(payload["experiment"], seed=payload["seed"])
-    measured = measure_system(
-        bench.program.system, options, repeats=payload["repeats"]
-    )
-    return asdict(RunRecord.from_stats(
-        payload["benchmark"], payload["experiment"],
-        measured.solution.stats,
-    ))
 
 
 def fuzz_task(payload: Dict[str, Any]) -> Dict[str, Any]:

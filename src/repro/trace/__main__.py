@@ -124,15 +124,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_baseline(report, baseline_path: str) -> int:
-    """Compare traced runs' work counters against a bench baseline.
+    """Compare traced runs' counters against a bench baseline.
 
     Only (benchmark, experiment) pairs present in both are compared —
     the baseline covers all six configurations of its own suite; the
-    trace report covers the experiments it was asked to run.  Equal
-    counters demonstrate the acceptance property: attaching telemetry
-    sinks does not change any counted work.
+    trace report covers the experiments it was asked to run — and at
+    least one pair must overlap.  Each pair goes through the bench
+    gate's exact diff (:func:`repro.bench.compare.counter_drift`).
+    Equal counters demonstrate the acceptance property: attaching
+    telemetry sinks does not change any counted work.
     """
     from ..bench.baseline import BaselineError, load_report
+    from ..bench.compare import counter_drift
 
     try:
         baseline = load_report(baseline_path)
@@ -141,20 +144,16 @@ def _check_baseline(report, baseline_path: str) -> int:
         return 2
     baseline_key = baseline.key()
     compared = 0
-    mismatches: List[str] = []
+    mismatches = []
     for run in report.runs:
         record = baseline_key.get((run.benchmark, run.experiment))
         if record is None:
             continue
         compared += 1
-        counters = run.stats.as_dict()
-        for name, expected in record.counters.items():
-            actual = counters.get(name)
-            if actual != expected:
-                mismatches.append(
-                    f"{run.benchmark}/{run.experiment}: {name} "
-                    f"traced={actual} baseline={expected}"
-                )
+        mismatches.extend(counter_drift(
+            run.benchmark, run.experiment, record.counters,
+            run.stats.as_dict(),
+        ))
     if report.suite != baseline.suite or report.seed != baseline.seed:
         print(
             f"baseline check: note baseline is suite={baseline.suite} "
@@ -172,8 +171,8 @@ def _check_baseline(report, baseline_path: str) -> int:
             f"baseline check FAILED: traced counters diverge from "
             f"{baseline_path}:", file=sys.stderr,
         )
-        for line in mismatches:
-            print(f"  {line}", file=sys.stderr)
+        for finding in mismatches:
+            print(f"  {finding}", file=sys.stderr)
         return 1
     print(
         f"baseline check OK: {compared} traced runs match the work "
@@ -213,15 +212,12 @@ def _cmd_report(args) -> int:
 def _cmd_record(args) -> int:
     from ..experiments.config import options_for
     from ..solver import solve
-    from ..workloads import suite
+    from ..workloads import select_benchmarks, suite_names
 
-    bench = None
-    for candidate in suite(args.suite):
-        if candidate.name == args.benchmark:
-            bench = candidate
-            break
-    if bench is None:
-        names = sorted(b.name for b in suite(args.suite))
+    try:
+        (bench,) = select_benchmarks(args.suite, [args.benchmark])
+    except KeyError:
+        names = sorted(suite_names(args.suite))
         print(
             f"error: benchmark {args.benchmark!r} not in suite "
             f"{args.suite!r} (have: {', '.join(names)})",

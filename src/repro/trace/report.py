@@ -29,6 +29,7 @@ from ..experiments.runner import RunRecord, SuiteResults
 from ..graph.stats import SolverStats
 from ..metrics.registry import MetricsRegistry
 from ..metrics.sink import MetricsSink
+from ..workloads import select_benchmarks
 from .chrome import runs_to_chrome
 
 #: Experiments traced by default: the two online configurations, whose
@@ -234,20 +235,11 @@ def trace_suite(
         sinks[(benchmark, experiment)] = sink
         return sink
 
-    results = SuiteResults.for_suite(
-        suite_name, seed=seed, sink_factory=sink_factory
+    results = SuiteResults(
+        select_benchmarks(suite_name, benchmarks),
+        seed=seed,
+        sink_factory=sink_factory,
     )
-    if benchmarks is not None:
-        wanted = set(benchmarks)
-        results.benchmarks = [
-            bench for bench in results.benchmarks if bench.name in wanted
-        ]
-        missing = wanted - {b.name for b in results.benchmarks}
-        if missing:
-            raise KeyError(
-                f"benchmarks not in suite {suite_name!r}: "
-                f"{sorted(missing)}"
-            )
     report = TraceReport(suite_name, seed, experiments)
     for bench in results.benchmarks:
         # Figure 11's denominator: final-graph SCC variables, computed

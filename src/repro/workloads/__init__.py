@@ -9,6 +9,7 @@ from .suite import (
     MEDIUM_SUITE,
     QUICK_SUITE,
     benchmark,
+    select_benchmarks,
     suite,
     suite_names,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "benchmark",
     "generate_program",
     "save_sources",
+    "select_benchmarks",
     "suite",
     "suite_names",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..andersen import AndersenProgram, analyze_unit
 from ..cfront import ast, parse
@@ -149,6 +149,27 @@ def suite(which: str = "medium") -> List[Benchmark]:
             f"unknown suite {which!r}; choose from {sorted(_SUITES)}"
         ) from None
     return [_benchmark_for(config) for config in configs]
+
+
+def select_benchmarks(which: str = "medium",
+                      names: Optional[Iterable[str]] = None
+                      ) -> List[Benchmark]:
+    """A named suite, optionally restricted to the benchmarks in ``names``.
+
+    Suite order is kept.  Raises :class:`KeyError` for an unknown suite
+    or for any name the suite does not contain.
+    """
+    selected = suite(which)
+    if names is None:
+        return selected
+    wanted = set(names)
+    selected = [bench for bench in selected if bench.name in wanted]
+    missing = wanted - {bench.name for bench in selected}
+    if missing:
+        raise KeyError(
+            f"benchmarks not in suite {which!r}: {sorted(missing)}"
+        )
+    return selected
 
 
 def suite_names(which: str = "medium") -> List[str]:

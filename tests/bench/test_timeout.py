@@ -44,7 +44,6 @@ class TestCli:
             "--suite", "quick",
             "--experiments", "SF-Plain",
             "--repeats", "1",
-            "--no-output",
             "--no-pin-hashseed",
             "--timeout", "0.000001",
         ])

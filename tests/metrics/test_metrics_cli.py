@@ -1,15 +1,9 @@
 """Exit-code contract of ``python -m repro.metrics``."""
 
 import json
-import os
 
 from repro.metrics import MetricsRegistry
 from repro.metrics.__main__ import main
-
-REPO = os.path.dirname(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-)
-BASELINE = os.path.join(REPO, "benchmarks", "BASELINE.json")
 
 
 def write_exposition(tmp_path, text):
@@ -32,43 +26,31 @@ class TestCheck:
         assert "INVALID" in capsys.readouterr().err
 
 
-class TestDashboard:
-    def test_builds_html(self, tmp_path, capsys):
-        out = str(tmp_path / "dash.html")
-        assert main(["dashboard", "--baseline", BASELINE,
-                     "--out", out]) == 0
-        assert os.path.exists(out)
-        assert "wrote" in capsys.readouterr().out
+class TestBadInput:
+    """Unreadable inputs exit 2 with one ``error:`` line, never a
+    traceback, so CI can tell them from invalid exposition (exit 1)."""
 
-    def test_fail_on_regression(self, tmp_path):
-        with open(BASELINE, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["records"][0]["counters"]["work"] += 1000
-        fresh = tmp_path / "BENCH_1.json"
-        fresh.write_text(json.dumps(payload), encoding="utf-8")
-        out = str(tmp_path / "dash.html")
-        assert main(["dashboard", "--baseline", BASELINE,
-                     "--reports", str(fresh), "--out", out,
-                     "--fail-on-regression"]) == 1
-        assert os.path.exists(out)
+    def test_check_missing_file_exits_two(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.prom")
+        assert main(["check", absent]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.prom" in err
 
-    def test_no_inputs_exits_two(self, tmp_path, capsys):
-        assert main(["dashboard", "--out",
-                     str(tmp_path / "x.html")]) == 2
-        assert "need --baseline" in capsys.readouterr().err
+    def test_serve_missing_snapshot_exits_two(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.json")
+        assert main(["serve", "--port", "0", "--snapshot", absent]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.json" in err
 
-    def test_snapshot_section(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter(
-            "repro_solver_edges_total", "help", ("form",)
-        ).labels("SF").inc(7)
-        snap = str(tmp_path / "snap.json")
-        registry.flush_to(snap)
-        out = str(tmp_path / "dash.html")
-        assert main(["dashboard", "--baseline", BASELINE,
-                     "--snapshots", snap, "--out", out]) == 0
-        with open(out, "r", encoding="utf-8") as handle:
-            assert "repro_solver_edges_total" in handle.read()
+    def test_serve_snapshot_without_schema_exits_two(self, tmp_path,
+                                                     capsys):
+        snapshot = tmp_path / "snap.json"
+        snapshot.write_text(json.dumps({"families": []}),
+                            encoding="utf-8")
+        assert main(["serve", "--port", "0",
+                     "--snapshot", str(snapshot)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "schema" in err
 
 
 class TestNoCommand:

@@ -1,9 +1,9 @@
 """Parallel execution parity: ``--jobs N`` must change nothing but time.
 
 The acceptance property of :mod:`repro.parallel`: a sharded run's
-deterministic outputs — report counters, trace summaries, metrics
-expositions, fuzz disagreement lists, suite records — are identical to
-the serial run's, with only wall-clock fields free to differ.  The
+deterministic outputs — bench reports, trace summaries, metrics
+expositions, fuzz disagreement lists — are identical to the serial
+run's, with only wall-clock fields free to differ.  The
 suite subsets here are small (this box may have a single core; the
 tests gate correctness, not speedup).
 """
@@ -18,17 +18,6 @@ from repro.bench.measure import COUNTER_FIELDS
 pytestmark = pytest.mark.slow
 
 BENCHES = ["allroots", "anagram"]
-#: wall-clock fields allowed to differ between serial and parallel
-TIME_FIELDS = ("wall_times", "median_seconds")
-
-
-def deterministic_view(report):
-    payload = report.to_dict()
-    payload.pop("timestamp")
-    for record in payload["records"]:
-        for field in TIME_FIELDS:
-            record.pop(field)
-    return payload
 
 
 class TestBenchParity:
@@ -41,10 +30,9 @@ class TestBenchParity:
         serial = run_bench("quick", benchmarks=BENCHES, repeats=1)
         parallel = run_bench("quick", benchmarks=BENCHES, repeats=1,
                              jobs=4)
-        assert deterministic_view(parallel) == deterministic_view(serial)
-        # Byte-identical modulo the excluded fields: serialize both.
-        assert json.dumps(deterministic_view(parallel), sort_keys=True) \
-            == json.dumps(deterministic_view(serial), sort_keys=True)
+        # Reports hold counters only, so they are byte-identical.
+        assert json.dumps(parallel.to_dict(), sort_keys=True) \
+            == json.dumps(serial.to_dict(), sort_keys=True)
 
     def test_trace_and_metrics_artifacts_match_serial(self, tmp_path):
         serial_trace = tmp_path / "serial-trace"
@@ -101,7 +89,7 @@ class TestBenchParity:
         from repro.bench.__main__ import main
 
         code = main([
-            "--no-pin-hashseed", "--no-output", "--jobs", "2",
+            "--no-pin-hashseed", "--jobs", "2",
             "--experiments", "SF-Plain", "--repeats", "1",
             "--timeout", "0.000001",
         ])
@@ -113,27 +101,14 @@ class TestBenchParity:
         from repro.bench.__main__ import main
 
         monkeypatch.setenv("PYTHONHASHSEED", "0")
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        serial_dir.mkdir()
-        parallel_dir.mkdir()
+        serial = tmp_path / "serial.json"
+        parallel = tmp_path / "parallel.json"
         base = ["--no-pin-hashseed", "--experiments", "SF-Online",
                 "IF-Online", "--repeats", "1"]
-        assert main([*base, "--out", str(serial_dir)]) == 0
-        assert main([*base, "--out", str(parallel_dir),
+        assert main([*base, "--write-baseline", str(serial)]) == 0
+        assert main([*base, "--write-baseline", str(parallel),
                      "--jobs", "2"]) == 0
-        serial = json.loads(
-            (serial_dir / "BENCH_1.json").read_text(encoding="utf-8")
-        )
-        parallel = json.loads(
-            (parallel_dir / "BENCH_1.json").read_text(encoding="utf-8")
-        )
-        for payload in (serial, parallel):
-            payload.pop("timestamp")
-            for record in payload["records"]:
-                for field in TIME_FIELDS:
-                    record.pop(field)
-        assert parallel == serial
+        assert parallel.read_bytes() == serial.read_bytes()
 
 
 class TestFuzzParity:
@@ -192,41 +167,6 @@ class TestFuzzParity:
         system, metadata = load_reproducer(path)
         assert metadata["label"] == "SF-Online"
         assert len(system.constraints) == entry["constraints"]
-
-
-class TestSuiteResultsParity:
-    def test_parallel_records_match_serial(self):
-        from repro.experiments.runner import SuiteResults
-        from repro.workloads import suite
-
-        benches = suite("quick")[:2]
-        serial = SuiteResults(benches, seed=0, repeats=1)
-        parallel = SuiteResults(benches, seed=0, repeats=1, jobs=2)
-        labels = ["SF-Plain", "SF-Online"]
-
-        def deterministic(record):
-            return (
-                record.benchmark, record.experiment, record.work,
-                record.final_edges, record.vars_eliminated,
-                record.cycles_found, record.mean_search_visits,
-                record.clashes,
-            )
-
-        assert [deterministic(r) for r in parallel.run_all(labels)] \
-            == [deterministic(r) for r in serial.run_all(labels)]
-        # Solutions are still available (re-solved locally).
-        solution = parallel.solution(benches[0].name, "SF-Online")
-        assert solution.stats.work == parallel.run(
-            benches[0].name, "SF-Online"
-        ).work
-
-    def test_sink_factory_with_jobs_is_rejected(self):
-        from repro.experiments.runner import SuiteResults
-        from repro.workloads import suite
-
-        with pytest.raises(ValueError):
-            SuiteResults(suite("quick")[:1], jobs=2,
-                         sink_factory=lambda name, label: None)
 
 
 class TestWorkerDeterminism:

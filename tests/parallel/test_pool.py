@@ -163,7 +163,7 @@ class TestRepinHashSeed:
 
         monkeypatch.setenv("PYTHONHASHSEED", "123")
         monkeypatch.setattr(pool.subprocess, "call", reexec)
-        assert pool.repin_hash_seed("repro.bench", ["--smoke"]) is None
+        assert pool.repin_hash_seed("repro.bench", ["--jobs", "2"]) is None
 
     def test_reexecs_module_once_with_seed_zero(self, monkeypatch):
         from repro.parallel import pool

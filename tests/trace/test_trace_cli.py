@@ -44,7 +44,7 @@ class TestReport:
 
         baseline = tmp_path / "BASELINE.json"
         assert bench_main([
-            "--no-pin-hashseed", "--smoke", "--no-output",
+            "--no-pin-hashseed",
             "--repeats", "1", "--experiments", "SF-Online", "IF-Online",
             "--write-baseline", str(baseline),
         ]) == 0

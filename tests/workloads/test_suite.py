@@ -8,6 +8,7 @@ from repro.workloads import (
     MEDIUM_SUITE,
     QUICK_SUITE,
     benchmark,
+    select_benchmarks,
     suite,
     suite_names,
 )
@@ -37,6 +38,15 @@ class TestSuiteStructure:
     def test_unknown_suite_rejected(self):
         with pytest.raises(KeyError):
             suite("nonexistent")
+
+    def test_select_benchmarks_keeps_suite_order(self):
+        assert select_benchmarks("quick") == suite("quick")
+        picked = select_benchmarks("quick", ["ks", "allroots"])
+        assert [bench.name for bench in picked] == ["allroots", "ks"]
+
+    def test_select_benchmarks_names_what_is_missing(self):
+        with pytest.raises(KeyError, match="not-here"):
+            select_benchmarks("quick", ["allroots", "not-here"])
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(KeyError):
