@@ -77,10 +77,12 @@ class Term(SetExpression):
     Args must match the constructor's arity.  ``label`` is an optional
     opaque tag carried along for client use (Andersen's analysis stores
     the abstract location there); it participates in equality so that
-    distinct locations yield distinct source terms.
+    distinct locations yield distinct source terms.  ``_plan`` caches
+    the term's :func:`~repro.constraints.resolution.flat_plan` once the
+    solver first resolves it (``None`` until then).
     """
 
-    __slots__ = ("constructor", "args", "label", "_hash")
+    __slots__ = ("constructor", "args", "label", "_hash", "_plan")
 
     def __init__(
         self,
@@ -102,6 +104,7 @@ class Term(SetExpression):
         self.constructor = constructor
         self.args = args
         self.label = label
+        self._plan = None
         # ``hash(None)`` is address-based before Python 3.12, which would
         # make unlabeled-term hashes (and hence set iteration order and
         # the solver's Work counts) vary between processes.  Omit the

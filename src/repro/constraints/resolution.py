@@ -20,9 +20,7 @@ continue.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from typing import Optional
+from typing import List, Optional, Tuple, Union
 
 from .constructors import ONE_CONSTRUCTOR, ZERO_CONSTRUCTOR
 from .errors import (
@@ -119,6 +117,39 @@ def decompose(
             raise MalformedExpressionError(
                 f"cannot decompose {l!r} <= {r!r}"
             )
+
+
+#: A flat plan: per argument, in reverse order, whether the position
+#: is covariant and the argument (a variable index or a nullary term).
+FlatPlan = Tuple[Tuple[bool, ...], Tuple[Union[int, Term], ...]]
+
+
+def flat_plan(term: Term) -> Union[FlatPlan, bool]:
+    """The direct resolution plan of ``term``, or ``False`` if it has none.
+
+    A term has a plan when every argument is a variable or a nullary
+    term (the Andersen ``ref``/``lam`` terms always do).  The plan lists
+    the arguments in reverse order, the order :func:`decompose` pops
+    them, with their variances and with variables reduced to their
+    index.  Two same-constructor terms with plans resolve by pairing
+    their arguments position by position, as ``decompose`` would, at
+    depth 1, which every depth limit admits.  The solver caches the
+    plan on the term.
+    """
+    covariant = Variance.COVARIANT
+    flags = []
+    values = []
+    for variance, arg in zip(term.constructor.signature, term.args):
+        if type(arg) is Var:
+            values.append(arg.index)
+        elif type(arg) is Term and not arg.args:
+            values.append(arg)
+        else:
+            return False
+        flags.append(variance is covariant)
+    flags.reverse()
+    values.reverse()
+    return tuple(flags), tuple(values)
 
 
 def _clash(left: Term, right: Term) -> ConstraintDiagnostic:

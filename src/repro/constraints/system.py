@@ -125,6 +125,21 @@ class ConstraintSystem:
     def var_by_index(self, index: int) -> Var:
         return self._vars[index]
 
+    def check_var(self, var: Var) -> None:
+        """Raise unless ``var`` is one of this system's own variables.
+
+        Variables compare by index, so a variable of another system
+        with a colliding index would silently stand for a different
+        variable here.  Raises :class:`MalformedExpressionError`, as
+        :meth:`add` does for a foreign variable.
+        """
+        index = var.index if isinstance(var, Var) else None
+        if (index is None or not 0 <= index < len(self._vars)
+                or self._vars[index] is not var):
+            raise MalformedExpressionError(
+                f"variable {var!r} does not belong to this system"
+            )
+
     def find_var(self, name: str) -> Optional[Var]:
         """Return the first variable with the given name, if any."""
         for var in self._vars:

@@ -9,10 +9,12 @@ Both standard form and inductive form keep, per variable:
 
 Adjacency sets store raw integer variable ids.  Collapsed variables are
 forwarded through a union-find; stale ids in adjacency sets are resolved
-lazily via ``find`` whenever they are read.  Propagation never mutates
-the graph directly — it *emits* atomic operations onto the engine's
-worklist, which keeps the closure incremental and makes the Work metric
-(one unit per processed operation) well defined.
+lazily via ``find`` whenever they are read.  The graphs hold state; the
+solver's closure kernel (:mod:`repro.solver.kernel`) performs every
+insertion.  Propagation never mutates the graph directly — it *emits*
+atomic operations onto the engine's worklist (cycle collapse included),
+which keeps the closure incremental and makes the Work metric (one unit
+per processed operation) well defined.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class ConstraintGraphBase:
         # per worklist operation, so shadow the convenience methods below
         # with direct bound callables (one call frame less per lookup).
         # `_uf_parent` and `_ranks` alias the underlying arrays so the
-        # add_* fast paths can test "is already a representative" and
+        # closure kernel can test "is already a representative" and
         # compare ranks with plain list indexing instead of a call.  All
         # of these stay valid across `grow` because UnionFind and
         # VariableOrder extend their backing lists in place.
@@ -159,69 +161,6 @@ class ConstraintGraphBase:
         processed; no constraint migration is performed.
         """
         self.unionfind.union_into(witness_index, var_index)
-
-    # ------------------------------------------------------------------
-    # Representation hook (implemented by SF / IF)
-    # ------------------------------------------------------------------
-    def add_var_var(self, left: int, right: int) -> None:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Source and sink insertion (shared by both forms)
-    # ------------------------------------------------------------------
-    def add_source(self, term: Term, var_index: int) -> None:
-        """Process ``c(...) <= X``: record and propagate forward."""
-        stats = self.stats
-        stats.work += 1
-        trace_sink = self.sink
-        if self._uf_parent[var_index] != var_index:
-            var_index = self.find(var_index)
-        bucket = self.sources[var_index]
-        # Single-probe redundancy check: `add` reports a duplicate
-        # through an unchanged size, sparing the separate `in` lookup.
-        size = len(bucket)
-        bucket.add(term)
-        if len(bucket) == size:
-            stats.redundant += 1
-            if trace_sink is not None:
-                trace_sink.edge("sv", term, var_index, "redundant")
-            return
-        if self._journal_sources is not None:
-            self._journal_sources[var_index].append(term)
-        if trace_sink is not None:
-            trace_sink.edge("sv", term, var_index, "added")
-        emit = self.emit
-        for succ in self.succ_vars[var_index]:
-            emit((OP_SOURCE, term, succ))
-        for sink in self.sinks[var_index]:
-            emit((OP_RESOLVE, term, sink))
-
-    def add_sink(self, var_index: int, term: Term) -> None:
-        """Process ``X <= c(...)``: record, pass the sink back to the
-        variable predecessors (IF only — SF never stores ``pred_vars``)
-        and resolve against the sources."""
-        stats = self.stats
-        stats.work += 1
-        trace_sink = self.sink
-        if self._uf_parent[var_index] != var_index:
-            var_index = self.find(var_index)
-        bucket = self.sinks[var_index]
-        size = len(bucket)
-        bucket.add(term)
-        if len(bucket) == size:
-            stats.redundant += 1
-            if trace_sink is not None:
-                trace_sink.edge("vs", var_index, term, "redundant")
-            return
-        if self._journal_sinks is not None:
-            self._journal_sinks[var_index].append(term)
-        if trace_sink is not None:
-            trace_sink.edge("vs", var_index, term, "added")
-        emit = self.emit
-        for pred in self.pred_vars[var_index]:
-            emit((OP_SINK, pred, term))
-        for source in self.sources[var_index]:
-            emit((OP_RESOLVE, source, term))
 
     # ------------------------------------------------------------------
     # Cycle collapse (shared by both forms)
@@ -329,28 +268,48 @@ class ConstraintGraphBase:
     def canonical_successors(self, var_index: int) -> Set[int]:
         """Deduplicated, find-resolved successor set (no self loops)."""
         rep = self.find(var_index)
-        out = {self.find(raw) for raw in self.succ_vars[rep]}
-        out.discard(rep)
-        return out
+        return self.canonical_bucket(rep, self.succ_vars[rep])
 
     def canonical_predecessors(self, var_index: int) -> Set[int]:
         rep = self.find(var_index)
-        out = {self.find(raw) for raw in self.pred_vars[rep]}
+        return self.canonical_bucket(rep, self.pred_vars[rep])
+
+    def canonical_bucket(self, rep: int, bucket: Set[int]) -> Set[int]:
+        """The raw indices of ``rep``'s ``bucket`` resolved through
+        ``find``, without ``rep`` itself.
+
+        Reads the union-find array directly: a raw index that is its
+        own parent needs no ``find`` call.
+        """
+        parent = self._uf_parent
+        find = self.find
+        out = {raw if parent[raw] == raw else find(raw) for raw in bucket}
         out.discard(rep)
         return out
 
     def finalize_statistics(self) -> None:
-        """Fill the final edge counts into the stats object."""
+        """Fill the final edge counts into the stats object.
+
+        Counts what :meth:`canonical_successors` and
+        :meth:`canonical_predecessors` return for every representative.
+        """
         var_var = 0
         source_edges = 0
         sink_edges = 0
-        for rep in self.unionfind.representatives():
-            if rep >= self.num_vars:
+        parent = self._uf_parent
+        canonical = self.canonical_bucket
+        succ_vars = self.succ_vars
+        pred_vars = self.pred_vars
+        sources = self.sources
+        sinks = self.sinks
+        for rep in range(self.num_vars):
+            if parent[rep] != rep:
                 continue
-            var_var += len(self.canonical_successors(rep))
-            var_var += len(self.canonical_predecessors(rep))
-            source_edges += len(self.sources[rep])
-            sink_edges += len(self.sinks[rep])
+            for adjacency in (succ_vars[rep], pred_vars[rep]):
+                if adjacency:
+                    var_var += len(canonical(rep, adjacency))
+            source_edges += len(sources[rep])
+            sink_edges += len(sinks[rep])
         self.stats.finalize_edges(var_var, source_edges, sink_edges)
 
     def representatives(self) -> List[int]:

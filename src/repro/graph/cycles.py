@@ -75,6 +75,13 @@ def find_chain_path(
         if sink is not None:
             sink.search_end(True, 0, 1)
         return [start]
+    if not adjacency[start]:
+        # Nothing to follow: the search visits only its start.
+        stats.cycle_search_visits += 1
+        if sink is not None:
+            sink.search_visit(start)
+            sink.search_end(False, 1, 0)
+        return None
     decreasing = mode is SearchMode.DECREASING
     visited: Set[int] = {start}
     visited_add = visited.add

@@ -22,7 +22,10 @@ paper, either for every variable by one sweep in increasing order
 Online cycle elimination (Figure 3): inserting a successor edge
 ``X -> Y`` searches the predecessor chains of ``X`` for ``Y``;
 inserting a predecessor edge searches the successor chains.  The
-decreasing-rank restriction is implied by the representation.
+decreasing-rank restriction is implied by the representation.  The
+insertion itself, edge routing included, is in the solver's closure
+kernel (:mod:`repro.solver.kernel`); this class holds the least
+solution.
 """
 
 from __future__ import annotations
@@ -30,97 +33,13 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Set
 
 from ..constraints.expressions import Term
-from .base import (
-    ConstraintGraphBase,
-    OP_SINK,
-    OP_SOURCE,
-    OP_VAR_VAR,
-)
-from .cycles import SearchMode
+from .base import ConstraintGraphBase
 
 
 class InductiveGraph(ConstraintGraphBase):
     """Constraint graph in inductive form."""
 
     form_name = "inductive"
-
-    def add_var_var(self, left: int, right: int) -> None:
-        """Process ``X <= Y``, routing the edge by the variable order.
-
-        The bodies of ``_add_successor`` / ``_add_predecessor`` are
-        inlined here: this method runs once per ``vv`` worklist
-        operation — by far the most frequent operation under IF, whose
-        closure adds transitive var-var edges — and the extra method
-        call plus repeated `find` frames were measurable in profiles.
-        """
-        stats = self.stats
-        stats.work += 1
-        sink = self.sink
-        parent = self._uf_parent
-        if parent[left] != left:
-            left = self.find(left)
-        if parent[right] != right:
-            right = self.find(right)
-        if left == right:
-            stats.self_edges += 1
-            if sink is not None:
-                sink.edge("vv", left, right, "self")
-            return
-        ranks = self._ranks
-        if ranks[left] > ranks[right]:
-            # Successor edge stored at `left`.
-            bucket = self.succ_vars[left]
-            if right in bucket:
-                stats.redundant += 1
-                if sink is not None:
-                    sink.edge("vv", left, right, "redundant")
-                return
-            if self.online_cycles:
-                # A predecessor chain right -> ... -> left plus the new
-                # edge left -> right closes a cycle.
-                if self._search_and_collapse(
-                    self.pred_vars, left, right, SearchMode.DECREASING
-                ):
-                    if sink is not None:
-                        sink.edge("vv", left, right, "cycle")
-                    return
-            bucket.add(right)
-            if self._journal_succ is not None:
-                self._journal_succ[left].append(right)
-            if sink is not None:
-                sink.edge("vv", left, right, "added")
-            emit = self.emit
-            for pred in self.pred_vars[left]:
-                emit((OP_VAR_VAR, pred, right))
-            for term in self.sources[left]:
-                emit((OP_SOURCE, term, right))
-        else:
-            # Predecessor edge stored at `right`.
-            bucket = self.pred_vars[right]
-            if left in bucket:
-                stats.redundant += 1
-                if sink is not None:
-                    sink.edge("vv", left, right, "redundant")
-                return
-            if self.online_cycles:
-                # A successor chain right -> ... -> left plus the new
-                # edge closes a cycle.
-                if self._search_and_collapse(
-                    self.succ_vars, right, left, SearchMode.DECREASING
-                ):
-                    if sink is not None:
-                        sink.edge("vv", left, right, "cycle")
-                    return
-            bucket.add(left)
-            if self._journal_pred is not None:
-                self._journal_pred[right].append(left)
-            if sink is not None:
-                sink.edge("vv", left, right, "added")
-            emit = self.emit
-            for succ in self.succ_vars[right]:
-                emit((OP_VAR_VAR, left, succ))
-            for term in self.sinks[right]:
-                emit((OP_SINK, left, term))
 
     # ------------------------------------------------------------------
     # Least solution — equation (1) of the paper.
@@ -132,21 +51,33 @@ class InductiveGraph(ConstraintGraphBase):
         increasing order of ``o(.)`` — every variable predecessor has a
         strictly smaller rank, so a single sweep suffices.
         """
+        parent = self._uf_parent
+        canonical = self.canonical_bucket
+        pred_vars = self.pred_vars
+        sources = self.sources
         reps: List[int] = [
-            rep for rep in self.unionfind.representatives()
-            if rep < self.num_vars
+            rep for rep in range(self.num_vars) if parent[rep] == rep
         ]
         reps.sort(key=self.rank)
         solution: Dict[int, FrozenSet[Term]] = {}
         for rep in reps:
-            preds = self.canonical_predecessors(rep)
+            raw_preds = pred_vars[rep]
+            if raw_preds:
+                preds = canonical(rep, raw_preds)
+            else:
+                preds = raw_preds
+            own = sources[rep]
             if not preds:
-                solution[rep] = frozenset(self.sources[rep])
-                continue
-            merged = set(self.sources[rep])
-            for pred in preds:
-                merged.update(solution[pred])
-            solution[rep] = frozenset(merged)
+                solution[rep] = frozenset(own)
+            elif not own and len(preds) == 1:
+                # LS(rep) is its one predecessor's: share the frozenset.
+                for pred in preds:
+                    solution[rep] = solution[pred]
+            else:
+                merged = set(own)
+                for pred in preds:
+                    merged.update(solution[pred])
+                solution[rep] = frozenset(merged)
         return solution
 
     def least_solution_of(
@@ -169,6 +100,7 @@ class InductiveGraph(ConstraintGraphBase):
         solved = memo.get(root)
         if solved is not None:
             return solved
+        canonical = self.canonical_bucket
         pred_vars = self.pred_vars
         sources = self.sources
         # rep -> its canonical predecessors, once the walk has expanded it
@@ -181,8 +113,7 @@ class InductiveGraph(ConstraintGraphBase):
                 if rep in memo:
                     stack.pop()
                     continue
-                preds = {find(raw) for raw in pred_vars[rep]}
-                preds.discard(rep)
+                preds = canonical(rep, pred_vars[rep])
                 expanded[rep] = preds
                 waiting = [pred for pred in preds if pred not in memo]
                 if waiting:

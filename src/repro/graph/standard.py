@@ -13,7 +13,8 @@ Online cycle elimination for SF (Section 2.5): when adding a successor
 edge ``X -> Y``, search along successor edges *from Y* for a successor
 chain back to ``X``, following only edges that point to lower-indexed
 variables.  The paper's "increasing chains" ablation flips that
-restriction.
+restriction.  The insertion itself is in the solver's closure kernel
+(:mod:`repro.solver.kernel`); this class holds the least solution.
 """
 
 from __future__ import annotations
@@ -21,63 +22,13 @@ from __future__ import annotations
 from typing import Dict, FrozenSet
 
 from ..constraints.expressions import Term
-from .base import (
-    ConstraintGraphBase,
-    OP_SOURCE,
-)
+from .base import ConstraintGraphBase
 
 
 class StandardGraph(ConstraintGraphBase):
     """Constraint graph in standard form."""
 
     form_name = "standard"
-
-    def add_var_var(self, left: int, right: int) -> None:
-        """Process the atomic constraint ``X <= Y`` (a successor edge)."""
-        stats = self.stats
-        stats.work += 1
-        sink = self.sink
-        parent = self._uf_parent
-        find = self.find
-        if parent[left] != left:
-            left = find(left)
-        if parent[right] != right:
-            right = find(right)
-        if left == right:
-            stats.self_edges += 1
-            if sink is not None:
-                sink.edge("vv", left, right, "self")
-            return
-        bucket = self.succ_vars[left]
-        if right in bucket:
-            stats.redundant += 1
-            if sink is not None:
-                sink.edge("vv", left, right, "redundant")
-            return
-        if self.online_cycles:
-            # Search for a successor chain right -> ... -> left; together
-            # with the new edge left -> right it forms a cycle.
-            collapsed = self._search_and_collapse(
-                self.succ_vars, right, left, self.search_mode
-            )
-            if collapsed:
-                # left and right are now the same vertex; the new edge
-                # would be a self loop.
-                left = find(left)
-                right = find(right)
-                if left == right:
-                    if sink is not None:
-                        sink.edge("vv", left, right, "cycle")
-                    return
-                bucket = self.succ_vars[left]
-        bucket.add(right)
-        if self._journal_succ is not None:
-            self._journal_succ[left].append(right)
-        if sink is not None:
-            sink.edge("vv", left, right, "added")
-        emit = self.emit
-        for term in self.sources[left]:
-            emit((OP_SOURCE, term, right))
 
     # ------------------------------------------------------------------
     # Least solution: explicit in SF.
@@ -87,9 +38,9 @@ class StandardGraph(ConstraintGraphBase):
     ) -> FrozenSet[Term]:
         """``LS`` of one variable: its representative's source bucket.
 
-        ``add_source`` stores at the representative and ``_absorb``
-        empties every bucket it absorbs (re-emitting the terms against
-        the witness), so ``sources[find(var_index)]`` is what
+        The closure kernel stores sources at the representative, and
+        ``_absorb`` empties every bucket it absorbs (re-emitting the
+        terms against the witness), so ``sources[find(var_index)]`` is what
         :meth:`compute_least_solution` reads for the component, also
         after a partial drain, where terms still on the worklist are
         missing from both.  The frozen copy is kept in ``memo`` until
@@ -104,23 +55,15 @@ class StandardGraph(ConstraintGraphBase):
     def compute_least_solution(self) -> Dict[int, FrozenSet[Term]]:
         """``LS`` for every representative — explicit in standard form.
 
-        Source terms are accumulated from every variable's bucket onto
-        its representative.  Absorbed buckets are empty (see
-        :meth:`least_solution_of`), so this equals reading
-        ``sources[rep]``.  Pure read — no counters or journals are
-        touched.
+        The source bucket of each representative, frozen: absorbed
+        buckets are empty (see :meth:`least_solution_of`), so the
+        component's terms are all at its representative.  Pure read —
+        no counters or journals are touched.
         """
-        find = self.find
+        parent = self._uf_parent
         sources = self.sources
-        merged: Dict[int, set] = {
-            rep: set()
-            for rep in self.unionfind.representatives()
-            if rep < self.num_vars
-        }
-        for index in range(self.num_vars):
-            bucket = sources[index]
-            if bucket:
-                merged[find(index)].update(bucket)
         return {
-            rep: frozenset(terms) for rep, terms in merged.items()
+            rep: frozenset(sources[rep])
+            for rep in range(self.num_vars)
+            if parent[rep] == rep
         }

@@ -9,7 +9,7 @@ finish the closure.
 
 What a checkpoint holds (format :data:`CHECKPOINT_VERSION`):
 
-* the pending worklist, in deque order;
+* the pending worklist, in deque order, as unit operations;
 * every adjacency / source / sink set, saved in iteration order;
 * the union-find parent array and collapsed count;
 * the full :class:`~repro.graph.stats.SolverStats` counter snapshot,
@@ -235,6 +235,8 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
     (budget / cancellation stop), after an exception, or between
     :class:`~repro.solver.IncrementalSolver` batches.
     """
+    from ..solver.kernel import unit_operations
+
     graph = engine.graph
     uf = graph.unionfind
     stats = engine.stats
@@ -254,7 +256,9 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
         "pred": [list(journal) for journal in graph._journal_pred],
         "sources": [list(journal) for journal in graph._journal_sources],
         "sinks": [list(journal) for journal in graph._journal_sinks],
-        "pending": list(engine.pending),
+        # Unit operations only: fan-out entries are an in-memory form
+        # of the same operations, in the same order.
+        "pending": list(unit_operations(engine.pending)),
         "var_edge_keys": sorted(engine._var_edge_keys),
         "since_sweep": engine._since_sweep,
         "stats": {

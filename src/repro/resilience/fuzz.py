@@ -147,8 +147,11 @@ def _compare(
             f"reference says "
             f"{'consistent' if reference_ok else 'inconsistent'}",
         )
+    # Queries take the solver's own variables (an incremental replay
+    # has its own system); the reference answers for `system`'s.
+    own = solved.system.variables
     for var in system.variables:
-        got = solved.least_solution(var)
+        got = solved.least_solution(own[var.index])
         want = reference.least_solution(var)
         if got != want:
             missing = sorted(map(str, want - got))
@@ -160,7 +163,9 @@ def _compare(
             )
     components: Dict[int, List[Var]] = {}
     for var in system.variables:
-        components.setdefault(solved.representative(var), []).append(var)
+        components.setdefault(
+            solved.representative(own[var.index]), []
+        ).append(var)
     for members in components.values():
         base = reference.least_solution(members[0])
         for other in members[1:]:

@@ -1,8 +1,9 @@
 """The resolution engine.
 
 One engine drives all six experiment configurations: it drains a
-worklist of atomic operations, dispatching to the active graph
-representation, which in turn emits further operations.  Every processed
+worklist of atomic operations through the closure kernel
+(:mod:`repro.solver.kernel`), which updates the active graph
+representation and emits further operations.  Every processed
 ``vv``/``sv``/``vs`` operation is one unit of Work — the paper's cost
 metric — and ``rr`` operations apply the resolution rules ``R`` to a
 source/sink pair.
@@ -20,16 +21,9 @@ from collections import deque
 from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..constraints.errors import ConstraintDiagnostic
-from ..constraints.expressions import SetExpression, Term
-from ..constraints.resolution import decompose
+from ..constraints.expressions import Term
 from ..constraints.system import ConstraintSystem
-from ..graph.base import (
-    OP_RESOLVE,
-    OP_SINK,
-    OP_SOURCE,
-    OP_VAR_VAR,
-    Op,
-)
+from ..graph.base import OP_RESOLVE, Op
 from ..graph.inductive import InductiveGraph
 from ..graph.order import VariableOrder
 from ..graph.standard import StandardGraph
@@ -41,6 +35,7 @@ from ..resilience.errors import (
     GraphInvariantError,
     SolveCancelledError,
 )
+from .kernel import run_kernel
 from .options import CyclePolicy, GraphForm, SolverOptions
 from .solution import Solution
 
@@ -96,13 +91,8 @@ class SolverEngine:
         self._periodic = options.cycles is CyclePolicy.PERIODIC
         self._periodic_interval = max(1, options.periodic_interval)
         self._since_sweep = 0
-        # Recording and periodic sweeps wrap the graph's var-var
-        # insertion; runs without either dispatch to it directly.
-        self._add_var_var = (
-            self._observed_add_var_var
-            if self.record_var_edges or self._periodic
-            else self.graph.add_var_var
-        )
+        #: which graph form the closure kernel maintains
+        self.inductive = options.form is GraphForm.INDUCTIVE
         # --- resilience layer -----------------------------------------
         # Inert unless a budget, cancellation token, or stride audit is
         # configured: an unsupervised drain runs in unbounded chunks.
@@ -219,22 +209,18 @@ class SolverEngine:
                 sink.phase_end("closure")
 
     def _dispatch(self) -> SolveStatus:
-        """The dispatch loop, run in chunks between supervision checks.
+        """Run the closure kernel in chunks between supervision checks.
 
         Budget/cancellation checks (before the first operation, then
         every ``check_stride``) and stride audits (every ``N``
         operations) happen only at chunk boundaries; an unsupervised
-        run is one unbounded chunk per worklist generation.  The checks
+        run is one unbounded chunk.  Chunks count atomic operations,
+        not worklist entries (:func:`~repro.solver.kernel.run_kernel`
+        splits a fan-out entry at a chunk boundary).  The checks
         observe and stop — they never reorder or skip operations — so
         counters are identical to an unsupervised run.
         """
         pending = self.pending
-        popleft = pending.popleft
-        graph = self.graph
-        add_var_var = self._add_var_var
-        add_source = graph.add_source
-        add_sink = graph.add_sink
-        resolve = self._resolve
         check_stride = self._check_stride
         audit_stride = self._audit_policy.stride
         until_check = 0 if check_stride is not None else _UNBOUNDED
@@ -248,21 +234,9 @@ class SolverEngine:
             if until_audit == 0:
                 self._run_audit()
                 until_audit = audit_stride
-            # Each operation pops exactly one entry, so a chunk no
-            # longer than the worklist never pops an empty deque.
-            chunk = min(len(pending), until_check, until_audit)
-            until_check -= chunk
-            until_audit -= chunk
-            for _ in range(chunk):
-                tag, first, second = popleft()
-                if tag == OP_VAR_VAR:
-                    add_var_var(first, second)
-                elif tag == OP_SOURCE:
-                    add_source(first, second)
-                elif tag == OP_SINK:
-                    add_sink(first, second)
-                else:
-                    resolve(first, second)
+            done = run_kernel(self, min(until_check, until_audit))
+            until_check -= done
+            until_audit -= done
         if self._audit_policy.final:
             self._run_audit()
         return (
@@ -271,19 +245,12 @@ class SolverEngine:
             else SolveStatus.COMPLETE
         )
 
-    def _observed_add_var_var(self, first: int, second: int) -> None:
-        """``add_var_var`` plus var-edge recording and periodic sweeps."""
-        if self.record_var_edges:
-            self._var_edge_keys.add((first << 32) | second)
-        self.graph.add_var_var(first, second)
-        if self._periodic:
-            self._since_sweep += 1
-            if self._since_sweep >= self._periodic_interval:
-                self._since_sweep = 0
-                self.stats.periodic_sweeps += 1
-                eliminated = self.graph.collapse_all_sccs()
-                if self.sink is not None:
-                    self.sink.sweep(eliminated)
+    def _sweep(self) -> None:
+        """One periodic SCC sweep (``CyclePolicy.PERIODIC``)."""
+        self.stats.periodic_sweeps += 1
+        eliminated = self.graph.collapse_all_sccs()
+        if self.sink is not None:
+            self.sink.sweep(eliminated)
 
     def _check_limits(self) -> Optional[SolveStatus]:
         """Poll cancellation and budget; a status means stop (partial)."""
@@ -325,29 +292,6 @@ class SolverEngine:
                 sink.audit_failure(failure)
         raise GraphInvariantError(failures)
 
-    def _resolve(self, left: SetExpression, right: SetExpression) -> None:
-        """Apply the resolution rules R and enqueue the atomic results."""
-        self.stats.resolutions += 1
-        sink = self.sink
-        if sink is not None:
-            sink.resolve(left, right)
-        atoms: List[Tuple[str, object, object]] = []
-        before = len(self.diagnostics)
-        decompose(left, right, atoms, self.diagnostics)
-        new_clashes = len(self.diagnostics) - before
-        self.stats.clashes += new_clashes
-        if new_clashes and sink is not None:
-            for diagnostic in self.diagnostics[before:]:
-                sink.clash(diagnostic)
-        append = self.pending.append
-        for tag, a, b in atoms:
-            if tag == OP_VAR_VAR:
-                append((OP_VAR_VAR, a.index, b.index))
-            elif tag == OP_SOURCE:
-                append((OP_SOURCE, a, b.index))
-            else:
-                append((OP_SINK, a.index, b))
-
     def _least_solution(self) -> Dict[int, FrozenSet[Term]]:
         # Both graph forms implement compute_least_solution: IF sweeps
         # predecessors in rank order (equation (1)); SF reads the
@@ -361,6 +305,7 @@ class SolverEngine:
 
     def _make_solution(self, least: Dict[int, FrozenSet[Term]]) -> Solution:
         return Solution(
+            self.system,
             self.options,
             self.graph,
             least,

@@ -108,6 +108,7 @@ class IncrementalSolver:
         added to ``stats.least_solution_seconds`` and, with a trace
         sink, spanned as a ``least-solution`` phase.
         """
+        self.system.check_var(var)
         engine = self._engine
         sink = engine.sink
         started = time.perf_counter()
@@ -149,7 +150,14 @@ class IncrementalSolver:
         self._memo = {}
 
     def representative(self, var: Var) -> int:
-        """Index of the component ``var`` was collapsed into."""
+        """Index of the component ``var`` was collapsed into.
+
+        Like :meth:`least_solution` and :meth:`same_component`, accepts
+        only variables made by :meth:`fresh_var`
+        (:class:`~repro.constraints.errors.MalformedExpressionError`
+        otherwise).
+        """
+        self.system.check_var(var)
         return self._engine.graph.find(var.index)
 
     def same_component(self, a: Var, b: Var) -> bool:

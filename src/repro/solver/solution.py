@@ -14,6 +14,7 @@ from ..constraints.errors import (
     InconsistentConstraintError,
 )
 from ..constraints.expressions import Term, Var
+from ..constraints.system import ConstraintSystem
 from ..graph.base import ConstraintGraphBase
 from ..graph.scc import SccSummary, summarize_sccs
 from ..graph.stats import SolverStats
@@ -38,6 +39,7 @@ class Solution:
 
     def __init__(
         self,
+        system: ConstraintSystem,
         options: SolverOptions,
         graph: ConstraintGraphBase,
         least: Dict[int, FrozenSet[Term]],
@@ -47,6 +49,8 @@ class Solution:
         num_vars: int = 0,
         status: SolveStatus = SolveStatus.COMPLETE,
     ) -> None:
+        #: the solved system; queries accept only its own variables
+        self.system = system
         self.options = options
         self.graph = graph
         self._least = least
@@ -68,9 +72,14 @@ class Solution:
     # Queries
     # ------------------------------------------------------------------
     def least_solution(self, var: Var) -> FrozenSet[Term]:
-        """The least solution of ``var``: a set of source terms."""
-        rep = self.graph.find(var.index)
-        return self._least.get(rep, frozenset())
+        """The least solution of ``var``: a set of source terms.
+
+        ``var`` must belong to the solved system
+        (:class:`~repro.constraints.errors.MalformedExpressionError`
+        otherwise), as for :meth:`representative` and
+        :meth:`same_component`.
+        """
+        return self._least.get(self._find(var), frozenset())
 
     def least_solution_by_index(self, index: int) -> FrozenSet[Term]:
         rep = self.graph.find(index)
@@ -78,11 +87,15 @@ class Solution:
 
     def representative(self, var: Var) -> int:
         """The witness index ``var`` was collapsed onto (itself if none)."""
-        return self.graph.find(var.index)
+        return self._find(var)
 
     def same_component(self, a: Var, b: Var) -> bool:
         """Whether two variables were collapsed together."""
-        return self.graph.find(a.index) == self.graph.find(b.index)
+        return self._find(a) == self._find(b)
+
+    def _find(self, var: Var) -> int:
+        self.system.check_var(var)
+        return self.graph.find(var.index)
 
     @property
     def ok(self) -> bool:

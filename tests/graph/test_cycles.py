@@ -105,3 +105,30 @@ class TestBudgetAndStats:
         stats = SolverStats()
         search(adjacency, start=3, target=99, stats=stats)
         assert stats.cycle_search_visits <= 4
+
+    def test_empty_start_counts_one_visit(self):
+        # A start with no neighbours: one search visiting only itself,
+        # reported to a sink as for any failed search.
+        events = []
+
+        class Recorder:
+            def search_start(self, start, target):
+                events.append(("start", start, target))
+
+            def search_visit(self, node):
+                events.append(("visit", node))
+
+            def search_end(self, found, visits, length):
+                events.append(("end", found, visits, length))
+
+        stats = SolverStats()
+        path = find_chain_path(
+            [set(), set()], find=lambda v: v, rank=lambda v: v, start=1,
+            target=0, mode=SearchMode.DECREASING, stats=stats,
+            sink=Recorder(),
+        )
+        assert path is None
+        assert (stats.cycle_searches, stats.cycle_search_visits) == (1, 1)
+        assert events == [
+            ("start", 1, 0), ("visit", 1), ("end", False, 1, 0),
+        ]

@@ -424,3 +424,45 @@ class TestDemandQueries:
         _chain_then_source(complete, descending=True)
         partial.restore(complete.checkpoint())
         assert len(partial.least_solution(chain[-1])) == 1
+
+
+class TestForeignVariables:
+    """Queries reject variables not made by this solver's ``fresh_var``
+    (colliding index or past the end) instead of answering for another
+    variable or raising IndexError."""
+
+    def solver_and_foreign(self):
+        solver = make_solver()
+        box = solver.constructor("box", (Variance.COVARIANT,))
+        x, y = solver.fresh_var("x"), solver.fresh_var("y")
+        solver.add(solver.term(box, (solver.zero,), label="p"), x)
+        solver.add(x, y)
+        other = ConstraintSystem("other")
+        foreign = [other.fresh_var() for _ in range(5)]
+        return solver, x, (foreign[0], foreign[4])
+
+    def test_least_solution_rejects_foreign_var(self):
+        from repro.constraints import MalformedExpressionError
+
+        solver, _, foreign = self.solver_and_foreign()
+        for var in foreign:
+            with pytest.raises(MalformedExpressionError):
+                solver.least_solution(var)
+
+    def test_representative_rejects_foreign_var(self):
+        from repro.constraints import MalformedExpressionError
+
+        solver, _, foreign = self.solver_and_foreign()
+        for var in foreign:
+            with pytest.raises(MalformedExpressionError):
+                solver.representative(var)
+
+    def test_same_component_rejects_foreign_var(self):
+        from repro.constraints import MalformedExpressionError
+
+        solver, x, foreign = self.solver_and_foreign()
+        for var in foreign:
+            with pytest.raises(MalformedExpressionError):
+                solver.same_component(x, var)
+            with pytest.raises(MalformedExpressionError):
+                solver.same_component(var, x)

@@ -89,20 +89,21 @@ class TestPeriodicPolicy:
 
 class TestCollapseAllSccs:
     def test_direct_call(self):
-        from repro.graph import (
-            CreationOrder, SolverStats, VariableOrder,
-        )
-        from repro.graph.standard import StandardGraph
-        from collections import deque
+        from repro.graph import CreationOrder
+        from repro.solver import SolverEngine
 
-        pending = deque()
-        graph = StandardGraph(
-            4, VariableOrder(CreationOrder(), 4), SolverStats(),
-            emit=pending.append,
-        )
-        graph.add_var_var(0, 1)
-        graph.add_var_var(1, 0)
-        graph.add_var_var(2, 3)
+        system = ConstraintSystem()
+        v = system.fresh_vars(4)
+        system.add(v[0], v[1])
+        system.add(v[1], v[0])
+        system.add(v[2], v[3])
+        engine = SolverEngine(system, SolverOptions(
+            form=GraphForm.STANDARD, cycles=CyclePolicy.NONE,
+            order=CreationOrder()))
+        for left, right in system.constraints:
+            engine.pending.append(("rr", left, right))
+        engine.drain()
+        graph = engine.graph
         eliminated = graph.collapse_all_sccs()
         assert eliminated == 1
         assert graph.find(1) == 0

@@ -74,3 +74,42 @@ class TestSccSummary:
         summary = solution.final_scc_summary()
         assert summary.vars_in_cycles == 2
         assert summary.max_scc_size == 2
+
+
+class TestForeignVariables:
+    """Queries reject variables the solved system did not create: one
+    with a colliding index would otherwise get another variable's
+    answer, and one past the end an IndexError."""
+
+    def foreign(self):
+        other = ConstraintSystem("other")
+        colliding = other.fresh_var()  # index 0, like x
+        for _ in range(5):
+            past_end = other.fresh_var()  # index 4: x, y, z are 0..2
+        return colliding, past_end
+
+    def test_least_solution_rejects_foreign_var(self):
+        from repro.constraints import MalformedExpressionError
+
+        _, _, _, solution = solved_cycle()
+        for var in self.foreign():
+            with pytest.raises(MalformedExpressionError):
+                solution.least_solution(var)
+
+    def test_representative_rejects_foreign_var(self):
+        from repro.constraints import MalformedExpressionError
+
+        _, _, _, solution = solved_cycle()
+        for var in self.foreign():
+            with pytest.raises(MalformedExpressionError):
+                solution.representative(var)
+
+    def test_same_component_rejects_foreign_var(self):
+        from repro.constraints import MalformedExpressionError
+
+        _, (x, _, _), _, solution = solved_cycle()
+        for var in self.foreign():
+            with pytest.raises(MalformedExpressionError):
+                solution.same_component(x, var)
+            with pytest.raises(MalformedExpressionError):
+                solution.same_component(var, x)
