@@ -22,13 +22,14 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ReproError
-from ..experiments.config import EXPERIMENT_LABELS, options_for
+from ..experiments.config import EXPERIMENT_LABELS, TABLE4, options_for
+from ..parallel.pool import TaskResult, TaskSpec, map_tasks, require_ok
 from ..resilience.budget import SolveBudget
 from ..resilience.errors import BudgetExceededError
-from ..workloads import select_benchmarks
+from ..workloads import benchmark, select_benchmarks
 from .measure import measure_system
 
 #: Format version of the serialized report; bump on breaking changes.
@@ -150,7 +151,15 @@ def run_bench(
 
     ``benchmarks`` optionally restricts the suite to the named entries
     (used by the fast unit tests); ``progress`` receives one line per
-    completed (benchmark, experiment) pair.
+    finished (benchmark, experiment) pair.  An unknown experiment label
+    or benchmark name raises :class:`KeyError` before any pair runs.
+
+    Every pair is one :func:`bench_task` call.  ``jobs == 1`` calls it
+    inline; any other value shards the pairs across a
+    :mod:`repro.parallel` worker pool (``jobs <= 0`` means one worker
+    per core).  Results are assembled in submission order by the same
+    loop either way, so the report and artifacts do not depend on the
+    executor.
 
     ``trace_dir`` attaches a bounded-memory telemetry sink
     (:class:`repro.metrics.sink.MetricsSink`) to every run and
@@ -160,147 +169,36 @@ def run_bench(
     so every deterministic counter in the returned report is identical
     to an untraced run.
 
-    ``timeout_seconds`` bounds the *whole suite run* by wall clock: the
-    remaining allowance is wired into each solve as a
-    :class:`~repro.resilience.budget.SolveBudget` deadline, so even a
-    single hung closure cannot stall the job — it raises
-    :class:`BenchTimeoutError` (as does starting a run after the
-    deadline has passed).  Deterministic counters are unaffected by the
-    budget machinery.
+    ``timeout_seconds`` bounds the *whole suite run* by wall clock with
+    one deadline under either executor: the time left until it is wired
+    into each solve as a :class:`~repro.resilience.budget.SolveBudget`
+    deadline, a pair reached after it fails without solving, and the
+    pool also kills workers still running at it.  Any of these raises
+    :class:`BenchTimeoutError`.  Deterministic counters are unaffected
+    by the budget machinery.
 
-    ``metrics_dir`` points every run's
-    :class:`~repro.metrics.sink.MetricsSink` (labeled with the suite,
-    benchmark, form and mode of the run, so the trace summary still
-    counts one run) at one fresh
-    :class:`~repro.metrics.registry.MetricsRegistry` and writes
-    ``metrics.json`` (a loadable snapshot) and ``metrics.prom``
-    (Prometheus text exposition) into that directory after the suite
-    completes.  The same observe-don't-steer contract applies: counters
-    in the report are unchanged.
-
-    ``jobs > 1`` shards the (benchmark, experiment) pairs across a
-    :mod:`repro.parallel` worker pool (``jobs <= 0`` means one worker
-    per core).  The report is identical to a serial run's — results
-    merge in task submission order and every worker pins
-    ``PYTHONHASHSEED``.  ``timeout_seconds``
-    then bounds the whole run *and* each individual solve (crashed or
-    hung workers are retried once, then reported); trace and metrics
-    artifacts are merged across workers in the same task order.
+    ``metrics_dir`` writes ``metrics.json`` (a loadable snapshot) and
+    ``metrics.prom`` (Prometheus text exposition) into that directory:
+    every run's sink records into a per-run
+    :class:`~repro.metrics.registry.MetricsRegistry` labeled with the
+    suite, benchmark, form and mode of the run, and the per-run
+    snapshots are merged with
+    :meth:`~repro.metrics.registry.MetricsRegistry.load_snapshot`.  The
+    same observe-don't-steer contract applies: counters in the report
+    are unchanged.
     """
-    if jobs != 1:
-        return _run_bench_parallel(
-            suite_name=suite_name,
-            experiments=experiments,
-            seed=seed,
-            repeats=repeats,
-            benchmarks=benchmarks,
-            progress=progress,
-            trace_dir=trace_dir,
-            timeout_seconds=timeout_seconds,
-            metrics_dir=metrics_dir,
-            jobs=jobs,
-        )
+    labels = list(experiments) if experiments else list(EXPERIMENT_LABELS)
+    for label in labels:
+        if label not in TABLE4:
+            raise KeyError(
+                f"unknown experiment {label!r}; choose from "
+                f"{EXPERIMENT_LABELS}"
+            )
+    selected = select_benchmarks(suite_name, benchmarks)
     deadline = (
         None if timeout_seconds is None
-        else time.perf_counter() + timeout_seconds
+        else time.monotonic() + timeout_seconds
     )
-    labels = list(experiments) if experiments else list(EXPERIMENT_LABELS)
-    selected = select_benchmarks(suite_name, benchmarks)
-    metrics_registry = None
-    if metrics_dir is not None:
-        from ..metrics.registry import MetricsRegistry
-
-        metrics_registry = MetricsRegistry()
-    telemetry: List[tuple] = []
-    records: List[BenchRecord] = []
-    for bench in selected:
-        system = bench.program.system  # build outside the timed region
-        for label in labels:
-            options = options_for(label, seed=seed)
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    raise BenchTimeoutError(
-                        f"suite {suite_name!r} exceeded its "
-                        f"{timeout_seconds:.0f}s timeout before "
-                        f"{bench.name}/{label}",
-                        completed=len(records),
-                    )
-                options = options.replace(
-                    budget=SolveBudget(deadline_seconds=remaining)
-                )
-            sink = None
-            if trace_dir is not None or metrics_registry is not None:
-                from ..metrics.registry import MetricsRegistry
-                from ..metrics.sink import MetricsSink
-
-                # Without --metrics the sink gets a private registry
-                # that only its trace summary reads.
-                sink = MetricsSink.for_options(
-                    options,
-                    registry=(metrics_registry if metrics_registry
-                              is not None else MetricsRegistry()),
-                    suite=suite_name,
-                    benchmark=bench.name,
-                    label=f"{bench.name}/{label}",
-                )
-                options = options.replace(sink=sink)
-            try:
-                measured = measure_system(system, options, repeats=repeats)
-            except BudgetExceededError as error:
-                raise BenchTimeoutError(
-                    f"suite {suite_name!r} exceeded its "
-                    f"{timeout_seconds:.0f}s timeout inside "
-                    f"{bench.name}/{label}: {error}",
-                    completed=len(records),
-                ) from error
-            if trace_dir is not None:
-                telemetry.append(
-                    (bench.name, label, sink.summary(), sink.spans)
-                )
-            records.append(
-                BenchRecord(bench.name, label, measured.counters)
-            )
-            if progress is not None:
-                progress(_progress_line(bench.name, label,
-                                        measured.counters))
-    report = BenchReport(
-        suite=suite_name,
-        seed=seed,
-        repeats=repeats,
-        experiments=labels,
-        records=records,
-    )
-    if trace_dir is not None:
-        _write_trace_outputs(report, telemetry, trace_dir)
-    if metrics_registry is not None and metrics_dir is not None:
-        _write_metrics_outputs(report, metrics_registry, metrics_dir)
-    return report
-
-
-def _run_bench_parallel(
-    suite_name: str,
-    experiments: Optional[Iterable[str]],
-    seed: int,
-    repeats: int,
-    benchmarks: Optional[Iterable[str]],
-    progress: Optional[Callable[[str], None]],
-    trace_dir: Optional[str],
-    timeout_seconds: Optional[float],
-    metrics_dir: Optional[str],
-    jobs: int,
-) -> BenchReport:
-    """The ``jobs != 1`` harness path: shard pairs over a worker pool.
-
-    One task per (benchmark, experiment) pair, merged back in task
-    submission order — the serial loop's order — so the report's
-    deterministic fields cannot depend on worker scheduling.
-    """
-    from ..parallel.pool import TaskSpec, run_tasks
-    from ..parallel.tasks import bench_task
-
-    labels = list(experiments) if experiments else list(EXPERIMENT_LABELS)
-    selected = select_benchmarks(suite_name, benchmarks)
     tasks = [
         TaskSpec(
             key=f"{bench.name}/{label}",
@@ -312,81 +210,59 @@ def _run_bench_parallel(
                 "repeats": repeats,
                 "trace": trace_dir is not None,
                 "metrics": metrics_dir is not None,
-                "budget_seconds": timeout_seconds,
+                "deadline": deadline,
             },
-            timeout=timeout_seconds,
         )
         for bench in selected
         for label in labels
     ]
 
-    def report_progress(result) -> None:
-        if progress is None:
-            return
-        if result.ok and result.value.get("status") == "ok":
+    def report_progress(result: TaskResult) -> None:
+        if _status(result) == "ok":
             name, label = result.key.split("/", 1)
             progress(_progress_line(name, label, result.value["counters"]))
         else:
-            progress(f"{result.key}: FAILED ({result.kind})")
+            progress(f"{result.key}: FAILED ({_status(result)})")
 
-    results = run_tasks(
+    results = map_tasks(
         bench_task,
         tasks,
         jobs=jobs,
-        retries=1,
-        progress=report_progress,
+        progress=None if progress is None else report_progress,
         overall_timeout=timeout_seconds,
     )
-    completed = sum(
-        1 for result in results
-        if result.ok and result.value.get("status") == "ok"
-    )
-    timeouts = [
-        result for result in results
-        if (result.ok and result.value.get("status") == "timeout")
-        or (not result.ok and result.kind == "timeout")
-    ]
+    timeouts = [result for result in results if _status(result) == "timeout"]
     if timeouts:
         first = timeouts[0]
-        detail = (
-            first.value["detail"] if first.ok else first.error
-        )
         raise BenchTimeoutError(
             f"suite {suite_name!r} exceeded its "
             f"{timeout_seconds:.0f}s timeout inside {first.key}: "
-            f"{detail}",
-            completed=completed,
+            f"{first.value['detail'] if first.ok else first.error}",
+            completed=sum(_status(result) == "ok" for result in results),
         )
-    from ..parallel.pool import require_ok
-
     require_ok(results)
 
-    records = []
+    records: List[BenchRecord] = []
     telemetry: List[tuple] = []
-    metrics_snapshots: List[dict] = []
+    registry = None
+    if metrics_dir is not None:
+        from ..metrics.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
     for spec, result in zip(tasks, results):
         value = result.value
         name = spec.payload["benchmark"]
         label = spec.payload["experiment"]
-        records.append(
-            BenchRecord(
-                benchmark=name,
-                experiment=label,
-                counters={
-                    key: int(count)
-                    for key, count in value["counters"].items()
-                },
-            )
-        )
-        if value.get("telemetry") is not None:
+        records.append(BenchRecord(name, label, value["counters"]))
+        if trace_dir is not None:
             telemetry.append((
                 name,
                 label,
                 value["telemetry"]["summary"],
                 value["telemetry"]["spans"],
             ))
-        if value.get("metrics") is not None:
-            metrics_snapshots.append(value["metrics"])
+        if registry is not None:
+            registry.load_snapshot(value["metrics"])
     report = BenchReport(
         suite=suite_name,
         seed=seed,
@@ -396,12 +272,81 @@ def _run_bench_parallel(
     )
     if trace_dir is not None:
         _write_trace_outputs(report, telemetry, trace_dir)
-    if metrics_dir is not None:
-        from ..parallel.merge import merge_metrics_snapshots
-
-        registry = merge_metrics_snapshots(metrics_snapshots)
+    if registry is not None:
         _write_metrics_outputs(report, registry, metrics_dir)
     return report
+
+
+def _status(result: TaskResult) -> str:
+    """``"ok"``/``"timeout"`` from :func:`bench_task`, else the pool's
+    failure kind."""
+    return result.value["status"] if result.ok else result.kind
+
+
+def bench_task(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Measure one (benchmark, experiment) pair; the one per-pair worker.
+
+    :func:`run_bench` calls it inline or in a pool worker, so it
+    rebuilds its inputs from a small picklable payload: ``suite``
+    (label metadata only), ``benchmark`` (a
+    :data:`repro.workloads.FULL_SUITE` name), ``experiment`` (Table-4
+    label), ``seed``, ``repeats``, ``trace`` / ``metrics`` (bools —
+    attach one :class:`~repro.metrics.sink.MetricsSink` on a per-pair
+    registry and return its trace summary and spans / its registry
+    snapshot) and ``deadline`` (the suite deadline as a
+    ``time.monotonic()`` reading, or ``None``; on Linux that clock is
+    system-wide, so the reading means the same instant in every
+    worker).
+
+    Returns ``{"status": "ok", "counters", "telemetry", "metrics"}``,
+    or ``{"status": "timeout", "detail"}`` when the deadline passes
+    before or during the solve.
+    """
+    deadline = payload["deadline"]
+    late = {"status": "timeout",
+            "detail": "the suite deadline passed before the solve"}
+    if deadline is not None and time.monotonic() >= deadline:
+        return late  # do not build a benchmark that cannot run
+    bench = benchmark(payload["benchmark"])
+    system = bench.program.system  # built outside the solve budget
+    label = payload["experiment"]
+    options = options_for(label, seed=payload["seed"])
+    if deadline is not None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return late
+        options = options.replace(
+            budget=SolveBudget(deadline_seconds=remaining)
+        )
+    registry = sink = None
+    if payload["trace"] or payload["metrics"]:
+        from ..metrics.registry import MetricsRegistry
+        from ..metrics.sink import MetricsSink
+
+        registry = MetricsRegistry()
+        sink = MetricsSink.for_options(
+            options,
+            registry=registry,
+            suite=payload["suite"],
+            benchmark=bench.name,
+            label=f"{bench.name}/{label}",
+        )
+        options = options.replace(sink=sink)
+    try:
+        measured = measure_system(
+            system, options, repeats=payload["repeats"]
+        )
+    except BudgetExceededError as error:
+        return {"status": "timeout", "detail": str(error)}
+    return {
+        "status": "ok",
+        "counters": measured.counters,
+        "telemetry": {
+            "summary": sink.summary(),
+            "spans": list(sink.spans),
+        } if payload["trace"] else None,
+        "metrics": registry.snapshot() if payload["metrics"] else None,
+    }
 
 
 def _write_metrics_outputs(report: BenchReport, registry,
@@ -426,11 +371,10 @@ def _write_trace_outputs(report: BenchReport, telemetry: List[tuple],
     """Write the --trace artifacts: telemetry summary + Chrome spans.
 
     ``telemetry`` holds ``(benchmark, experiment, summary, spans)``
-    tuples — already-serialized sink state, so the same writer serves
-    the serial path (live sinks, drained in place) and the parallel
-    path (sink state shipped back from workers over a pipe).  Span
-    times are ``perf_counter`` readings, which on this platform are
-    CLOCK_MONOTONIC and therefore comparable across processes.
+    tuples — sink state returned by :func:`bench_task`, whether it ran
+    inline or in a worker.  Span times are ``perf_counter`` readings,
+    which on Linux are CLOCK_MONOTONIC and therefore comparable across
+    processes.
     """
     import json
 

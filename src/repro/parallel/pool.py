@@ -24,8 +24,11 @@ Workers communicate over a per-task ``Pipe``; the parent multiplexes
 pipes and process sentinels through :func:`multiprocessing.connection.wait`,
 so a result message and a silent death are both wake-up events.
 
-This module is deliberately generic — the bench / fuzz / suite worker
-functions live in :mod:`repro.parallel.tasks`.
+This module is deliberately generic: each worker lives in the package
+that owns its job (:func:`repro.bench.harness.bench_task`,
+:func:`repro.resilience.fuzz.fuzz_task`), and :func:`map_tasks` is the
+one place that chooses between running a task list inline and handing
+it to :func:`run_tasks`.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def default_start_method() -> str:
+def _default_start_method() -> str:
     """``fork`` where available (fast, inherits the pinned hash seed),
     else ``spawn``."""
     methods = multiprocessing.get_all_start_methods()
@@ -164,9 +167,7 @@ def run_tasks(
     jobs: Optional[int] = None,
     retries: int = 1,
     progress: Optional[Callable[[TaskResult], None]] = None,
-    start_method: Optional[str] = None,
     overall_timeout: Optional[float] = None,
-    pin_hash_seed: bool = True,
 ) -> List[TaskResult]:
     """Run every task through ``worker`` across ``jobs`` processes.
 
@@ -186,9 +187,8 @@ def run_tasks(
     tasks = list(tasks)
     if jobs is None or jobs <= 0:
         jobs = default_jobs()
-    if pin_hash_seed:
-        _pin_hash_seed()
-    ctx = multiprocessing.get_context(start_method or default_start_method())
+    _pin_hash_seed()
+    ctx = multiprocessing.get_context(_default_start_method())
     results: List[Optional[TaskResult]] = [None] * len(tasks)
     queue: deque = deque((index, 1) for index in range(len(tasks)))
     running: Dict[int, _Running] = {}
@@ -197,8 +197,8 @@ def run_tasks(
         else time.monotonic() + overall_timeout
     )
 
-    def finish(result: TaskResult) -> None:
-        results[result.index_] = result  # type: ignore[attr-defined]
+    def finish(index: int, result: TaskResult) -> None:
+        results[index] = result
         if progress is not None:
             progress(result)
 
@@ -236,12 +236,10 @@ def run_tasks(
         if error is not None and retryable and entry.attempt <= retries:
             queue.append((entry.index, entry.attempt + 1))
             return
-        result = TaskResult(
+        finish(entry.index, TaskResult(
             key=spec.key, value=value, error=error, kind=kind,
             attempts=entry.attempt, seconds=elapsed,
-        )
-        result.index_ = entry.index  # type: ignore[attr-defined]
-        finish(result)
+        ))
 
     def kill_everything(reason: str) -> None:
         for entry in list(running.values()):
@@ -250,12 +248,10 @@ def run_tasks(
                    retry_allowed=False)
         while queue:
             index, attempt = queue.popleft()
-            result = TaskResult(
+            finish(index, TaskResult(
                 key=tasks[index].key, error=reason, kind="timeout",
                 attempts=attempt, seconds=0.0,
-            )
-            result.index_ = index  # type: ignore[attr-defined]
-            finish(result)
+            ))
 
     while queue or running:
         if overall_deadline is not None and \
@@ -319,14 +315,41 @@ def run_tasks(
                     ),
                     kind="crash",
                 )
-    # Strip the private index marker before handing results out.
-    final: List[TaskResult] = []
     for index, result in enumerate(results):
         assert result is not None, f"task {tasks[index].key} unaccounted"
-        if hasattr(result, "index_"):
-            del result.index_  # type: ignore[attr-defined]
-        final.append(result)
-    return final
+    return results  # type: ignore[return-value]
+
+
+def map_tasks(
+    worker: Callable[[Any], Any],
+    tasks: Sequence[TaskSpec],
+    jobs: int = 1,
+    progress: Optional[Callable[[TaskResult], None]] = None,
+    overall_timeout: Optional[float] = None,
+) -> List[TaskResult]:
+    """Run every task through ``worker``: inline in this process when
+    ``jobs == 1``, else through :func:`run_tasks` (``jobs <= 0`` = one
+    worker per core).
+
+    Either way the caller gets one :class:`TaskResult` per task in
+    submission order and ``progress`` once per result, so a serial and
+    a sharded run are assembled by the same code.  Inline, a worker
+    exception propagates unchanged and nothing is killed:
+    ``overall_timeout`` only bounds the pool, so a worker that must
+    stop at a deadline under either executor carries it in its payload.
+    """
+    if jobs != 1:
+        return run_tasks(worker, tasks, jobs=jobs, progress=progress,
+                         overall_timeout=overall_timeout)
+    results: List[TaskResult] = []
+    for spec in tasks:
+        started = time.monotonic()
+        result = TaskResult(key=spec.key, value=worker(spec.payload),
+                            seconds=time.monotonic() - started)
+        if progress is not None:
+            progress(result)
+        results.append(result)
+    return results
 
 
 def require_ok(results: Sequence[TaskResult]) -> List[TaskResult]:

@@ -35,13 +35,14 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..constraints.constructors import ONE_CONSTRUCTOR, ZERO_CONSTRUCTOR
 from ..constraints.expressions import ONE, SetExpression, Term, Var, ZERO
 from ..constraints.system import ConstraintSystem
 from ..constraints.variance import Variance
 from ..experiments.config import EXPERIMENT_LABELS, options_for
+from ..parallel.pool import TaskSpec, default_jobs, map_tasks, require_ok
 from ..solver import (
     IncrementalSolver,
     SolverOptions,
@@ -453,83 +454,21 @@ def run_fuzz(
     Disagreements are shrunk (unless ``shrink=False``) and saved under
     ``corpus_dir`` (unless ``None``).
 
-    ``jobs != 1`` shards the index range across a
-    :mod:`repro.parallel` worker pool (``jobs <= 0`` = one worker per
-    core).  Workers only *check* their contiguous index shard (each
-    re-derives the full shape stream so shapes do not depend on the
-    shard layout) and ship disagreements back as corpus JSON; this
-    parent process merges them in index order, writes every reproducer,
-    and bumps the metrics counter — so the returned list, the corpus
-    directory, and the default registry end up exactly as a serial run
-    leaves them.
+    The index range is split into contiguous shards, each checked by
+    one :func:`fuzz_task` call: inline when ``jobs == 1``, else across
+    a :mod:`repro.parallel` worker pool (``jobs <= 0`` = one worker per
+    core).  This process then takes the disagreements in index order,
+    writes every reproducer and bumps the metrics counter, so the
+    returned list, the corpus directory and the default registry do
+    not depend on the executor.
     """
-    if jobs != 1:
-        return _run_fuzz_parallel(
-            count=count, seed=seed, labels=labels,
-            corpus_dir=corpus_dir, shrink=shrink, progress=progress,
-            jobs=jobs,
-        )
-    rng = random.Random(seed)
-    disagreements: List[FuzzDisagreement] = []
-    for index in range(count):
-        system_seed = seed * 1_000_003 + index
-        config = _config_for(index, system_seed, rng)
-        system = random_system(config)
-        found = check_system(system, labels=labels)
-        if found is None:
-            if progress is not None and (index + 1) % 50 == 0:
-                progress(f"{index + 1}/{count} systems agree")
-            continue
-        reproducer = system
-        if shrink:
-            reproducer = shrink_constraints(
-                system,
-                lambda sub: check_system(sub, labels=labels) is not None,
-            )
-            found = check_system(reproducer, labels=labels) or found
-        label, kind, detail = found
-        _count_disagreement(label, kind)
-        disagreement = FuzzDisagreement(
-            seed=system_seed,
-            label=label,
-            kind=kind,
-            detail=detail,
-            constraints=len(reproducer),
-        )
-        if corpus_dir is not None:
-            disagreement.path = save_reproducer(
-                corpus_dir, disagreement, reproducer
-            )
-        disagreements.append(disagreement)
-        if progress is not None:
-            progress(f"DISAGREEMENT {disagreement}")
-    return disagreements
-
-
-def _run_fuzz_parallel(
-    count: int,
-    seed: int,
-    labels: Optional[Sequence[str]],
-    corpus_dir: Optional[str],
-    shrink: bool,
-    progress: Optional[Callable[[str], None]],
-    jobs: int,
-) -> List[FuzzDisagreement]:
-    """The ``jobs != 1`` fuzz path: contiguous index shards per task."""
-    from ..parallel.pool import TaskSpec, default_jobs, require_ok, run_tasks
-    from ..parallel.tasks import fuzz_task, shard_ranges
-
-    if jobs <= 0:
-        jobs = default_jobs()
     # A few shards per worker keeps the pool busy when one shard hits
-    # an expensive shrink; shards stay contiguous so merge order is
-    # index order.
-    ranges = shard_ranges(count, jobs * 4)
+    # an expensive shrink, and gives a serial run progress lines.
+    shards = 4 * (default_jobs() if jobs <= 0 else jobs)
     tasks = [
         TaskSpec(
             key=f"fuzz[{start}:{stop}]",
             payload={
-                "count": count,
                 "seed": seed,
                 "labels": list(labels) if labels else None,
                 "start": start,
@@ -537,42 +476,100 @@ def _run_fuzz_parallel(
                 "shrink": shrink,
             },
         )
-        for start, stop in ranges
+        for start, stop in shard_ranges(count, shards)
     ]
-
     checked = 0
 
     def report_progress(result) -> None:
         nonlocal checked
-        if progress is None or not result.ok:
-            return
-        checked += result.value["checked"]
-        progress(f"{checked}/{count} systems checked")
+        if result.ok:
+            checked += result.value["checked"]
+            progress(f"{checked}/{count} systems checked")
 
-    results = require_ok(run_tasks(
-        fuzz_task, tasks, jobs=jobs, progress=report_progress,
+    results = require_ok(map_tasks(
+        fuzz_task, tasks, jobs=jobs,
+        progress=None if progress is None else report_progress,
     ))
     disagreements: List[FuzzDisagreement] = []
-    merged = [
-        entry
-        for result in results
-        for entry in result.value["disagreements"]
-    ]
-    merged.sort(key=lambda entry: entry["index"])
-    for entry in merged:
-        _count_disagreement(entry["label"], entry["kind"])
-        disagreement = FuzzDisagreement(
-            seed=entry["seed"],
-            label=entry["label"],
-            kind=entry["kind"],
-            detail=entry["detail"],
-            constraints=entry["constraints"],
-        )
-        if corpus_dir is not None:
-            disagreement.path = save_reproducer(
-                corpus_dir, disagreement, system_from_json(entry["system"])
+    for result in results:
+        for entry in result.value["disagreements"]:
+            _count_disagreement(entry["label"], entry["kind"])
+            disagreement = FuzzDisagreement(
+                seed=entry["seed"],
+                label=entry["label"],
+                kind=entry["kind"],
+                detail=entry["detail"],
+                constraints=entry["constraints"],
             )
-        disagreements.append(disagreement)
-        if progress is not None:
-            progress(f"DISAGREEMENT {disagreement}")
+            if corpus_dir is not None:
+                disagreement.path = save_reproducer(
+                    corpus_dir, disagreement,
+                    system_from_json(entry["system"]),
+                )
+            disagreements.append(disagreement)
+            if progress is not None:
+                progress(f"DISAGREEMENT {disagreement}")
     return disagreements
+
+
+def fuzz_task(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Differentially check one contiguous index shard; the one
+    per-shard worker.
+
+    Payload keys: ``seed`` (the *whole run's* seed — the shape stream
+    is keyed by it and consumed in index order, so every shard
+    re-derives the stream from index 0 and only *checks* the indices
+    in ``[start, stop)``), ``start``, ``stop``, ``labels``, ``shrink``.
+
+    Returns ``{"checked": n, "disagreements": [...]}`` in index order,
+    each disagreement carrying its (shrunk) reproducer as corpus JSON;
+    :func:`run_fuzz` owns corpus writing and metrics counting so files
+    and counters are produced exactly once.
+    """
+    seed = payload["seed"]
+    labels = payload["labels"]
+    start, stop = payload["start"], payload["stop"]
+    rng = random.Random(seed)
+    found: List[Dict[str, Any]] = []
+    for index in range(stop):
+        system_seed = seed * 1_000_003 + index
+        config = _config_for(index, system_seed, rng)
+        if index < start:
+            continue
+        system = random_system(config)
+        disagreement = check_system(system, labels=labels)
+        if disagreement is None:
+            continue
+        reproducer = system
+        if payload["shrink"]:
+            reproducer = shrink_constraints(
+                system,
+                lambda sub: check_system(sub, labels=labels) is not None,
+            )
+            disagreement = (
+                check_system(reproducer, labels=labels) or disagreement
+            )
+        label, kind, detail = disagreement
+        found.append({
+            "seed": system_seed,
+            "label": label,
+            "kind": kind,
+            "detail": detail,
+            "constraints": len(reproducer),
+            "system": system_to_json(reproducer),
+        })
+    return {"checked": stop - start, "disagreements": found}
+
+
+def shard_ranges(count: int, shards: int) -> List[Tuple[int, int]]:
+    """Split ``range(count)`` into at most ``shards`` contiguous
+    ``(start, stop)`` ranges of near-equal size (never empty)."""
+    shards = max(1, min(shards, count)) if count else 0
+    ranges: List[Tuple[int, int]] = []
+    base, extra = divmod(count, shards) if shards else (0, 0)
+    start = 0
+    for shard in range(shards):
+        size = base + (1 if shard < extra else 0)
+        ranges.append((start, start + size))
+        start += size
+    return ranges

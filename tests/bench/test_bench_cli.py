@@ -108,3 +108,19 @@ class TestCli:
         assert main(["--no-pin-hashseed",
                      "--experiments", "NOT-A-LABEL"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_unknown_label_is_one_error_line_under_any_jobs(self, capsys):
+        """The label is checked before any pair runs, so a sharded run
+        fails like a serial one instead of once per worker."""
+        outputs = []
+        for jobs in ("1", "2"):
+            code = main(["--no-pin-hashseed", "--repeats", "1",
+                         "--experiments", "SF-Bogus", "--jobs", jobs])
+            captured = capsys.readouterr()
+            assert code == 2
+            outputs.append((captured.out, captured.err))
+        serial, sharded = outputs
+        assert sharded == serial
+        assert serial[0] == ""
+        assert serial[1].startswith("error: unknown experiment 'SF-Bogus'")
+        assert serial[1].count("\n") == 1

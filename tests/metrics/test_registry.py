@@ -99,6 +99,64 @@ class TestSnapshots:
         assert registry.collect() == []
 
 
+def run_snapshot(counter_value, gauge_value):
+    """The snapshot of one run's registry, as a bench pair returns it."""
+    registry = MetricsRegistry()
+    registry.counter("repro_test_ops_total", "ops", ("kind",)) \
+        .labels("vv").inc(counter_value)
+    registry.gauge("repro_test_depth", "depth").labels().set(gauge_value)
+    registry.histogram("repro_test_visits", "visits") \
+        .labels().observe(counter_value)
+    return registry.snapshot()
+
+
+class TestMergingRunSnapshots:
+    """Loading per-run snapshots into one registry is the merge."""
+
+    def merged(self, *snapshots):
+        registry = MetricsRegistry()
+        for snapshot in snapshots:
+            registry.load_snapshot(snapshot)
+        return registry
+
+    def test_counters_and_histograms_accumulate(self):
+        exposition = self.merged(
+            run_snapshot(3, 1.0), run_snapshot(4, 2.0)
+        ).expose()
+        assert 'repro_test_ops_total{kind="vv"} 7' in exposition
+        # Gauges take the last value.
+        assert "repro_test_depth 2\n" in exposition
+        assert "repro_test_visits_count 2" in exposition
+        assert 'repro_test_visits_bucket{le="3"} 1' in exposition
+        assert 'repro_test_visits_bucket{le="4"} 2' in exposition
+
+    def test_empty_registry_snapshot_adds_nothing(self):
+        alone = self.merged(run_snapshot(5, 0.0)).expose()
+        padded = self.merged(
+            MetricsRegistry().snapshot(), run_snapshot(5, 0.0),
+            MetricsRegistry().snapshot(),
+        ).expose()
+        assert padded == alone
+
+    def test_merge_round_trips_through_snapshot(self):
+        merged = self.merged(run_snapshot(1, 0.0), run_snapshot(2, 0.0))
+        reloaded = MetricsRegistry()
+        reloaded.load_snapshot(merged.snapshot())
+        assert reloaded.expose() == merged.expose()
+
+    def test_accumulates_onto_supplied_registry(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_test_ops_total", "ops", ("kind",)) \
+            .labels("vv").inc(10)
+        registry.counter("repro_test_other_total", "other").labels().inc(1)
+        registry.load_snapshot(run_snapshot(2, 0.0))
+        exposition = registry.expose()
+        assert 'repro_test_ops_total{kind="vv"} 12' in exposition
+        # Families only the supplied registry held survive the merge.
+        assert "repro_test_other_total 1" in exposition
+        assert "repro_test_visits_count 1" in exposition
+
+
 class TestPeriodicFlusher:
     def test_context_manager_final_flush(self, tmp_path):
         registry = MetricsRegistry()

@@ -129,7 +129,7 @@ class TestFuzzParity:
         callable — the pool is not required to exercise it).
         """
         import repro.resilience.fuzz as fuzz_module
-        from repro.parallel.tasks import fuzz_task
+        from repro.resilience.fuzz import fuzz_task
 
         real_check = fuzz_module.check_system
 
@@ -141,7 +141,7 @@ class TestFuzzParity:
 
         monkeypatch.setattr(fuzz_module, "check_system", lying_check)
         result = fuzz_task({
-            "count": 8, "seed": 0, "labels": None,
+            "seed": 0, "labels": None,
             "start": 0, "stop": 8, "shrink": False,
         })
         assert result["checked"] == 8
@@ -176,13 +176,13 @@ class TestWorkerDeterminism:
         from repro.experiments.config import options_for
         from repro.bench.measure import measure_system
         from repro.parallel import TaskSpec, require_ok, run_tasks
-        from repro.parallel.tasks import bench_task
+        from repro.bench.harness import bench_task
         from repro.workloads import benchmark
 
         payload = {
             "suite": "quick", "benchmark": "allroots",
             "experiment": "IF-Online", "seed": 0, "repeats": 1,
-            "trace": False, "metrics": False, "budget_seconds": None,
+            "trace": False, "metrics": False, "deadline": None,
         }
         (result,) = require_ok(run_tasks(
             bench_task, [TaskSpec("allroots/IF-Online", payload)],

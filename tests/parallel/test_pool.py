@@ -15,10 +15,10 @@ import pytest
 from repro.parallel import (
     ParallelError,
     TaskSpec,
+    map_tasks,
     require_ok,
     run_tasks,
 )
-from repro.parallel.tasks import shard_ranges
 
 
 def double(payload):
@@ -142,14 +142,35 @@ class TestTimeouts:
         assert "overall deadline" in by_key["hang"].error
 
 
-class TestShardRanges:
-    def test_partitions_exactly(self):
-        assert shard_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]
-        assert shard_ranges(2, 5) == [(0, 1), (1, 2)]
-        assert shard_ranges(0, 4) == []
-        ranges = shard_ranges(97, 8)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 97
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+def own_pid(payload):
+    return os.getpid()
+
+
+class TestMapTasks:
+    """``jobs == 1`` runs inline; any other value goes to the pool."""
+
+    def test_inline_runs_in_this_process_in_order(self):
+        seen = []
+        results = map_tasks(
+            own_pid, [TaskSpec(str(n), n) for n in range(3)],
+            progress=seen.append,
+        )
+        assert [r.value for r in results] == [os.getpid()] * 3
+        assert seen == results
+        assert all(r.ok for r in results)
+
+    def test_pooled_runs_in_workers_with_same_shape(self):
+        results = map_tasks(
+            double, [TaskSpec(str(n), n) for n in range(4)], jobs=2,
+        )
+        assert [r.key for r in results] == ["0", "1", "2", "3"]
+        assert [r.value for r in results] == [0, 2, 4, 6]
+        (pid,) = map_tasks(own_pid, [TaskSpec("a")], jobs=2)
+        assert pid.value != os.getpid()
+
+    def test_inline_exception_propagates(self):
+        with pytest.raises(ValueError, match="deterministic failure"):
+            map_tasks(raiser, [TaskSpec("a", 1)])
 
 
 class TestRepinHashSeed:

@@ -1,7 +1,9 @@
 """The differential fuzz harness: agreement, bug-catching, shrinking."""
 
+import dataclasses
 import glob
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -15,6 +17,7 @@ from repro.resilience.fuzz import (
     check_system,
     load_reproducer,
     save_reproducer,
+    shard_ranges,
     shrink_constraints,
     solve_incremental,
     subsystem,
@@ -93,6 +96,60 @@ class TestInjectedBug:
             assert total == len(found)
         finally:
             reset_default_registry()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers inherit the broken method only when forked",
+    )
+    def test_sharded_run_matches_serial(self, monkeypatch, tmp_path):
+        """With a bug to find, ``jobs=2`` reports the same
+        disagreements, writes the same corpus files and counts the same
+        metric increments as ``jobs=1``."""
+        from repro.metrics import default_registry, reset_default_registry
+
+        inject_broken_absorb(monkeypatch)
+        runs = {}
+        try:
+            for jobs in (1, 2):
+                reset_default_registry()
+                corpus = tmp_path / f"jobs{jobs}"
+                found = run_fuzz(count=30, seed=0, jobs=jobs,
+                                 corpus_dir=os.fspath(corpus))
+                counts = {
+                    labels: child.to_value()
+                    for family in default_registry().collect()
+                    if family.name == "repro_fuzz_disagreements_total"
+                    for labels, child in family.series()
+                }
+                files = {
+                    path.name: path.read_bytes()
+                    for path in corpus.iterdir()
+                }
+                runs[jobs] = (found, files, counts)
+        finally:
+            reset_default_registry()
+        serial, serial_files, serial_counts = runs[1]
+        sharded, sharded_files, sharded_counts = runs[2]
+        assert serial, "the injected bug must be found"
+
+        def without_path(found):
+            return [dataclasses.replace(item, path=None) for item in found]
+
+        assert without_path(sharded) == without_path(serial)
+        assert len(serial_files) == len(serial)
+        assert sharded_files == serial_files
+        assert sum(serial_counts.values()) == len(serial)
+        assert sharded_counts == serial_counts
+
+
+class TestShardRanges:
+    def test_partitions_exactly(self):
+        assert shard_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]
+        assert shard_ranges(2, 5) == [(0, 1), (1, 2)]
+        assert shard_ranges(0, 4) == []
+        ranges = shard_ranges(97, 8)
+        assert ranges[0][0] == 0 and ranges[-1][1] == 97
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
 
 class TestShrinking:
