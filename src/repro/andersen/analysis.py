@@ -235,15 +235,6 @@ class ConstraintGenerator:
             self._ref_terms[location] = term
         return term
 
-    def _wrapper(self, value: SetExpression) -> Term:
-        """A transient location carrying an R-value as its contents.
-
-        Used to give non-lvalue expressions (assignments, calls,
-        arithmetic) an L-value set in the uniform formulation; the
-        wrapper itself never enters a points-to set.
-        """
-        return Term(self.ref, (ZERO, value, value), label=None)
-
     def _push_scope(self) -> None:
         self._scopes.append({})
 

@@ -9,7 +9,8 @@ table can never disagree about *how* a number was measured.
 A measurement solves the same system ``repeats`` times and keeps the
 best-timed solution (the paper's best-of convention for CPU times).
 The deterministic counters — ``work``, ``redundant``,
-``cycle_search_visits``, ... — must be identical across repeats; a mismatch means the solver lost reproducibility and raises
+``cycle_search_visits``, ... — must be identical across repeats; a
+mismatch means the solver lost reproducibility and raises
 :class:`NondeterministicRunError` rather than silently recording noise.
 """
 

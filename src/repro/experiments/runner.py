@@ -220,10 +220,9 @@ class SuiteResults:
             return stats
         bench = self.benchmark(benchmark_name)
         nodes, edges, initial_scc = initial_graph_statistics(bench)
-        # Final-graph SCCs come from a plain run with recorded edges.
+        # Final-graph SCCs come from a plain run's stored edges.
         plain = solve(
-            bench.program.system,
-            options_for("SF-Plain", seed=self.seed, record_var_edges=True),
+            bench.program.system, options_for("SF-Plain", seed=self.seed)
         )
         final_scc = plain.final_scc_summary()
         stats = BenchmarkStats(

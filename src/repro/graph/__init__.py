@@ -2,8 +2,8 @@
 
 The two solved forms of the paper — standard form (Section 2.3) and
 inductive form (Section 2.4) — plus the partial online cycle detection
-of Section 2.5, union-find forwarding, variable orders, and offline SCC
-utilities.
+of Section 2.5, variable orders, and offline SCC utilities.  Each graph
+owns its union-find forwarding (``parent``) and rank (``ranks``) lists.
 """
 
 from .base import (
@@ -21,7 +21,6 @@ from .order import (
     OrderSpec,
     RandomOrder,
     ReverseCreationOrder,
-    VariableOrder,
 )
 from .scc import (
     SccSummary,
@@ -31,7 +30,6 @@ from .scc import (
 )
 from .standard import StandardGraph
 from .stats import SolverStats
-from .unionfind import UnionFind
 
 __all__ = [
     "ConstraintGraphBase",
@@ -49,8 +47,6 @@ __all__ = [
     "SearchMode",
     "SolverStats",
     "StandardGraph",
-    "UnionFind",
-    "VariableOrder",
     "find_chain_path",
     "strongly_connected_components",
     "summarize_sccs",

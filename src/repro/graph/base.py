@@ -8,8 +8,11 @@ Both standard form and inductive form keep, per variable:
   only successor lists; IF splits edges by the order ``o(.)``).
 
 Adjacency sets store raw integer variable ids.  Collapsed variables are
-forwarded through a union-find; stale ids in adjacency sets are resolved
-lazily via ``find`` whenever they are read.  The graphs hold state; the
+forwarded onto their witness through the ``parent`` list (a union-find
+with caller-chosen witnesses, paper Section 2.5); stale ids in
+adjacency sets are resolved lazily via :meth:`~ConstraintGraphBase.find`
+whenever they are read.  The order ``o(.)`` is the ``ranks`` list:
+``ranks[i]`` is ``o(X_i)``.  The graphs hold state; the
 solver's closure kernel (:mod:`repro.solver.kernel`) performs every
 insertion.  Propagation never mutates the graph directly — it *emits*
 atomic operations onto the engine's worklist (cycle collapse included),
@@ -30,13 +33,12 @@ from typing import (
 )
 
 from ..constraints.expressions import Term
-from .cycles import SearchMode, find_chain_path
+from .cycles import SearchMode
+from .order import OrderSpec
+from .stats import SolverStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace ← graph)
     from ..trace.sinks import TraceSink
-from .order import VariableOrder
-from .stats import SolverStats
-from .unionfind import UnionFind
 
 #: Operation tags understood by the solver engine's worklist.
 OP_VAR_VAR = "vv"
@@ -49,15 +51,22 @@ Op = Tuple[str, object, object]
 
 
 class ConstraintGraphBase:
-    """State and behaviour common to SF and IF graphs."""
+    """State and behaviour common to SF and IF graphs.
 
-    #: set by subclasses; used in reports
-    form_name = "base"
+    The graph owns all per-variable solver state as plain lists indexed
+    by variable id: the forwarding pointers ``parent`` (a representative
+    is its own parent), the order ``ranks``, and the four buckets.  The
+    closure kernel, the least-solution code, the auditor and checkpoints
+    read these lists directly.
+    """
+
+    #: which solved form the graph keeps: ``True`` for inductive form
+    inductive = False
 
     def __init__(
         self,
         num_vars: int,
-        order: VariableOrder,
+        order: OrderSpec,
         stats: SolverStats,
         emit: Callable[[Op], None],
         online_cycles: bool = False,
@@ -65,25 +74,15 @@ class ConstraintGraphBase:
         sink: Optional["TraceSink"] = None,
     ) -> None:
         self.num_vars = num_vars
-        self.order = order
         self.stats = stats
         self.emit = emit
         self.online_cycles = online_cycles
         self.search_mode = search_mode
         self.sink = sink
-        self.unionfind = UnionFind(num_vars)
-        # Hot-path bindings: `find` and `rank` are called several times
-        # per worklist operation, so shadow the convenience methods below
-        # with direct bound callables (one call frame less per lookup).
-        # `_uf_parent` and `_ranks` alias the underlying arrays so the
-        # closure kernel can test "is already a representative" and
-        # compare ranks with plain list indexing instead of a call.  All
-        # of these stay valid across `grow` because UnionFind and
-        # VariableOrder extend their backing lists in place.
-        self.find = self.unionfind.find
-        self.rank = order.ranks.__getitem__
-        self._uf_parent = self.unionfind._parent
-        self._ranks = order.ranks
+        #: forwarding pointers: ``parent[i] == i`` for a representative
+        self.parent: List[int] = list(range(num_vars))
+        #: the order o(.): ``ranks[i] = o(X_i)``, a permutation
+        self.ranks: List[int] = order.ranks(num_vars)
         self.succ_vars: List[Set[int]] = [set() for _ in range(num_vars)]
         self.pred_vars: List[Set[int]] = [set() for _ in range(num_vars)]
         self.sources: List[Set[Term]] = [set() for _ in range(num_vars)]
@@ -121,20 +120,31 @@ class ConstraintGraphBase:
         self._journal_sinks = [[] for _ in range(count)]
 
     # ------------------------------------------------------------------
-    # Small helpers
+    # Forwarding and growth
     # ------------------------------------------------------------------
-    def find(self, var_index: int) -> int:  # shadowed in __init__
-        return self.unionfind.find(var_index)
-
-    def rank(self, var_index: int) -> int:  # shadowed in __init__
-        return self.order.ranks[var_index]
+    def find(self, var_index: int) -> int:
+        """The representative of ``var_index``, with path compression."""
+        parent = self.parent
+        root = parent[var_index]
+        if root == var_index:
+            # Fast path: most finds hit a representative directly.
+            return root
+        while parent[root] != root:
+            root = parent[root]
+        while parent[var_index] != root:
+            parent[var_index], var_index = root, parent[var_index]
+        return root
 
     def grow(self, num_vars: int) -> None:
-        """Admit late-created variables (used by incremental clients)."""
+        """Admit late-created variables (used by incremental clients).
+
+        New variables are their own representatives and take the next
+        ranks, above every existing one.
+        """
         if num_vars <= self.num_vars:
             return
-        self.order.ensure(num_vars)
-        self.unionfind.grow(num_vars)
+        self.parent.extend(range(len(self.parent), num_vars))
+        self.ranks.extend(range(len(self.ranks), num_vars))
         for collection in (
             self.succ_vars,
             self.pred_vars,
@@ -154,13 +164,20 @@ class ConstraintGraphBase:
                     journal.append([])
         self.num_vars = num_vars
 
-    def alias(self, var_index: int, witness_index: int) -> None:
+    def alias(self, var_index: int, witness_index: int) -> bool:
         """Pre-collapse a variable onto a witness (oracle experiments).
 
         Must be called before any constraint touching ``var_index`` is
-        processed; no constraint migration is performed.
+        processed; no constraint migration is performed.  Either index
+        may be a non-representative: their roots are linked.  Returns
+        ``False`` when the two were already one set.
         """
-        self.unionfind.union_into(witness_index, var_index)
+        absorbed = self.find(var_index)
+        witness = self.find(witness_index)
+        if absorbed == witness:
+            return False
+        self.parent[absorbed] = witness
+        return True
 
     # ------------------------------------------------------------------
     # Cycle collapse (shared by both forms)
@@ -181,7 +198,7 @@ class ConstraintGraphBase:
             if node not in seen:
                 seen.add(node)
                 nodes.append(node)
-        witness = min(nodes, key=self.rank)
+        witness = min(nodes, key=self.ranks.__getitem__)
         self.stats.cycles_found += 1
         if self.sink is not None and len(nodes) > 1:
             self.sink.collapse(witness, tuple(nodes))
@@ -191,8 +208,11 @@ class ConstraintGraphBase:
         return witness
 
     def _absorb(self, absorbed: int, witness: int) -> None:
-        """Forward ``absorbed`` into ``witness`` and re-emit its edges."""
-        self.unionfind.union_into(witness, absorbed)
+        """Forward ``absorbed`` into ``witness`` and re-emit its edges.
+
+        Both are representatives (``collapse_path`` resolves the path).
+        """
+        self.parent[absorbed] = witness
         self.stats.vars_eliminated += 1
         emit = self.emit
         for term in self.sources[absorbed]:
@@ -223,9 +243,9 @@ class ConstraintGraphBase:
         """
         from .scc import strongly_connected_components
 
+        parent = self.parent
         vertices = [
-            rep for rep in self.unionfind.representatives()
-            if rep < self.num_vars
+            rep for rep in range(self.num_vars) if parent[rep] == rep
         ]
         edges = []
         for rep in vertices:
@@ -238,29 +258,6 @@ class ConstraintGraphBase:
             if len(component) >= 2:
                 self.collapse_path(component)
         return self.stats.vars_eliminated - eliminated_before
-
-    def _search_and_collapse(
-        self,
-        adjacency: Sequence[Set[int]],
-        start: int,
-        target: int,
-        mode: SearchMode,
-    ) -> bool:
-        """Run the partial chain search; collapse and report any cycle."""
-        path = find_chain_path(
-            adjacency,
-            self.find,
-            self.rank,
-            start,
-            target,
-            mode,
-            self.stats,
-            self.sink,
-        )
-        if path is None:
-            return False
-        self.collapse_path(path)
-        return True
 
     # ------------------------------------------------------------------
     # Final-graph accounting
@@ -278,10 +275,10 @@ class ConstraintGraphBase:
         """The raw indices of ``rep``'s ``bucket`` resolved through
         ``find``, without ``rep`` itself.
 
-        Reads the union-find array directly: a raw index that is its
-        own parent needs no ``find`` call.
+        Reads ``parent`` directly: a raw index that is its own parent
+        needs no ``find`` call.
         """
-        parent = self._uf_parent
+        parent = self.parent
         find = self.find
         out = {raw if parent[raw] == raw else find(raw) for raw in bucket}
         out.discard(rep)
@@ -296,7 +293,7 @@ class ConstraintGraphBase:
         var_var = 0
         source_edges = 0
         sink_edges = 0
-        parent = self._uf_parent
+        parent = self.parent
         canonical = self.canonical_bucket
         succ_vars = self.succ_vars
         pred_vars = self.pred_vars
@@ -311,9 +308,6 @@ class ConstraintGraphBase:
             source_edges += len(sources[rep])
             sink_edges += len(sinks[rep])
         self.stats.finalize_edges(var_var, source_edges, sink_edges)
-
-    def representatives(self) -> List[int]:
-        return [rep for rep in self.unionfind.representatives()]
 
     def compute_least_solution(self):
         """``LS`` for every representative; implemented per graph form.

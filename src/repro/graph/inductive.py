@@ -39,7 +39,7 @@ from .base import ConstraintGraphBase
 class InductiveGraph(ConstraintGraphBase):
     """Constraint graph in inductive form."""
 
-    form_name = "inductive"
+    inductive = True
 
     # ------------------------------------------------------------------
     # Least solution — equation (1) of the paper.
@@ -51,14 +51,14 @@ class InductiveGraph(ConstraintGraphBase):
         increasing order of ``o(.)`` — every variable predecessor has a
         strictly smaller rank, so a single sweep suffices.
         """
-        parent = self._uf_parent
+        parent = self.parent
         canonical = self.canonical_bucket
         pred_vars = self.pred_vars
         sources = self.sources
         reps: List[int] = [
             rep for rep in range(self.num_vars) if parent[rep] == rep
         ]
-        reps.sort(key=self.rank)
+        reps.sort(key=self.ranks.__getitem__)
         solution: Dict[int, FrozenSet[Term]] = {}
         for rep in reps:
             raw_preds = pred_vars[rep]

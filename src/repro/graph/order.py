@@ -6,9 +6,10 @@ random performs as well as or better than any other order tried
 so the ablation benchmark can compare them.
 
 An order is materialized as a rank array: ``rank[i]`` is ``o(X_i)``,
-a permutation of ``0..n-1``.  Ranks are extended deterministically if a
-variable is created after materialization (new variables get the next
-highest ranks), which keeps incremental use well-defined.
+a permutation of ``0..n-1``.  The graph holds it as its ``ranks`` list
+and gives variables created later the next highest ranks
+(:meth:`~repro.graph.base.ConstraintGraphBase.grow`), which keeps
+incremental use well-defined.
 """
 
 from __future__ import annotations
@@ -60,24 +61,3 @@ class ReverseCreationOrder:
     def ranks(self, num_vars: int) -> List[int]:
         return list(range(num_vars - 1, -1, -1))
 
-
-class VariableOrder:
-    """A materialized order supporting growth for late-created variables."""
-
-    __slots__ = ("ranks", "spec_name")
-
-    def __init__(self, spec: OrderSpec, num_vars: int) -> None:
-        self.ranks: List[int] = spec.ranks(num_vars)
-        self.spec_name = spec.name
-
-    def rank(self, var_index: int) -> int:
-        self.ensure(var_index + 1)
-        return self.ranks[var_index]
-
-    def ensure(self, num_vars: int) -> None:
-        """Extend the rank array so indices below ``num_vars`` are valid."""
-        while len(self.ranks) < num_vars:
-            self.ranks.append(len(self.ranks))
-
-    def __len__(self) -> int:
-        return len(self.ranks)

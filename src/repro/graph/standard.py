@@ -28,8 +28,6 @@ from .base import ConstraintGraphBase
 class StandardGraph(ConstraintGraphBase):
     """Constraint graph in standard form."""
 
-    form_name = "standard"
-
     # ------------------------------------------------------------------
     # Least solution: explicit in SF.
     # ------------------------------------------------------------------
@@ -60,7 +58,7 @@ class StandardGraph(ConstraintGraphBase):
         component's terms are all at its representative.  Pure read —
         no counters or journals are touched.
         """
-        parent = self._uf_parent
+        parent = self.parent
         sources = self.sources
         return {
             rep: frozenset(sources[rep])

@@ -161,6 +161,8 @@ class MetricsSink(TraceSink):
         self.spans: List[Tuple[str, float, float]] = []
         #: source variable id -> added outgoing var-var edges
         self._fanout: Dict[int, int] = {}
+        #: fan-out distributions of the runs folded in by :meth:`merge`
+        self._merged_fanout = Histogram()
 
     @classmethod
     def for_options(cls, options: "SolverOptions",
@@ -297,8 +299,13 @@ class MetricsSink(TraceSink):
         return self._totals(self._phase_seconds, 0)
 
     def fanout_histogram(self) -> Histogram:
-        """Distribution of per-variable added var-var out-degree."""
+        """Distribution of per-variable added var-var out-degree.
+
+        A merged sink reports the sum of its runs' distributions:
+        variable ids of different runs name different variables.
+        """
         hist = Histogram()
+        hist.merge(self._merged_fanout)
         for degree in self._fanout.values():
             hist.observe(degree)
         return hist
@@ -313,8 +320,7 @@ class MetricsSink(TraceSink):
             mine = getattr(self, name)
             for extra, child in other._own_series(getattr(other, name)):
                 mine.labels(*self._base, *extra).value += child.value
-        for src, degree in other._fanout.items():
-            self._fanout[src] = self._fanout.get(src, 0) + degree
+        self._merged_fanout.merge(other.fanout_histogram())
         self.spans.extend(other.spans)
 
     def summary(self) -> dict:

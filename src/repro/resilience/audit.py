@@ -93,7 +93,7 @@ class AuditPolicy:
 
 def _audit_unionfind(graph, failures: List[AuditFailure]) -> bool:
     """Check the forwarding forest; returns False when it is unusable."""
-    parent = graph.unionfind._parent
+    parent = graph.parent
     size = len(parent)
     ok = True
     for element, p in enumerate(parent):
@@ -145,11 +145,10 @@ def audit_graph(graph) -> List[AuditFailure]:
         return failures
 
     num_vars = graph.num_vars
-    parent = graph.unionfind._parent
-    find = graph.unionfind.find
-    rank = graph.rank
-    inductive = graph.form_name == "inductive"
-    standard = graph.form_name == "standard"
+    parent = graph.parent
+    find = graph.find
+    ranks = graph.ranks
+    inductive = graph.inductive
 
     for var in range(num_vars):
         is_rep = parent[var] == var
@@ -167,14 +166,14 @@ def audit_graph(graph) -> List[AuditFailure]:
                         f"{label} (forwarded to v{find(var)})",
                     ))
             continue
-        if standard and graph.pred_vars[var]:
+        if not inductive and graph.pred_vars[var]:
             failures.append(AuditFailure(
                 CHECK_SF_SHAPE, var,
                 f"standard form stores no predecessor edges, found "
                 f"{len(graph.pred_vars[var])}",
             ))
         if inductive:
-            own_rank = rank(var)
+            own_rank = ranks[var]
             for kind, bucket in (
                 ("succ", graph.succ_vars[var]),
                 ("pred", graph.pred_vars[var]),
@@ -183,11 +182,11 @@ def audit_graph(graph) -> List[AuditFailure]:
                     neighbour = find(raw)
                     if neighbour == var:
                         continue  # stale self loop left by a collapse
-                    if rank(neighbour) >= own_rank:
+                    if ranks[neighbour] >= own_rank:
                         failures.append(AuditFailure(
                             CHECK_IF_PLACEMENT, var,
                             f"{kind} edge to v{raw} (rep v{neighbour}, "
-                            f"rank {rank(neighbour)}) stored at v{var} "
+                            f"rank {ranks[neighbour]}) stored at v{var} "
                             f"(rank {own_rank}); inductive form keeps "
                             f"each edge at its higher-o() endpoint",
                         ))

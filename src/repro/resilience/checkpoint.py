@@ -11,12 +11,13 @@ What a checkpoint holds (format :data:`CHECKPOINT_VERSION`):
 
 * the pending worklist, in deque order, as unit operations;
 * every adjacency / source / sink set, saved in iteration order;
-* the union-find parent array and collapsed count;
+* the graph's ``parent`` (forwarding pointer) list;
 * the full :class:`~repro.graph.stats.SolverStats` counter snapshot,
-  recorded var-edge keys, periodic-sweep position, diagnostics, and the
-  engine's :class:`~repro.resilience.budget.SolveStatus`;
-* verification metadata — options label, variable/constraint counts,
-  and the variable-order rank array.  :func:`restore` refuses (with
+  periodic-sweep position, diagnostics, and the engine's
+  :class:`~repro.resilience.budget.SolveStatus`;
+* verification metadata — options label, order name,
+  variable/constraint/constructor counts — and the graph's ``ranks``
+  list.  :func:`restore` refuses (with
   :class:`~repro.resilience.errors.CheckpointError`) to resume against
   a different system, configuration, or variable order.
 
@@ -70,7 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..solver.options import SolverOptions
 
 #: Format version; bump on any breaking change to the payload shape.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Leading magic in the byte encoding, so stray pickles are rejected.
 _MAGIC = b"repro-ckpt\x00"
@@ -170,9 +171,9 @@ def _dump_state(state: Dict[str, Any],
 def _load_state(
     data: bytes,
     system: "ConstraintSystem",
-    num_constructors: Optional[int] = None,
-    num_vars: Optional[int] = None,
-    num_constraints: Optional[int] = None,
+    num_constructors: int,
+    num_vars: int,
+    num_constraints: int,
 ) -> Dict[str, Any]:
     table = _intern_table(
         system,
@@ -238,7 +239,6 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
     from ..solver.kernel import unit_operations
 
     graph = engine.graph
-    uf = graph.unionfind
     stats = engine.stats
     if graph._journal_succ is None:
         raise CheckpointError(
@@ -248,8 +248,7 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
             "cancellation token, which imply it)"
         )
     state: Dict[str, Any] = {
-        "parent": list(uf._parent),
-        "collapsed": uf._collapsed,
+        "parent": list(graph.parent),
         # Journals, not set contents: insertion order is what lets
         # restore rebuild each set with its exact original layout.
         "succ": [list(journal) for journal in graph._journal_succ],
@@ -259,7 +258,6 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
         # Unit operations only: fan-out entries are an in-memory form
         # of the same operations, in the same order.
         "pending": list(unit_operations(engine.pending)),
-        "var_edge_keys": sorted(engine._var_edge_keys),
         "since_sweep": engine._since_sweep,
         "stats": {
             f.name: getattr(stats, f.name) for f in fields(SolverStats)
@@ -276,13 +274,12 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
             # the capture-time intern table and validate the order even
             # after the system has grown (fresh_var between batches).
             "num_constructors": len(engine.system._constructors),
-            "order": graph.order.spec_name,
-            "form": graph.form_name,
+            "order": engine.options.order_spec().name,
         },
         # The *materialized* rank array, not the order spec: a spec
         # like RandomOrder re-run over a grown variable count would
         # reshuffle every rank and diverge from the captured run.
-        "ranks": list(graph.order.ranks),
+        "ranks": list(graph.ranks),
         # Expression-bearing state is interned against the system (see
         # the module docstring) and stays opaque until restore.
         "state": _dump_state(state, engine.system),
@@ -304,8 +301,8 @@ def restore(
     variables between batches — as long as the saved variables form a
     prefix: restore installs the checkpoint's **materialized** rank
     array over the saved prefix and extends it deterministically
-    (identity ranks for late variables, exactly like
-    :meth:`~repro.graph.order.VariableOrder.ensure`), instead of
+    (the next ranks for late variables, exactly like
+    :meth:`~repro.graph.base.ConstraintGraphBase.grow`), instead of
     re-running the order spec over the grown count, which would
     reshuffle every rank and diverge from the captured run.  Call
     :meth:`~repro.solver.SolverEngine.resume` on the result to finish
@@ -335,8 +332,8 @@ def restore(
         mismatches.append(
             f"{len(system)} constraints != saved {meta['num_constraints']}"
         )
-    saved_order = meta.get("order")
-    if saved_order is not None and saved_order != options.order_spec().name:
+    saved_order = meta["order"]
+    if saved_order != options.order_spec().name:
         mismatches.append(
             f"variable order {options.order_spec().name!r} != saved "
             f"{saved_order!r}"
@@ -344,16 +341,6 @@ def restore(
     if sorted(saved_ranks) != list(range(len(saved_ranks))):
         mismatches.append(
             "saved rank array is not a permutation (corrupt checkpoint)"
-        )
-    saved_constructors = meta.get("num_constructors")
-    if saved_constructors is None and system.num_vars != saved_vars:
-        # Pre-"num_constructors" checkpoints cannot resolve expression
-        # references against a grown system (the variable block shifts
-        # every later intern index); such checkpoints also predate
-        # growth-tolerant restore, so nothing regresses by refusing.
-        mismatches.append(
-            "checkpoint predates growth support and the system has "
-            "grown since the capture"
         )
     if mismatches:
         raise CheckpointError(
@@ -363,26 +350,19 @@ def restore(
     engine = SolverEngine(system, options)
     state = _load_state(
         payload["state"], system,
-        num_constructors=saved_constructors,
+        num_constructors=int(meta["num_constructors"]),
         num_vars=saved_vars,
         num_constraints=int(meta["num_constraints"]),
     )
 
     graph = engine.graph
-    # Install the captured ranks in place — the graph aliases the list
-    # (`_ranks`, `rank = ranks.__getitem__`) at construction — then
-    # extend deterministically over any late-created variables.
-    order = graph.order
-    order.ranks[:] = saved_ranks
-    order.ensure(graph.num_vars)
-    uf = graph.unionfind
     # The captured graph may cover fewer variables than the restored
-    # one (growth since capture); state arrays are saved-graph-sized.
+    # one (growth since capture); state lists are saved-graph-sized.
+    # Late-created variables are representatives with the next ranks.
     saved_graph_vars = len(state["parent"])
-    # Mutate the union-find array in place: the engine and graph hold
-    # direct aliases (`_uf_parent`) bound at construction.
-    uf._parent[:saved_graph_vars] = state["parent"]
-    uf._collapsed = state["collapsed"]
+    num_vars = graph.num_vars
+    graph.parent = state["parent"] + list(range(saved_graph_vars, num_vars))
+    graph.ranks = saved_ranks + list(range(len(saved_ranks), num_vars))
     # The restored engine must itself be checkpointable again.
     graph.enable_journal()
     for index in range(saved_graph_vars):
@@ -399,7 +379,6 @@ def restore(
         setattr(stats, name, value)
     engine.pending.clear()
     engine.pending.extend(state["pending"])
-    engine._var_edge_keys = set(state["var_edge_keys"])
     engine._since_sweep = state["since_sweep"]
     engine.diagnostics[:] = state["diagnostics"]
     engine.status = SolveStatus(state["status"])

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..constraints.constructors import ONE_CONSTRUCTOR, ZERO_CONSTRUCTOR
-from ..constraints.expressions import ONE, SetExpression, Term, Var, ZERO
+from ..constraints.expressions import ONE, SetExpression, Var, ZERO
 from ..constraints.system import ConstraintSystem
 from ..constraints.variance import Variance
 from ..experiments.config import EXPERIMENT_LABELS, options_for

@@ -18,14 +18,13 @@ from __future__ import annotations
 import sys
 import time
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional
 
 from ..constraints.errors import ConstraintDiagnostic
 from ..constraints.expressions import Term
 from ..constraints.system import ConstraintSystem
 from ..graph.base import OP_RESOLVE, Op
 from ..graph.inductive import InductiveGraph
-from ..graph.order import VariableOrder
 from ..graph.standard import StandardGraph
 from ..graph.stats import SolverStats
 from ..resilience.audit import AuditPolicy, audit_graph
@@ -67,7 +66,6 @@ class SolverEngine:
         self.diagnostics: List[ConstraintDiagnostic] = []
         self.pending: Deque[Op] = deque()
         self.sink = options.sink
-        order = VariableOrder(options.order_spec(), system.num_vars)
         graph_class = (
             StandardGraph
             if options.form is GraphForm.STANDARD
@@ -75,24 +73,16 @@ class SolverEngine:
         )
         self.graph = graph_class(
             system.num_vars,
-            order,
+            options.order_spec(),
             self.stats,
             self.pending.append,
             online_cycles=options.cycles is CyclePolicy.ONLINE,
             search_mode=options.search_mode,
             sink=self.sink,
         )
-        self.record_var_edges = options.record_var_edges
-        # Recorded var-var constraints are interned as packed integer
-        # keys ``(left << 32) | right`` — one int hash per edge instead
-        # of a tuple allocation + tuple hash on every recorded operation.
-        # They are decoded back to pairs once, in :meth:`_make_solution`.
-        self._var_edge_keys: Set[int] = set()
         self._periodic = options.cycles is CyclePolicy.PERIODIC
         self._periodic_interval = max(1, options.periodic_interval)
         self._since_sweep = 0
-        #: which graph form the closure kernel maintains
-        self.inductive = options.form is GraphForm.INDUCTIVE
         # --- resilience layer -----------------------------------------
         # Inert unless a budget, cancellation token, or stride audit is
         # configured: an unsupervised drain runs in unbounded chunks.
@@ -298,11 +288,6 @@ class SolverEngine:
         # explicit source buckets, canonicalized through find.
         return self.graph.compute_least_solution()
 
-    @property
-    def var_edges(self) -> Set[Tuple[int, int]]:
-        """Recorded var-var constraints, decoded from the interned keys."""
-        return {(key >> 32, key & 0xFFFFFFFF) for key in self._var_edge_keys}
-
     def _make_solution(self, least: Dict[int, FrozenSet[Term]]) -> Solution:
         return Solution(
             self.system,
@@ -311,7 +296,6 @@ class SolverEngine:
             least,
             self.stats,
             self.diagnostics,
-            var_edges=self.var_edges if self.record_var_edges else None,
             num_vars=self.system.num_vars,
             status=self.status,
         )

@@ -6,9 +6,10 @@ and hands each stretch between two checks to :func:`run_kernel`.  The
 kernel executes atomic operations in worklist order with every handler
 inlined: source insertion (``sv``), sink insertion (``vs``), the
 var-var insertion of either graph form (``vv``, with online cycle
-search, var-edge recording and periodic sweeps) and the resolution
-rules (``rr``).  Standard versus inductive form is a local boolean, and
-tracing, journals, recording and sweeps are local ``is not None``
+search and periodic sweeps) and the resolution rules (``rr``).  The
+kernel reads and writes the graph's plain state lists (``parent``,
+``ranks`` and the four buckets).  Standard versus inductive form is a
+local boolean, and tracing and journals are local ``is not None``
 checks, so there is one code path for every configuration.
 
 Worklist entries are 3-tuples ``(tag, first, second)``.  Besides the
@@ -47,7 +48,7 @@ from ..constraints.constructors import ONE_CONSTRUCTOR, ZERO_CONSTRUCTOR
 from ..constraints.expressions import Term, Var
 from ..constraints.resolution import decompose, flat_plan
 from ..graph.base import OP_RESOLVE, OP_SINK, OP_SOURCE, OP_VAR_VAR, Op
-from ..graph.cycles import SearchMode
+from ..graph.cycles import SearchMode, find_chain_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import SolverEngine
@@ -102,9 +103,11 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
     append = pending.append
     graph = engine.graph
     sink = engine.sink
+    stats = engine.stats
     find = graph.find
-    parent = graph._uf_parent
-    ranks = graph._ranks
+    parent = graph.parent
+    ranks = graph.ranks
+    rank = ranks.__getitem__
     succ_vars = graph.succ_vars
     pred_vars = graph.pred_vars
     sources = graph.sources
@@ -113,11 +116,10 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
     journal_pred = graph._journal_pred
     journal_sources = graph._journal_sources
     journal_sinks = graph._journal_sinks
-    inductive = engine.inductive
+    inductive = graph.inductive
     online = graph.online_cycles
-    search = graph._search_and_collapse
+    collapse_path = graph.collapse_path
     search_mode = graph.search_mode
-    var_edge_keys = engine._var_edge_keys if engine.record_var_edges else None
     periodic = engine._periodic
     since_sweep = engine._since_sweep
     interval = engine._periodic_interval
@@ -260,8 +262,6 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                     else:
                         left = x
                         right = first
-                    if var_edge_keys is not None:
-                        var_edge_keys.add((left << 32) | right)
                     work += 1
                     if parent[left] != left:
                         left = find(left)
@@ -280,25 +280,22 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                                 sink.edge(OP_VAR_VAR, left, right,
                                           "redundant")
                         else:
-                            collapsed = False
+                            path = None
                             if online:
                                 # IF searches predecessor chains left ->
                                 # right, SF successor chains right ->
                                 # left; either closes a cycle with the
                                 # new edge.
                                 if inductive:
-                                    adjacency = pred_vars
-                                    start = left
-                                    target = right
-                                    mode = _DECREASING
+                                    path = find_chain_path(
+                                        pred_vars, find, rank, left,
+                                        right, _DECREASING, stats, sink)
                                 else:
-                                    adjacency = succ_vars
-                                    start = right
-                                    target = left
-                                    mode = search_mode
-                                collapsed = search(
-                                    adjacency, start, target, mode)
-                            if collapsed:
+                                    path = find_chain_path(
+                                        succ_vars, find, rank, right,
+                                        left, search_mode, stats, sink)
+                            if path is not None:
+                                collapse_path(path)
                                 # The path held both endpoints, so they
                                 # are one vertex now.
                                 if sink is not None:
@@ -331,11 +328,13 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                                 sink.edge(OP_VAR_VAR, left, right,
                                           "redundant")
                         else:
-                            collapsed = False
+                            path = None
                             if online:
-                                collapsed = search(
-                                    succ_vars, right, left, _DECREASING)
-                            if collapsed:
+                                path = find_chain_path(
+                                    succ_vars, find, rank, right, left,
+                                    _DECREASING, stats, sink)
+                            if path is not None:
+                                collapse_path(path)
                                 if sink is not None:
                                     sink.edge(OP_VAR_VAR, left, right,
                                               "cycle")
@@ -403,7 +402,6 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                 appendleft((tag, first, rest))
         raise
     finally:
-        stats = engine.stats
         stats.work += work
         stats.redundant += redundant
         stats.self_edges += self_edges

@@ -64,9 +64,6 @@ class SolverOptions:
     #: chain-search direction (only meaningful for SF online; the paper's
     #: algorithm is DECREASING, INCREASING is the Section 4 ablation)
     search_mode: SearchMode = SearchMode.DECREASING
-    #: record every processed var-var constraint over original variable
-    #: ids (needed for final-graph SCC statistics and by the oracle)
-    record_var_edges: bool = False
     #: pre-collapse map variable-index -> witness-index (oracle phase 2)
     alias_map: Optional[Dict[int, int]] = None
     #: for CyclePolicy.PERIODIC: run a full SCC sweep every this many

@@ -8,10 +8,10 @@ component's witness.
 
 We realize the oracle in two phases:
 
-1. **Phase 1** solves the system plainly (no elimination) while
-   recording every processed variable-variable constraint over original
-   variable ids; Tarjan over that graph yields the final SCCs and a
-   witness map.
+1. **Phase 1** solves the system plainly (no elimination).  A plain
+   run collapses nothing, so its final graph stores every var-var
+   constraint over original variable ids (:attr:`Solution.var_edges`);
+   Tarjan over that graph yields the final SCCs and a witness map.
 2. **Phase 2** re-solves the same system with every SCC member
    pre-collapsed onto its witness before any constraint is processed.
 
@@ -35,14 +35,12 @@ def solve_with_oracle(
     """Run the two-phase oracle experiment for ``options.form``."""
     phase1_options = options.replace(
         cycles=CyclePolicy.NONE,
-        record_var_edges=True,
         alias_map=None,
     )
     phase1 = SolverEngine(system, phase1_options).run()
-    mapping = witness_map(range(system.num_vars), phase1.var_edges or set())
+    mapping = witness_map(range(system.num_vars), phase1.var_edges)
     phase2_options = options.replace(
         cycles=CyclePolicy.NONE,
-        record_var_edges=False,
         alias_map=mapping,
     )
     solution = SolverEngine(system, phase2_options).run()

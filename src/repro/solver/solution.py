@@ -19,7 +19,7 @@ from ..graph.base import ConstraintGraphBase
 from ..graph.scc import SccSummary, summarize_sccs
 from ..graph.stats import SolverStats
 from ..resilience.budget import SolveStatus
-from .options import SolverOptions
+from .options import CyclePolicy, SolverOptions
 
 
 class Solution:
@@ -45,7 +45,6 @@ class Solution:
         least: Dict[int, FrozenSet[Term]],
         stats: SolverStats,
         diagnostics: List[ConstraintDiagnostic],
-        var_edges: Optional[Set[Tuple[int, int]]] = None,
         num_vars: int = 0,
         status: SolveStatus = SolveStatus.COMPLETE,
     ) -> None:
@@ -59,9 +58,6 @@ class Solution:
         #: how the run ended (see the class docstring for the partial
         #: soundness contract)
         self.status = status
-        #: processed var-var constraints over original variable ids
-        #: (present only when options.record_var_edges was set)
-        self.var_edges = var_edges
         self.num_vars = num_vars
         #: filled by the oracle driver: the phase-1 (plain) solution
         self.oracle_phase1: Optional["Solution"] = None
@@ -114,19 +110,39 @@ class Solution:
     # ------------------------------------------------------------------
     # Final-graph SCC statistics (Table 1 / Figure 11 denominators)
     # ------------------------------------------------------------------
-    def final_scc_summary(self) -> SccSummary:
-        """SCC summary of the processed var-var constraint graph.
+    @property
+    def var_edges(self) -> Optional[Set[Tuple[int, int]]]:
+        """The final var-var constraint graph over original variable ids.
 
-        Requires the run to have recorded var-var edges
-        (``options.record_var_edges``); meaningful for plain runs, where
-        variable ids are never collapsed.
+        Defined for runs that collapsed nothing (``CyclePolicy.NONE``
+        without an ``alias_map``): their graph stores every processed
+        var-var constraint except self loops, at its original ids.
+        ``None`` for every other run, whose stored edges are between
+        representatives.
         """
-        if self.var_edges is None:
+        options = self.options
+        if options.cycles is not CyclePolicy.NONE or options.alias_map:
+            return None
+        succ_vars = self.graph.succ_vars
+        pred_vars = self.graph.pred_vars
+        edges = set()
+        for var in range(self.graph.num_vars):
+            edges.update((var, succ) for succ in succ_vars[var])
+            edges.update((pred, var) for pred in pred_vars[var])
+        return edges
+
+    def final_scc_summary(self) -> SccSummary:
+        """SCC summary of the final var-var constraint graph.
+
+        Only for runs that collapsed nothing (see :attr:`var_edges`).
+        """
+        edges = self.var_edges
+        if edges is None:
             raise ValueError(
-                "var-var edges were not recorded; re-solve with "
-                "record_var_edges=True"
+                "final SCCs need a run that collapsed nothing; re-solve "
+                "with CyclePolicy.NONE"
             )
-        return summarize_sccs(range(self.num_vars), self.var_edges)
+        return summarize_sccs(range(self.num_vars), edges)
 
     def __repr__(self) -> str:
         if self.status is not SolveStatus.COMPLETE:

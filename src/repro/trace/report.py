@@ -72,7 +72,7 @@ class TraceReport:
         self.experiments = experiments
         self.runs: List[TracedRun] = []
         #: benchmark -> variables in non-trivial final-graph SCCs
-        #: (Figure 11's denominator, from an SF-Plain recorded run)
+        #: (Figure 11's denominator, from an SF-Plain run)
         self.scc_vars: Dict[str, int] = {}
 
     # -- aggregates -----------------------------------------------------
@@ -243,7 +243,7 @@ def trace_suite(
     report = TraceReport(suite_name, seed, experiments)
     for bench in results.benchmarks:
         # Figure 11's denominator: final-graph SCC variables, computed
-        # by SuiteResults.statistics from an SF-Plain recorded run.
+        # by SuiteResults.statistics from an SF-Plain run.
         report.scc_vars[bench.name] = results.statistics(
             bench.name
         ).final_scc_vars

@@ -47,8 +47,7 @@ def constraint_graph_dot(
     collapse_counts = collapse_counts or {}
     lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;"]
     reps = [
-        rep for rep in graph.unionfind.representatives()
-        if rep < graph.num_vars
+        rep for rep, parent in enumerate(graph.parent) if rep == parent
     ]
     if max_nodes is not None:
         reps = reps[:max_nodes]

@@ -34,9 +34,9 @@ class TestTable4:
         assert "oracle" in describe("IF-Oracle")
 
     def test_overrides_forwarded(self):
-        options = options_for("SF-Plain", seed=7, record_var_edges=True)
+        options = options_for("SF-Plain", seed=7, periodic_interval=13)
         assert options.seed == 7
-        assert options.record_var_edges
+        assert options.periodic_interval == 13
 
     def test_forms_and_policies_cover_product(self):
         pairs = {(form, policy) for form, policy, _ in TABLE4.values()}

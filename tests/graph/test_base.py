@@ -105,27 +105,30 @@ class TestFinalAccounting:
 
 class TestGrow:
     def test_grow_extends_all_stores(self):
-        from repro.graph import SolverStats, VariableOrder
+        from repro.graph import SolverStats
         from repro.graph.inductive import InductiveGraph
 
         graph = InductiveGraph(
-            2, VariableOrder(CreationOrder(), 2), SolverStats(),
-            emit=lambda op: None,
+            2, CreationOrder(), SolverStats(), emit=lambda op: None,
         )
+        graph.alias(1, 0)
         graph.grow(5)
         assert graph.num_vars == 5
-        assert len(graph.succ_vars) == 5
-        assert len(graph.unionfind) == 5
-        assert graph.rank(4) == 4
+        for store in (graph.succ_vars, graph.pred_vars, graph.sources,
+                      graph.sinks):
+            assert len(store) == 5
+        assert graph.parent == [0, 0, 2, 3, 4]
+        assert graph.ranks == [0, 1, 2, 3, 4]
 
     def test_grow_is_idempotent(self):
-        from repro.graph import SolverStats, VariableOrder
+        from repro.graph import SolverStats
         from repro.graph.standard import StandardGraph
 
         graph = StandardGraph(
-            3, VariableOrder(CreationOrder(), 3), SolverStats(),
-            emit=lambda op: None,
+            3, CreationOrder(), SolverStats(), emit=lambda op: None,
         )
         graph.grow(3)
         graph.grow(2)
         assert graph.num_vars == 3
+        assert graph.parent == [0, 1, 2]
+        assert graph.ranks == [0, 1, 2]

@@ -83,7 +83,6 @@ class TestClosure:
         system.add(x, y)                      # pred edge at y
         system.add(y, system.term(c, (out,)))  # sink at y
         system.add(make_source(system, "payload"), x)
-        src2 = system.term(c, (system.fresh_var("inner"),), label="s2")
         solution = solve(system, if_options())
         # x must have received the sink: anything flowing into x meets it.
         assert solution.graph.sinks[x.index]
@@ -121,7 +120,8 @@ class TestOnlineCycles:
         # of their component.
         for v in (x, y, z):
             rep = solution.representative(v)
-            assert solution.graph.rank(rep) <= solution.graph.rank(v.index)
+            ranks = solution.graph.ranks
+            assert ranks[rep] <= ranks[v.index]
 
     def test_figure4_closure_exposes_subcycle(self, system):
         # Paper Figure 4: a 3-cycle whose closing edge hides the full

@@ -1,11 +1,17 @@
-"""Tests for variable orders."""
+"""Tests for variable orders and the rank list a graph keeps."""
 
 from repro.graph import (
     CreationOrder,
     RandomOrder,
     ReverseCreationOrder,
-    VariableOrder,
+    SolverStats,
 )
+from repro.graph.standard import StandardGraph
+
+
+def graph_with(order, num_vars):
+    return StandardGraph(num_vars, order, SolverStats(),
+                         emit=lambda op: None)
 
 
 class TestSpecs:
@@ -36,17 +42,20 @@ class TestSpecs:
 
 class TestVariableOrder:
     def test_rank_lookup(self):
-        order = VariableOrder(CreationOrder(), 5)
-        assert order.rank(3) == 3
-        assert len(order) == 5
+        graph = graph_with(CreationOrder(), 5)
+        assert graph.ranks[3] == 3
+        assert len(graph.ranks) == 5
 
     def test_late_variables_get_next_ranks(self):
-        order = VariableOrder(CreationOrder(), 3)
-        assert order.rank(7) == 7
-        assert len(order) == 8
+        graph = graph_with(CreationOrder(), 3)
+        graph.grow(8)
+        assert graph.ranks[7] == 7
+        assert len(graph.ranks) == 8
 
     def test_late_ranks_above_existing_random_ranks(self):
-        order = VariableOrder(RandomOrder(0), 10)
-        late = order.rank(10)
+        graph = graph_with(RandomOrder(0), 10)
+        assert graph.ranks == RandomOrder(0).ranks(10)
+        graph.grow(11)
+        late = graph.ranks[10]
         assert late == 10
-        assert late >= max(order.ranks[:10])
+        assert late >= max(graph.ranks[:10])

@@ -1,81 +1,77 @@
-"""Tests for union-find with explicit witnesses."""
+"""Tests for the graph's union-find: forwarding onto explicit witnesses."""
 
-from repro.graph import UnionFind
+from repro.graph import CreationOrder, SolverStats
+from repro.graph.inductive import InductiveGraph
+
+
+def new_graph(num_vars):
+    return InductiveGraph(num_vars, CreationOrder(), SolverStats(),
+                          emit=lambda op: None)
+
+
+def representatives(graph):
+    return [var for var, parent in enumerate(graph.parent) if var == parent]
 
 
 class TestBasics:
     def test_initially_self_representative(self):
-        uf = UnionFind(5)
-        assert all(uf.find(i) == i for i in range(5))
+        graph = new_graph(5)
+        assert graph.parent == [0, 1, 2, 3, 4]
+        assert all(graph.find(i) == i for i in range(5))
 
     def test_union_into_witness(self):
-        uf = UnionFind(5)
-        assert uf.union_into(2, 4)
-        assert uf.find(4) == 2
-        assert uf.find(2) == 2
+        graph = new_graph(5)
+        assert graph.alias(4, 2)
+        assert graph.find(4) == 2
+        assert graph.find(2) == 2
 
     def test_union_same_set_returns_false(self):
-        uf = UnionFind(5)
-        uf.union_into(0, 1)
-        assert not uf.union_into(0, 1)
-        assert not uf.union_into(1, 0)
+        graph = new_graph(5)
+        assert graph.alias(1, 0)
+        before = list(graph.parent)
+        # Aliasing members of one set again changes nothing.
+        assert not graph.alias(1, 0)
+        assert not graph.alias(0, 1)
+        assert graph.parent == before
 
     def test_union_through_non_representatives(self):
-        uf = UnionFind(6)
-        uf.union_into(0, 1)
-        uf.union_into(2, 3)
-        # Union via the absorbed members: roots 0 and 2 merge.
-        uf.union_into(1, 3)
-        assert uf.find(3) == 0
-        assert uf.find(2) == 0
-
-    def test_same(self):
-        uf = UnionFind(4)
-        uf.union_into(1, 2)
-        assert uf.same(1, 2)
-        assert not uf.same(0, 3)
-
-    def test_is_representative(self):
-        uf = UnionFind(3)
-        uf.union_into(0, 1)
-        assert uf.is_representative(0)
-        assert not uf.is_representative(1)
-
-    def test_collapsed_count(self):
-        uf = UnionFind(5)
-        assert uf.collapsed_count == 0
-        uf.union_into(0, 1)
-        uf.union_into(0, 2)
-        uf.union_into(0, 1)  # no-op
-        assert uf.collapsed_count == 2
+        graph = new_graph(6)
+        graph.alias(1, 0)
+        graph.alias(3, 2)
+        # Alias via the absorbed members: roots 2 and 0 are linked.
+        graph.alias(3, 1)
+        assert graph.find(3) == 0
+        assert graph.find(2) == 0
 
     def test_representatives_iteration(self):
-        uf = UnionFind(4)
-        uf.union_into(0, 3)
-        assert list(uf.representatives()) == [0, 1, 2]
+        graph = new_graph(4)
+        graph.alias(3, 0)
+        assert representatives(graph) == [0, 1, 2]
 
     def test_grow(self):
-        uf = UnionFind(2)
-        uf.grow(5)
-        assert len(uf) == 5
-        assert uf.find(4) == 4
+        graph = new_graph(2)
+        graph.grow(5)
+        assert len(graph.parent) == 5
+        assert graph.find(4) == 4
 
     def test_grow_is_monotone(self):
-        uf = UnionFind(5)
-        uf.grow(3)  # shrink request ignored
-        assert len(uf) == 5
+        graph = new_graph(5)
+        graph.grow(3)  # shrink request ignored
+        assert len(graph.parent) == 5
+        assert len(graph.ranks) == 5
 
     def test_path_compression_flattens(self):
-        uf = UnionFind(10)
+        graph = new_graph(10)
         for i in range(9):
-            uf.union_into(i + 1, i)  # chain 9 <- 8 <- ... <- 0
-        assert uf.find(0) == 9
-        # After compression, the parent pointer is direct.
-        assert uf._parent[0] == 9
+            graph.alias(i, i + 1)  # chain 9 <- 8 <- ... <- 0
+        assert graph.parent[0] == 1
+        assert graph.find(0) == 9
+        # After compression, every parent pointer on the chain is direct.
+        assert graph.parent[:9] == [9] * 9
 
     def test_deep_chain_no_recursion(self):
         n = 50_000
-        uf = UnionFind(n)
+        graph = new_graph(n)
         for i in range(n - 1):
-            uf.union_into(i + 1, i)
-        assert uf.find(0) == n - 1
+            graph.alias(i, i + 1)
+        assert graph.find(0) == n - 1

@@ -58,8 +58,7 @@ def test_sweep_every_edge_eliminates_all_cycles(system, seed):
     from repro.graph.scc import summarize_sccs
 
     plain = solve(system, SolverOptions(
-        form=GraphForm.STANDARD, cycles=CyclePolicy.NONE,
-        record_var_edges=True, seed=seed,
+        form=GraphForm.STANDARD, cycles=CyclePolicy.NONE, seed=seed,
     ))
     summary = summarize_sccs(range(system.num_vars), plain.var_edges)
     periodic = solve(system, SolverOptions(

@@ -49,10 +49,9 @@ def build(n, edges):
 def test_if_online_collapses_part_of_every_scc(graph, seed):
     n, edges = graph
     system = build(n, edges)
-    # Final SCCs: recorded from a plain run (ids are stable there).
+    # Final SCCs: from a plain run's graph (ids are stable there).
     plain = solve(system, SolverOptions(
-        form=GraphForm.INDUCTIVE, cycles=CyclePolicy.NONE,
-        record_var_edges=True, seed=seed,
+        form=GraphForm.INDUCTIVE, cycles=CyclePolicy.NONE, seed=seed,
     ))
     components = [
         component
@@ -85,8 +84,7 @@ def test_if_online_detects_at_least_sf_online(graph, seed):
     # Not a theorem point-for-point, but collapsing correctness holds:
     # eliminated variables never exceed the total in SCCs.
     plain = solve(system, SolverOptions(
-        form=GraphForm.STANDARD, cycles=CyclePolicy.NONE,
-        record_var_edges=True, seed=seed))
+        form=GraphForm.STANDARD, cycles=CyclePolicy.NONE, seed=seed))
     in_sccs = sum(
         len(component)
         for component in strongly_connected_components(

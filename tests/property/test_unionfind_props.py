@@ -1,12 +1,12 @@
-"""Model-based property test for union-find."""
+"""Model-based property test for the graph's union-find."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import UnionFind
+from repro.graph import CreationOrder, SolverStats
+from repro.graph.standard import StandardGraph
 
 pytestmark = pytest.mark.slow
-
 
 
 class NaivePartition:
@@ -14,7 +14,6 @@ class NaivePartition:
 
     def __init__(self, size):
         self.sets = [{i} for i in range(size)]
-        self.witness = list(range(size))
 
     def _set_of(self, element):
         for index, members in enumerate(self.sets):
@@ -45,35 +44,42 @@ def union_sequences(draw):
     return size, ops
 
 
+def new_graph(size):
+    return StandardGraph(size, CreationOrder(), SolverStats(),
+                         emit=lambda op: None)
+
+
 @given(union_sequences())
 @settings(max_examples=100, deadline=None)
 def test_matches_naive_partition(sequence):
     size, ops = sequence
-    uf = UnionFind(size)
+    graph = new_graph(size)
     naive = NaivePartition(size)
     for witness, absorbed in ops:
-        assert uf.union_into(witness, absorbed) == naive.union_into(
+        assert graph.alias(absorbed, witness) == naive.union_into(
             witness, absorbed
         )
     for a in range(size):
         for b in range(size):
-            assert uf.same(a, b) == naive.same(a, b)
+            assert (graph.find(a) == graph.find(b)) == naive.same(a, b)
 
 
 @given(union_sequences())
 @settings(max_examples=100, deadline=None)
 def test_representative_invariants(sequence):
     size, ops = sequence
-    uf = UnionFind(size)
+    graph = new_graph(size)
     merged = 0
     for witness, absorbed in ops:
-        if uf.union_into(witness, absorbed):
+        root = graph.find(witness)
+        if graph.alias(absorbed, witness):
             merged += 1
-        # The representative of the witness's set never changes by
-        # absorbing: find(witness) stays in witness's old set.
-        assert uf.same(witness, absorbed)
-    assert uf.collapsed_count == merged
-    representatives = list(uf.representatives())
+        # Absorbing never moves the witness's root: it stays the
+        # representative of the merged set.
+        assert graph.find(absorbed) == graph.find(witness) == root
+    representatives = [
+        var for var, parent in enumerate(graph.parent) if var == parent
+    ]
     assert len(representatives) == size - merged
     for rep in representatives:
-        assert uf.find(rep) == rep
+        assert graph.find(rep) == rep

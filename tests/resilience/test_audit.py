@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import ConstraintSystem
 from repro.graph.base import ConstraintGraphBase
 from repro.resilience import (
     AuditFailure,
@@ -86,7 +85,7 @@ class TestInjectedBug:
         # sets populated and unemitted — exactly the class of corruption
         # the nonrep-state invariant exists to catch.
         def broken(self, absorbed, witness):
-            self.unionfind.union_into(witness, absorbed)
+            self.parent[absorbed] = witness
             self.stats.vars_eliminated += 1
 
         monkeypatch.setattr(ConstraintGraphBase, "_absorb", broken)
@@ -121,9 +120,9 @@ class TestAuditGraphDirect:
         system = cyclic_system()
         engine = SolverEngine(system, options_for("IF-Online"))
         engine.run()
-        uf = engine.graph.unionfind
+        parent = engine.graph.parent
         # Corrupt the forest: a two-node parent cycle.
-        uf._parent[0], uf._parent[1] = 1, 0
+        parent[0], parent[1] = 1, 0
         failures = audit_graph(engine.graph)
         assert any(f.check == CHECK_UF_CYCLE for f in failures)
 

@@ -95,6 +95,22 @@ def test_bytes_rejects_garbage_and_bad_versions():
         EngineCheckpoint.from_bytes(checkpoint.to_bytes())
 
 
+def test_version_one_payload_refused():
+    """Format 2 dropped v1's union-find count, recorded var-edge keys
+    and form name; a v1 checkpoint is refused, not half-read."""
+    system = make_system()
+    engine = SolverEngine(system, SolverOptions(checkpointable=True))
+    engine.run()
+    checkpoint = capture(engine)
+    assert checkpoint.version == 2
+    assert "form" not in checkpoint.payload["meta"]
+    checkpoint.version = 1
+    with pytest.raises(CheckpointError, match="version"):
+        EngineCheckpoint.from_bytes(checkpoint.to_bytes())
+    with pytest.raises(CheckpointError, match="version"):
+        restore(system, SolverOptions(checkpointable=True), checkpoint)
+
+
 def test_restore_rejects_mismatched_system():
     system = make_system(seed=5)
     engine = SolverEngine(system, SolverOptions(checkpointable=True))

@@ -34,7 +34,7 @@ def inject_broken_absorb(monkeypatch):
     """Union without re-emitting or clearing the absorbed variable."""
 
     def broken(self, absorbed, witness):
-        self.unionfind.union_into(witness, absorbed)
+        self.parent[absorbed] = witness
         self.stats.vars_eliminated += 1
 
     monkeypatch.setattr(ConstraintGraphBase, "_absorb", broken)

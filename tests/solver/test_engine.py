@@ -90,12 +90,11 @@ class TestEngineGuards:
                 SolverOptions(cycles=CyclePolicy.ORACLE),
             )
 
-    def test_record_var_edges(self):
+    def test_plain_run_exposes_var_edges(self):
         system, variables, _ = chain_system(4)
         solution = solve(system, SolverOptions(
             form=GraphForm.STANDARD,
             cycles=CyclePolicy.NONE,
-            record_var_edges=True,
         ))
         recorded = solution.var_edges
         expected = {

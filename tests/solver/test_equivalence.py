@@ -8,13 +8,7 @@ import pytest
 
 from repro import ConstraintSystem, Variance
 from repro.graph import CreationOrder, RandomOrder, ReverseCreationOrder
-from repro.solver import (
-    CyclePolicy,
-    GraphForm,
-    SolverOptions,
-    solve,
-    solve_reference,
-)
+from repro.solver import SolverOptions, solve, solve_reference
 from tests.conftest import ALL_CONFIGS
 
 

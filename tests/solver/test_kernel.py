@@ -178,7 +178,7 @@ class TestCheckpointFlattening:
         system = make_system()
         engine = stop_with_fan_out_pending(system, label)
         checkpoint = capture(engine)
-        assert checkpoint.version == CHECKPOINT_VERSION == 1
+        assert checkpoint.version == CHECKPOINT_VERSION == 2
         restored = restore(
             system, options_for(label, checkpointable=True),
             EngineCheckpoint.from_bytes(checkpoint.to_bytes()))

@@ -17,7 +17,6 @@ def solved_cycle():
     system.add(y, z)
     options = SolverOptions(
         form=GraphForm.INDUCTIVE, cycles=CyclePolicy.ONLINE,
-        record_var_edges=True,
     )
     return system, (x, y, z), src, solve(system, options)
 
@@ -69,7 +68,6 @@ class TestSccSummary:
         system.add(y, z)
         solution = solve(system, SolverOptions(
             form=GraphForm.STANDARD, cycles=CyclePolicy.NONE,
-            record_var_edges=True,
         ))
         summary = solution.final_scc_summary()
         assert summary.vars_in_cycles == 2

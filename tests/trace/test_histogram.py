@@ -161,6 +161,24 @@ class TestHistogramSink:
         }
         assert len(merged.spans) == len(first.spans) + len(second.spans)
 
+    def test_merged_fanout_sums_per_run_histograms(self):
+        # Variable ids restart at 0 in every benchmark, so merging must
+        # add the runs' histograms, not their per-variable counts.
+        from repro.trace.report import trace_suite
+
+        report = trace_suite("quick", experiments=("IF-Online",),
+                             benchmarks=("allroots", "ks"))
+        per_run = [run.telemetry.fanout_histogram() for run in report.runs]
+        assert len(per_run) == 2
+        merged = report.merged_telemetry("IF-Online").fanout_histogram()
+        assert merged.count == sum(hist.count for hist in per_run)
+        assert merged.sum == sum(hist.sum for hist in per_run)
+        expected = {}
+        for hist in per_run:
+            for floor, count in hist.buckets.items():
+                expected[floor] = expected.get(floor, 0) + count
+        assert merged.buckets == expected
+
     def test_summary_is_json_ready(self):
         import json
 
