@@ -13,7 +13,6 @@ from .analysis import (
     AndersenProgram,
     ConstraintGenerator,
     FunctionInfo,
-    HEAP_FUNCTIONS,
     analyze_file,
     analyze_source,
     analyze_unit,
@@ -29,6 +28,7 @@ from .steensgaard import (
     SteensgaardResult,
     analyze_unit_steensgaard,
 )
+from .walker import HEAP_FUNCTIONS
 
 __all__ = [
     "AbstractLocation",

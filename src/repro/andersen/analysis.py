@@ -24,15 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..cfront import ast
-from ..cfront.types import (
-    Array,
-    CType,
-    Function,
-    INT,
-    Pointer,
-    Record,
-    Scalar,
-)
+from ..cfront.types import Array, CType, Function, Pointer
 from ..constraints import (
     ConstraintSystem,
     ONE,
@@ -43,39 +35,13 @@ from ..constraints import (
     ZERO,
 )
 from .locations import AbstractLocation, LocationKind, LocationTable
-
-#: Allocation functions that return a fresh heap location per call site.
-HEAP_FUNCTIONS = frozenset(
-    "malloc calloc realloc valloc memalign strdup xmalloc xcalloc "
-    "xrealloc xstrdup".split()
-)
+from .walker import FunctionDecl, ProgramWalker
 
 
-class Symbol:
-    """A named program entity bound in some scope."""
-
-    __slots__ = ("name", "ctype", "location", "function")
-
-    def __init__(
-        self,
-        name: str,
-        ctype: CType,
-        location: AbstractLocation,
-        function: Optional["FunctionInfo"] = None,
-    ) -> None:
-        self.name = name
-        self.ctype = ctype
-        self.location = location
-        self.function = function
-
-
-class FunctionInfo:
+class FunctionInfo(FunctionDecl):
     """Constraint-level view of a function (defined or prototyped)."""
 
-    __slots__ = (
-        "name", "location", "param_locations", "return_var", "lam_term",
-        "ctype", "defined",
-    )
+    __slots__ = ("return_var", "lam_term")
 
     def __init__(
         self,
@@ -86,17 +52,9 @@ class FunctionInfo:
         lam_term: Term,
         ctype: Function,
     ) -> None:
-        self.name = name
-        self.location = location
-        self.param_locations = param_locations
+        super().__init__(name, location, param_locations, ctype)
         self.return_var = return_var
         self.lam_term = lam_term
-        self.ctype = ctype
-        self.defined = False
-
-    @property
-    def arity(self) -> int:
-        return len(self.param_locations)
 
 
 class AndersenProgram:
@@ -130,46 +88,28 @@ class AndersenProgram:
         return self.locations.by_name(name)
 
 
-class ConstraintGenerator:
+class ConstraintGenerator(ProgramWalker):
     """Walks a translation unit and emits set constraints."""
 
+    functions: Dict[str, FunctionInfo]
+    _current_function: Optional[FunctionInfo]
+
     def __init__(self) -> None:
+        super().__init__()
         self.system = ConstraintSystem("andersen")
         cov, con = Variance.COVARIANT, Variance.CONTRAVARIANT
         self.ref = self.system.constructor("ref", (cov, cov, con))
         self.loc_ctor = self.system.constructor("loc", ())
         self._lam_ctors: Dict[int, object] = {}
-        self.locations = LocationTable()
         self.points_to_var: Dict[AbstractLocation, Var] = {}
         self._ref_terms: Dict[AbstractLocation, Term] = {}
-        self.functions: Dict[str, FunctionInfo] = {}
-        self.records: Dict[str, Dict[str, CType]] = {}
-        self._scopes: List[Dict[str, Symbol]] = [{}]
-        self._current_function: Optional[FunctionInfo] = None
-        self._string_location: Optional[AbstractLocation] = None
-        self._heap_counter = 0
-        self._enum_constants: set = set()
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
     def analyze(self, unit: ast.TranslationUnit, source_lines: int = 0
                 ) -> AndersenProgram:
-        self._collect_records(unit)
-        # Pass 1: bind all file-scope names so forward references work.
-        for item in unit.items:
-            if isinstance(item, ast.FunctionDef):
-                self._declare_function(item.name, item.type, item.params)
-            elif isinstance(item, ast.Decl):
-                self._declare_global(item)
-        # Pass 2: process initializers and function bodies.
-        for item in unit.items:
-            if isinstance(item, ast.FunctionDef):
-                self._function_body(item)
-            elif isinstance(item, ast.Decl) and item.init is not None:
-                symbol = self._lookup(item.name)
-                if symbol is not None:
-                    self._initialize(symbol, item.init)
+        self.walk(unit)
         return AndersenProgram(
             self.system,
             self.locations,
@@ -180,32 +120,7 @@ class ConstraintGenerator:
         )
 
     # ------------------------------------------------------------------
-    # Records (structs/unions) — field-insensitive, but we keep field
-    # types so `type_of` can see through member accesses.
-    # ------------------------------------------------------------------
-    def _collect_records(self, root: ast.Node) -> None:
-        stack: List[ast.Node] = [root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.RecordDef):
-                self.records[node.tag] = {
-                    member.name: member.type for member in node.members
-                }
-            elif isinstance(node, ast.EnumDef):
-                self._enum_constants.update(node.enumerators)
-            stack.extend(node.children())
-
-    def _field_type(self, record: Record, name: str) -> Optional[CType]:
-        direct = record.field_type(name)
-        if direct is not None:
-            return direct
-        fields = self.records.get(record.tag)
-        if fields is not None:
-            return fields.get(name)
-        return None
-
-    # ------------------------------------------------------------------
-    # Locations, terms and scopes
+    # Locations, terms and the walker's flow hooks
     # ------------------------------------------------------------------
     def _lam(self, arity: int):
         ctor = self._lam_ctors.get(arity)
@@ -235,58 +150,9 @@ class ConstraintGenerator:
             self._ref_terms[location] = term
         return term
 
-    def _push_scope(self) -> None:
-        self._scopes.append({})
-
-    def _pop_scope(self) -> None:
-        self._scopes.pop()
-
-    def _bind(self, symbol: Symbol) -> None:
-        self._scopes[-1][symbol.name] = symbol
-
-    def _lookup(self, name: str) -> Optional[Symbol]:
-        for scope in reversed(self._scopes):
-            symbol = scope.get(name)
-            if symbol is not None:
-                return symbol
-        return None
-
-    def _qualified(self, name: str) -> str:
-        if self._current_function is not None:
-            return f"{self._current_function.name}::{name}"
-        return name
-
-    def _string_loc(self) -> AbstractLocation:
-        if self._string_location is None:
-            self._string_location = self._make_location(
-                "<strings>", LocationKind.STRING
-            )
-        return self._string_location
-
-    # ------------------------------------------------------------------
-    # Declarations
-    # ------------------------------------------------------------------
-    def _declare_function(
-        self,
-        name: str,
-        ctype: Function,
-        params: Optional[List[ast.ParamDecl]] = None,
-    ) -> FunctionInfo:
-        info = self.functions.get(name)
-        if info is not None:
-            return info
-        location = self._make_location(name, LocationKind.FUNCTION)
-        param_types = list(ctype.params)
-        param_names = [
-            p.name or f"arg{i}" for i, p in enumerate(params or [])
-        ]
-        while len(param_names) < len(param_types):
-            param_names.append(f"arg{len(param_names)}")
-        param_locations = [
-            self._make_location(f"{name}::{param_names[i]}",
-                                LocationKind.PARAMETER)
-            for i in range(len(param_types))
-        ]
+    def _function(self, name: str, location: AbstractLocation,
+                  param_locations: List[AbstractLocation],
+                  ctype: Function) -> FunctionInfo:
         return_var = self.system.fresh_var(f"ret[{name}]")
         lam_args: Tuple[SetExpression, ...] = (
             Term(self.loc_ctor, (), label=location),
@@ -296,129 +162,22 @@ class ConstraintGenerator:
         lam_term = Term(
             self._lam(len(param_locations)), lam_args, label=location
         )
-        info = FunctionInfo(
-            name, location, param_locations, return_var, lam_term, ctype
-        )
-        self.functions[name] = info
         # The contents of a function's location is its lambda term.
         self.system.add(lam_term, self.points_to_var[location])
-        self._bind(Symbol(name, ctype, location, info))
-        return info
-
-    def _declare_global(self, decl: ast.Decl) -> None:
-        if decl.storage == "typedef" or not decl.name:
-            return
-        if isinstance(decl.type, Function):
-            self._declare_function(decl.name, decl.type)
-            return
-        if self._lookup(decl.name) is not None:
-            return  # redeclaration (e.g. extern + definition)
-        location = self._make_location(decl.name, LocationKind.VARIABLE)
-        self._bind(Symbol(decl.name, decl.type, location))
-
-    def _declare_local(self, decl: ast.Decl) -> None:
-        if decl.storage == "typedef" or not decl.name:
-            return
-        if isinstance(decl.type, Function):
-            self._declare_function(decl.name, decl.type)
-            return
-        location = self._make_location(
-            self._qualified(decl.name), LocationKind.VARIABLE
+        return FunctionInfo(
+            name, location, param_locations, return_var, lam_term, ctype
         )
-        symbol = Symbol(decl.name, decl.type, location)
-        self._bind(symbol)
-        if decl.init is not None:
-            self._initialize(symbol, decl.init)
 
-    def _initialize(self, symbol: Symbol, init: ast.Node) -> None:
-        """Process ``T x = init`` — values flow into the contents of x."""
-        contents = self.points_to_var[symbol.location]
-        for leaf in self._init_leaves(init):
-            value = self.rvalue(leaf)
-            if not (isinstance(value, Term) and value.is_zero):
-                self.system.add(value, contents)
+    def _init_flow(self, location: AbstractLocation,
+                   value: SetExpression) -> None:
+        if not (isinstance(value, Term) and value.is_zero):
+            self.system.add(value, self.points_to_var[location])
 
-    def _init_leaves(self, init: ast.Node) -> List[ast.Expr]:
-        if isinstance(init, ast.InitList):
-            leaves: List[ast.Expr] = []
-            for item in init.items:
-                leaves.extend(self._init_leaves(item))
-            return leaves
-        return [init]
-
-    # ------------------------------------------------------------------
-    # Function bodies and statements
-    # ------------------------------------------------------------------
-    def _function_body(self, function: ast.FunctionDef) -> None:
-        info = self.functions[function.name]
-        info.defined = True
-        previous = self._current_function
-        self._current_function = info
-        self._push_scope()
-        for param, location in zip(function.params, info.param_locations):
-            if param.name:
-                self._bind(Symbol(param.name, param.type, location))
-        self._statement(function.body)
-        self._pop_scope()
-        self._current_function = previous
-
-    def _statement(self, stmt: ast.Node) -> None:
-        if isinstance(stmt, ast.Compound):
-            self._push_scope()
-            for item in stmt.items:
-                self._statement(item)
-            self._pop_scope()
-        elif isinstance(stmt, ast.Decl):
-            self._declare_local(stmt)
-        elif isinstance(stmt, (ast.RecordDef, ast.EnumDef)):
-            pass  # types carry no points-to content
-        elif isinstance(stmt, ast.ExprStmt):
-            if stmt.expr is not None:
-                self.rvalue(stmt.expr)
-        elif isinstance(stmt, ast.If):
-            self.rvalue(stmt.condition)
-            self._statement(stmt.then_branch)
-            if stmt.else_branch is not None:
-                self._statement(stmt.else_branch)
-        elif isinstance(stmt, ast.While):
-            self.rvalue(stmt.condition)
-            self._statement(stmt.body)
-        elif isinstance(stmt, ast.DoWhile):
-            self._statement(stmt.body)
-            self.rvalue(stmt.condition)
-        elif isinstance(stmt, ast.For):
-            self._push_scope()
-            if isinstance(stmt.init, ast.Compound):
-                for item in stmt.init.items:
-                    self._statement(item)
-            elif stmt.init is not None:
-                self.rvalue(stmt.init)
-            if stmt.condition is not None:
-                self.rvalue(stmt.condition)
-            if stmt.step is not None:
-                self.rvalue(stmt.step)
-            self._statement(stmt.body)
-            self._pop_scope()
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                value = self.rvalue(stmt.value)
-                if self._current_function is not None and not (
-                    isinstance(value, Term) and value.is_zero
-                ):
-                    self.system.add(value, self._current_function.return_var)
-        elif isinstance(stmt, (ast.Break, ast.Continue, ast.Goto)):
-            pass
-        elif isinstance(stmt, ast.Label):
-            self._statement(stmt.body)
-        elif isinstance(stmt, ast.Switch):
-            self.rvalue(stmt.condition)
-            self._statement(stmt.body)
-        elif isinstance(stmt, ast.Case):
-            if stmt.value is not None:
-                self.rvalue(stmt.value)
-            self._statement(stmt.body)
-        else:
-            raise TypeError(f"unexpected statement node {stmt!r}")
+    def _return_flow(self, value: SetExpression) -> None:
+        if self._current_function is not None and not (
+            isinstance(value, Term) and value.is_zero
+        ):
+            self.system.add(value, self._current_function.return_var)
 
     # ------------------------------------------------------------------
     # Core set operations with the standard engineered short-circuits:
@@ -537,14 +296,9 @@ class ConstraintGenerator:
         return self._wrapper(self.rvalue(expr))
 
     def _ident_lvalue(self, name: str) -> SetExpression:
-        symbol = self._lookup(name)
-        if symbol is None and name in self._enum_constants:
-            return ZERO  # enumerators are integer constants
+        symbol = self._resolve(name)
         if symbol is None:
-            # Implicit declaration: create a file-scope int variable.
-            location = self._make_location(name, LocationKind.VARIABLE)
-            symbol = Symbol(name, INT, location)
-            self._scopes[0][name] = symbol
+            return ZERO  # enumerators are integer constants
         return self.ref_term(symbol.location)
 
     # ------------------------------------------------------------------
@@ -615,30 +369,10 @@ class ConstraintGenerator:
     # Calls.
     # ------------------------------------------------------------------
     def _call(self, expr: ast.Call) -> SetExpression:
-        callee_name = (
-            expr.function.name
-            if isinstance(expr.function, ast.Ident)
-            else None
-        )
-        if callee_name in HEAP_FUNCTIONS:
-            for arg in expr.args:
-                self.rvalue(arg)
-            self._heap_counter += 1
-            heap = self._make_location(
-                f"heap@{self._heap_counter}", LocationKind.HEAP
-            )
+        heap = self._allocation(expr)
+        if heap is not None:
             return self.ref_term(heap)
-
-        direct: Optional[FunctionInfo] = None
-        if callee_name is not None:
-            symbol = self._lookup(callee_name)
-            if symbol is None:
-                # Implicitly declared extern function.
-                ctype = Function(INT, tuple(INT for _ in expr.args))
-                direct = self._declare_function(callee_name, ctype)
-            elif symbol.function is not None:
-                direct = symbol.function
-
+        direct = self._direct_callee(expr)
         arg_values = [self.rvalue(arg) for arg in expr.args]
         arity = direct.arity if direct is not None else len(arg_values)
         sink_args: List[SetExpression] = [
@@ -656,87 +390,6 @@ class ConstraintGenerator:
         if not (isinstance(callee_values, Term) and callee_values.is_zero):
             self.system.add(callee_values, lam_sink)
         return result
-
-    # ------------------------------------------------------------------
-    # Approximate static types (enough for decay decisions).
-    # ------------------------------------------------------------------
-    def type_of(self, expr: ast.Expr) -> Optional[CType]:
-        if isinstance(expr, ast.Ident):
-            symbol = self._lookup(expr.name)
-            return symbol.ctype if symbol is not None else None
-        if isinstance(expr, ast.IntLit):
-            return INT
-        if isinstance(expr, ast.FloatLit):
-            return Scalar("double")
-        if isinstance(expr, ast.CharLit):
-            return Scalar("char")
-        if isinstance(expr, ast.StringLit):
-            return Array(Scalar("char"))
-        if isinstance(expr, ast.Unary):
-            if expr.op == "*":
-                inner = self.type_of(expr.operand)
-                if isinstance(inner, Pointer):
-                    return inner.target
-                if isinstance(inner, Array):
-                    return inner.element
-                if isinstance(inner, Function):
-                    return inner  # *f is f for function designators
-                return None
-            if expr.op == "&":
-                inner = self.type_of(expr.operand)
-                return Pointer(inner) if inner is not None else None
-            if expr.op in ("++", "--"):
-                return self.type_of(expr.operand)
-            return INT
-        if isinstance(expr, ast.Postfix):
-            return self.type_of(expr.operand)
-        if isinstance(expr, ast.Binary):
-            left = self.type_of(expr.left)
-            if isinstance(left, (Pointer, Array)):
-                return left.decayed() if isinstance(left, Array) else left
-            right = self.type_of(expr.right)
-            if isinstance(right, (Pointer, Array)):
-                return right.decayed() if isinstance(right, Array) else right
-            return INT
-        if isinstance(expr, ast.Assign):
-            return self.type_of(expr.target)
-        if isinstance(expr, ast.Conditional):
-            then_type = self.type_of(expr.then_value)
-            return then_type if then_type is not None else self.type_of(
-                expr.else_value
-            )
-        if isinstance(expr, ast.Call):
-            function_type = self.type_of(expr.function)
-            if isinstance(function_type, Function):
-                return function_type.returns
-            if isinstance(function_type, Pointer) and isinstance(
-                function_type.target, Function
-            ):
-                return function_type.target.returns
-            return None
-        if isinstance(expr, ast.Index):
-            base = self.type_of(expr.base)
-            if isinstance(base, Array):
-                return base.element
-            if isinstance(base, Pointer):
-                return base.target
-            return None
-        if isinstance(expr, ast.Member):
-            base = self.type_of(expr.base)
-            if expr.arrow and isinstance(base, Pointer):
-                base = base.target
-            if isinstance(base, Array):
-                base = base.element
-            if isinstance(base, Record):
-                return self._field_type(base, expr.name)
-            return None
-        if isinstance(expr, ast.Cast):
-            return expr.target_type
-        if isinstance(expr, ast.SizeOf):
-            return INT
-        if isinstance(expr, ast.Comma):
-            return self.type_of(expr.right)
-        return None
 
 
 # ----------------------------------------------------------------------

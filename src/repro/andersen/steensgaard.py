@@ -6,9 +6,15 @@ traded for speed: every assignment *unifies* the two sides' pointee
 classes instead of adding an inclusion, so points-to sets are coarse
 equivalence classes.
 
-The implementation is independent of the set-constraint machinery on
-purpose — it serves as a semantically different baseline for the
-experiment harness's precision/speed comparison.
+The program model is shared, the flow semantics are not.  Both
+analyses subclass :class:`~repro.andersen.walker.ProgramWalker`, so
+they see the same scopes, declarations, enumerators, heap sites,
+static types and statement walk; the comparison then measures only
+inclusion against unification.  The flow semantics here (ECR nodes,
+``lvalue``/``rvalue``, calls joining signatures) are independent of
+the set-constraint machinery on purpose — this is a semantically
+different baseline for the experiment harness's precision/speed
+comparison.
 """
 
 from __future__ import annotations
@@ -16,13 +22,9 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional
 
 from ..cfront import ast
-from ..cfront.types import Array, CType, Function, INT, Pointer, Record
+from ..cfront.types import Array, Function
 from .locations import AbstractLocation, LocationKind, LocationTable
-
-HEAP_FUNCTIONS = frozenset(
-    "malloc calloc realloc valloc memalign strdup xmalloc xcalloc "
-    "xrealloc xstrdup".split()
-)
+from .walker import FunctionDecl, ProgramWalker
 
 
 class _Node:
@@ -47,18 +49,12 @@ class _Signature:
         self.returns = returns
 
 
-class SteensgaardAnalysis:
+class SteensgaardAnalysis(ProgramWalker):
     """Run Steensgaard's analysis over a translation unit."""
 
     def __init__(self) -> None:
-        self.locations = LocationTable()
+        super().__init__()
         self._ref_class: Dict[AbstractLocation, _Node] = {}
-        self._scopes: List[Dict[str, "_Symbol"]] = [{}]
-        self._records: Dict[str, Dict[str, CType]] = {}
-        self._current_returns: Optional[_Node] = None
-        self._current_fn = ""
-        self._string_loc: Optional[AbstractLocation] = None
-        self._heap_counter = 0
 
     # ------------------------------------------------------------------
     # Union-find with attribute merging
@@ -116,294 +112,127 @@ class SteensgaardAnalysis:
         return self._find(node)
 
     # ------------------------------------------------------------------
-    # Symbols
+    # Entry point and the walker's flow hooks
     # ------------------------------------------------------------------
+    def analyze(self, unit: ast.TranslationUnit) -> "SteensgaardResult":
+        self.walk(unit)
+        return SteensgaardResult(self)
+
     def _make_location(self, name: str, kind: LocationKind
                        ) -> AbstractLocation:
         location = self.locations.make(name, kind)
         self._class_of(location)
         return location
 
-    def _bind(self, name: str, ctype: CType,
-              location: AbstractLocation) -> "_Symbol":
-        symbol = _Symbol(name, ctype, location)
-        self._scopes[-1][name] = symbol
-        return symbol
+    def _function(self, name: str, location: AbstractLocation,
+                  param_locations: List[AbstractLocation],
+                  ctype: Function) -> FunctionDecl:
+        params = [
+            self._pointee(self._class_of(p)) for p in param_locations
+        ]
+        self._class_of(location).signature = _Signature(params, _Node())
+        return FunctionDecl(name, location, param_locations, ctype)
 
-    def _lookup(self, name: str) -> Optional["_Symbol"]:
-        for scope in reversed(self._scopes):
-            if name in scope:
-                return scope[name]
-        return None
+    def _init_flow(self, location: AbstractLocation,
+                   value: Optional[_Node]) -> None:
+        if value is not None:
+            self._join(self._pointee(self._class_of(location)), value)
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-    def analyze(self, unit: ast.TranslationUnit) -> "SteensgaardResult":
-        self._collect_records(unit)
-        for item in unit.items:
-            if isinstance(item, ast.FunctionDef):
-                self._declare_function(item.name, item.type, item.params)
-            elif isinstance(item, ast.Decl):
-                self._declare(item, scope_name="")
-        for item in unit.items:
-            if isinstance(item, ast.FunctionDef):
-                self._function_body(item)
-            elif isinstance(item, ast.Decl) and item.init is not None:
-                symbol = self._lookup(item.name)
-                if symbol is not None:
-                    self._initialize(symbol, item.init)
-        return SteensgaardResult(self)
-
-    def _collect_records(self, root: ast.Node) -> None:
-        stack: List[ast.Node] = [root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.RecordDef):
-                self._records[node.tag] = {
-                    member.name: member.type for member in node.members
-                }
-            stack.extend(node.children())
-
-    # ------------------------------------------------------------------
-    # Declarations
-    # ------------------------------------------------------------------
-    def _declare_function(
-        self,
-        name: str,
-        ctype: Function,
-        params: Optional[List[ast.ParamDecl]] = None,
-    ) -> "_Symbol":
-        existing = self._lookup(name)
-        if existing is not None and existing.is_function:
-            return existing
-        location = self._make_location(name, LocationKind.FUNCTION)
-        node = self._class_of(location)
-        param_nodes: List[_Node] = []
-        param_locs: List[AbstractLocation] = []
-        param_names = [p.name or f"arg{i}" for i, p in enumerate(params or [])]
-        while len(param_names) < len(ctype.params):
-            param_names.append(f"arg{len(param_names)}")
-        for index in range(len(ctype.params)):
-            ploc = self._make_location(
-                f"{name}::{param_names[index]}", LocationKind.PARAMETER
-            )
-            param_locs.append(ploc)
-            param_nodes.append(self._pointee(self._class_of(ploc)))
-        returns = _Node()
-        node.signature = _Signature(param_nodes, returns)
-        symbol = self._scopes[0].setdefault(
-            name, _Symbol(name, ctype, location)
-        )
-        symbol.param_locations = param_locs
-        symbol.returns = returns
-        return symbol
-
-    def _declare(self, decl: ast.Decl, scope_name: str) -> None:
-        if decl.storage == "typedef" or not decl.name:
-            return
-        if isinstance(decl.type, Function):
-            self._declare_function(decl.name, decl.type)
-            return
-        if self._lookup(decl.name) is not None and not scope_name:
-            return
-        qualified = f"{scope_name}::{decl.name}" if scope_name else decl.name
-        location = self._make_location(qualified, LocationKind.VARIABLE)
-        symbol = self._bind(decl.name, decl.type, location)
-        if decl.init is not None and scope_name:
-            self._initialize(symbol, decl.init)
-
-    def _initialize(self, symbol: "_Symbol", init: ast.Node) -> None:
-        contents = self._pointee(self._class_of(symbol.location))
-        for leaf in self._init_leaves(init):
-            value = self._value_class(leaf)
-            if value is not None:
-                self._join(contents, value)
-
-    def _init_leaves(self, init: ast.Node) -> List[ast.Expr]:
-        if isinstance(init, ast.InitList):
-            out: List[ast.Expr] = []
-            for item in init.items:
-                out.extend(self._init_leaves(item))
-            return out
-        return [init]
-
-    # ------------------------------------------------------------------
-    # Statements
-    # ------------------------------------------------------------------
-    def _function_body(self, function: ast.FunctionDef) -> None:
-        symbol = self._lookup(function.name)
-        previous_returns = self._current_returns
-        previous_fn = self._current_fn
-        self._current_returns = symbol.returns
-        self._current_fn = function.name
-        self._scopes.append({})
-        for param, location in zip(function.params, symbol.param_locations):
-            if param.name:
-                self._bind(param.name, param.type, location)
-        self._statement(function.body)
-        self._scopes.pop()
-        self._current_returns = previous_returns
-        self._current_fn = previous_fn
-
-    def _statement(self, stmt: ast.Node) -> None:
-        if isinstance(stmt, ast.Compound):
-            self._scopes.append({})
-            for item in stmt.items:
-                self._statement(item)
-            self._scopes.pop()
-        elif isinstance(stmt, ast.Decl):
-            self._declare(stmt, scope_name=self._current_fn or "<global>")
-        elif isinstance(stmt, (ast.RecordDef, ast.EnumDef)):
-            pass
-        elif isinstance(stmt, ast.ExprStmt):
-            if stmt.expr is not None:
-                self._value_class(stmt.expr)
-        elif isinstance(stmt, ast.If):
-            self._value_class(stmt.condition)
-            self._statement(stmt.then_branch)
-            if stmt.else_branch is not None:
-                self._statement(stmt.else_branch)
-        elif isinstance(stmt, (ast.While, ast.Switch)):
-            self._value_class(stmt.condition)
-            self._statement(stmt.body)
-        elif isinstance(stmt, ast.DoWhile):
-            self._statement(stmt.body)
-            self._value_class(stmt.condition)
-        elif isinstance(stmt, ast.For):
-            self._scopes.append({})
-            if isinstance(stmt.init, ast.Compound):
-                for item in stmt.init.items:
-                    self._statement(item)
-            elif stmt.init is not None:
-                self._value_class(stmt.init)
-            if stmt.condition is not None:
-                self._value_class(stmt.condition)
-            if stmt.step is not None:
-                self._value_class(stmt.step)
-            self._statement(stmt.body)
-            self._scopes.pop()
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                value = self._value_class(stmt.value)
-                if value is not None and self._current_returns is not None:
-                    self._join(self._current_returns, value)
-        elif isinstance(stmt, (ast.Break, ast.Continue, ast.Goto)):
-            pass
-        elif isinstance(stmt, ast.Label):
-            self._statement(stmt.body)
-        elif isinstance(stmt, ast.Case):
-            if stmt.value is not None:
-                self._value_class(stmt.value)
-            self._statement(stmt.body)
-        else:
-            raise TypeError(f"unexpected statement {stmt!r}")
+    def _return_flow(self, value: Optional[_Node]) -> None:
+        if value is not None and self._current_function is not None:
+            # Joins keep a class's signature, merging the return classes.
+            function = self._class_of(self._current_function.location)
+            self._join(function.signature.returns, value)
 
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
-    def _lvalue_class(self, expr: ast.Expr) -> Optional[_Node]:
+    def lvalue(self, expr: ast.Expr) -> Optional[_Node]:
         """Class of the locations the expression designates."""
         if isinstance(expr, ast.Ident):
-            symbol = self._lookup(expr.name)
+            symbol = self._resolve(expr.name)
             if symbol is None:
-                location = self._make_location(expr.name,
-                                               LocationKind.VARIABLE)
-                symbol = _Symbol(expr.name, INT, location)
-                self._scopes[0][expr.name] = symbol
+                return None  # enumerators are integer constants
             return self._class_of(symbol.location)
         if isinstance(expr, ast.StringLit):
-            if self._string_loc is None:
-                self._string_loc = self._make_location(
-                    "<strings>", LocationKind.STRING
-                )
-            return self._class_of(self._string_loc)
+            return self._class_of(self._string_loc())
         if isinstance(expr, ast.Unary):
             if expr.op == "*":
-                return self._value_class(expr.operand)
+                return self.rvalue(expr.operand)
             if expr.op in ("++", "--"):
-                return self._lvalue_class(expr.operand)
+                return self.lvalue(expr.operand)
             return None
         if isinstance(expr, ast.Postfix):
-            return self._lvalue_class(expr.operand)
+            return self.lvalue(expr.operand)
         if isinstance(expr, ast.Index):
-            self._value_class(expr.index)
-            return self._value_class(expr.base)
+            self.rvalue(expr.index)
+            return self.rvalue(expr.base)
         if isinstance(expr, ast.Member):
             if expr.arrow:
-                return self._value_class(expr.base)
-            return self._lvalue_class(expr.base)
+                return self.rvalue(expr.base)
+            return self.lvalue(expr.base)
         if isinstance(expr, ast.Cast):
-            return self._lvalue_class(expr.operand)
+            return self.lvalue(expr.operand)
         if isinstance(expr, ast.Comma):
-            self._value_class(expr.left)
-            return self._lvalue_class(expr.right)
+            self.rvalue(expr.left)
+            return self.lvalue(expr.right)
         return None
 
-    def _value_class(self, expr: ast.Expr) -> Optional[_Node]:
+    def rvalue(self, expr: ast.Expr) -> Optional[_Node]:
         """Class of locations the expression's *value* points to."""
         if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.CharLit,
                              ast.SizeOf)):
             return None
         if isinstance(expr, ast.Cast):
-            return self._value_class(expr.operand)
+            return self.rvalue(expr.operand)
         if isinstance(expr, ast.Assign):
-            value = self._value_class(expr.value)
-            target = self._lvalue_class(expr.target)
+            value = self.rvalue(expr.value)
+            target = self.lvalue(expr.target)
             if target is not None and value is not None:
                 self._join(self._pointee(target), value)
             return value
-        if isinstance(expr, ast.Unary) and expr.op == "&":
-            return self._lvalue_class(expr.operand)
+        if isinstance(expr, ast.Unary):
+            if expr.op == "&":
+                return self.lvalue(expr.operand)
+            if expr.op not in ("*", "++", "--"):
+                self.rvalue(expr.operand)  # e.g. !(p = malloc(n))
+                return None
         if isinstance(expr, ast.Binary):
-            left = self._value_class(expr.left)
-            right = self._value_class(expr.right)
+            left = self.rvalue(expr.left)
+            right = self.rvalue(expr.right)
             if expr.op in ("+", "-"):
                 if left is not None and right is not None:
                     return self._join(left, right)
                 return left if left is not None else right
             return None
         if isinstance(expr, ast.Conditional):
-            self._value_class(expr.condition)
-            then_value = self._value_class(expr.then_value)
-            else_value = self._value_class(expr.else_value)
+            self.rvalue(expr.condition)
+            then_value = self.rvalue(expr.then_value)
+            else_value = self.rvalue(expr.else_value)
             if then_value is not None and else_value is not None:
                 return self._join(then_value, else_value)
             return then_value if then_value is not None else else_value
         if isinstance(expr, ast.Call):
             return self._call(expr)
         if isinstance(expr, ast.Comma):
-            self._value_class(expr.left)
-            return self._value_class(expr.right)
-        lvalue = self._lvalue_class(expr)
+            self.rvalue(expr.left)
+            return self.rvalue(expr.right)
+        lvalue = self.lvalue(expr)
         if lvalue is None:
             return None
-        expr_type = self._type_of(expr)
+        expr_type = self.type_of(expr)
         if isinstance(expr_type, (Array, Function)):
             # Decay: the value points at the designated locations.
             return lvalue
         return self._pointee(lvalue)
 
     def _call(self, expr: ast.Call) -> Optional[_Node]:
-        name = (
-            expr.function.name
-            if isinstance(expr.function, ast.Ident)
-            else None
-        )
-        if name in HEAP_FUNCTIONS:
-            for arg in expr.args:
-                self._value_class(arg)
-            self._heap_counter += 1
-            heap = self._make_location(
-                f"heap@{self._heap_counter}", LocationKind.HEAP
-            )
+        heap = self._allocation(expr)
+        if heap is not None:
             return self._class_of(heap)
-        if name is not None and self._lookup(name) is None:
-            self._declare_function(
-                name, Function(INT, tuple(INT for _ in expr.args))
-            )
-        callee = self._value_class(expr.function)
-        arg_values = [self._value_class(a) for a in expr.args]
+        self._direct_callee(expr)  # declares an unknown callee
+        callee = self.rvalue(expr.function)
+        arg_values = [self.rvalue(a) for a in expr.args]
         if callee is None:
             return None
         root = self._find(callee)
@@ -416,58 +245,6 @@ class SteensgaardAnalysis:
             if value is not None:
                 self._join(param, value)
         return self._find(signature.returns)
-
-    # ------------------------------------------------------------------
-    # Light types for decay decisions (mirrors the Andersen generator).
-    # ------------------------------------------------------------------
-    def _type_of(self, expr: ast.Expr) -> Optional[CType]:
-        if isinstance(expr, ast.Ident):
-            symbol = self._lookup(expr.name)
-            return symbol.ctype if symbol is not None else None
-        if isinstance(expr, ast.StringLit):
-            return Array(INT)
-        if isinstance(expr, ast.Unary) and expr.op == "*":
-            inner = self._type_of(expr.operand)
-            if isinstance(inner, Pointer):
-                return inner.target
-            if isinstance(inner, Array):
-                return inner.element
-            return None
-        if isinstance(expr, ast.Index):
-            base = self._type_of(expr.base)
-            if isinstance(base, Array):
-                return base.element
-            if isinstance(base, Pointer):
-                return base.target
-            return None
-        if isinstance(expr, ast.Member):
-            base = self._type_of(expr.base)
-            if expr.arrow and isinstance(base, Pointer):
-                base = base.target
-            if isinstance(base, Record):
-                fields = self._records.get(base.tag)
-                if fields:
-                    return fields.get(expr.name)
-            return None
-        if isinstance(expr, ast.Cast):
-            return expr.target_type
-        return None
-
-
-class _Symbol:
-    __slots__ = ("name", "ctype", "location", "param_locations", "returns")
-
-    def __init__(self, name: str, ctype: CType,
-                 location: AbstractLocation) -> None:
-        self.name = name
-        self.ctype = ctype
-        self.location = location
-        self.param_locations: List[AbstractLocation] = []
-        self.returns: Optional[_Node] = None
-
-    @property
-    def is_function(self) -> bool:
-        return isinstance(self.ctype, Function)
 
 
 class SteensgaardResult:

@@ -30,7 +30,7 @@ from ..constraints.resolution import (
     decompose,
 )
 from ..graph.scc import SccSummary, summarize_sccs
-from ..solver import Solution, solve
+from ..solver import Solution
 from ..workloads import Benchmark, suite
 from .config import EXPERIMENT_LABELS, options_for
 
@@ -220,10 +220,8 @@ class SuiteResults:
             return stats
         bench = self.benchmark(benchmark_name)
         nodes, edges, initial_scc = initial_graph_statistics(bench)
-        # Final-graph SCCs come from a plain run's stored edges.
-        plain = solve(
-            bench.program.system, options_for("SF-Plain", seed=self.seed)
-        )
+        # Final-graph SCCs come from the (cached) plain run's edges.
+        plain = self.solution(benchmark_name, "SF-Plain")
         final_scc = plain.final_scc_summary()
         stats = BenchmarkStats(
             name=bench.name,

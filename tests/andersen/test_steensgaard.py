@@ -3,12 +3,35 @@
 import pytest
 
 from repro.andersen import (
+    LocationKind,
     analyze_source,
     analyze_unit_steensgaard,
     solve_points_to,
 )
 from repro.cfront import parse
 from repro.workloads import ALL_PROGRAMS
+
+
+#: Programs where Steensgaard once fell short of Andersen: a call's
+#: array member must decay, enumerators are integer constants (not
+#: implicitly declared variables that alias whatever flows through
+#: them), and a unary operator's operand is still walked.
+COARSENESS_EXTRAS = {
+    "decay_through_call": (
+        "struct buf { int data[8]; } g;"
+        "struct buf *get(void) { return &g; } int *p;"
+        "int main(void) { p = get()->data; return 0; }"
+    ),
+    "enum_constants": (
+        "enum { NONE }; int x; int *p, *q;"
+        "int main(void) { p = NONE; q = NONE; p = &x; return 0; }"
+    ),
+    "assignment_under_not": (
+        "int *p;"
+        "int main(void) { if (!(p = (int *)malloc(4))) return 1; return 0; }"
+    ),
+}
+COARSENESS_PROGRAMS = dict(ALL_PROGRAMS, **COARSENESS_EXTRAS)
 
 
 def steensgaard(source):
@@ -67,13 +90,20 @@ class TestCoarseness:
     """Steensgaard must be a (possibly equal) over-approximation of
     Andersen on every location — the SH97 relationship."""
 
-    @pytest.mark.parametrize("name", sorted(ALL_PROGRAMS))
+    @pytest.mark.parametrize("name", sorted(COARSENESS_PROGRAMS))
     def test_superset_of_andersen(self, name):
-        source = ALL_PROGRAMS[name]
+        source = COARSENESS_PROGRAMS[name]
         andersen = solve_points_to(analyze_source(source))
         unification = steensgaard(source)
-        from repro.andersen import LocationKind
 
+        # One walker gives both analyses the same program model: the
+        # same variables, parameters, functions, heap sites and strings.
+        def model(locations):
+            return sorted((loc.name, loc.kind.value) for loc in locations)
+
+        assert model(unification.locations) == model(
+            andersen.program.locations
+        )
         for location in andersen.program.locations:
             if location.kind is LocationKind.FUNCTION:
                 # Andersen models a function location as containing its
@@ -84,10 +114,7 @@ class TestCoarseness:
                 target.name for target in andersen.points_to(location)
                 if target.kind is not LocationKind.FUNCTION
             }
-            try:
-                coarse_loc = unification.locations.by_name(location.name)
-            except KeyError:
-                continue  # temporaries differ between the analyses
+            coarse_loc = unification.locations.by_name(location.name)
             coarse = {
                 t.name for t in unification.points_to(coarse_loc)
             }

@@ -62,6 +62,22 @@ class TestStatistics:
             "allroots"
         )
 
+    def test_statistics_reuse_the_plain_run(self, monkeypatch):
+        from repro.solver import SolverEngine
+
+        solves = []
+        real_run = SolverEngine.run
+
+        def counting_run(engine, *args, **kwargs):
+            solves.append(engine.options.label)
+            return real_run(engine, *args, **kwargs)
+
+        monkeypatch.setattr(SolverEngine, "run", counting_run)
+        fresh = SuiteResults([benchmark("allroots")])
+        fresh.run("allroots", "SF-Plain")
+        fresh.statistics("allroots")
+        assert solves == ["SF-Plain"]
+
     def test_all_statistics_order(self, results):
         names = [s.name for s in results.all_statistics()]
         assert names == ["allroots", "anagram"]

@@ -97,18 +97,23 @@ def test_bytes_rejects_garbage_and_bad_versions():
 
 def test_version_one_payload_refused():
     """Format 2 dropped v1's union-find count, recorded var-edge keys
-    and form name; a v1 checkpoint is refused, not half-read."""
+    and form name; format 3 added the string-hash probe.  Older
+    checkpoints are refused, not half-read."""
     system = make_system()
     engine = SolverEngine(system, SolverOptions(checkpointable=True))
     engine.run()
     checkpoint = capture(engine)
-    assert checkpoint.version == 2
+    assert checkpoint.version == 3
     assert "form" not in checkpoint.payload["meta"]
-    checkpoint.version = 1
-    with pytest.raises(CheckpointError, match="version"):
-        EngineCheckpoint.from_bytes(checkpoint.to_bytes())
-    with pytest.raises(CheckpointError, match="version"):
-        restore(system, SolverOptions(checkpointable=True), checkpoint)
+    assert checkpoint.payload["meta"]["hash_probe"] == hash(
+        "repro.checkpoint"
+    )
+    for old_version in (1, 2):
+        checkpoint.version = old_version
+        with pytest.raises(CheckpointError, match="version"):
+            EngineCheckpoint.from_bytes(checkpoint.to_bytes())
+        with pytest.raises(CheckpointError, match="version"):
+            restore(system, SolverOptions(checkpointable=True), checkpoint)
 
 
 def test_restore_rejects_mismatched_system():
@@ -204,6 +209,50 @@ def test_resume_reproduces_committed_baseline(label):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+#: Subprocess script: capture (argv[1] == "capture") or restore a run
+#: of the module's random system through the checkpoint file argv[2].
+_CROSS_SEED_SCRIPT = """
+import sys
+from repro.resilience import (CheckpointError, EngineCheckpoint, capture,
+                              restore)
+from repro.solver import SolverEngine, SolverOptions
+from repro.workloads.generator import RandomSystemConfig, random_system
+
+system = random_system(RandomSystemConfig(seed=5, variables=28,
+                                          var_var=46, feedback=0.35))
+options = SolverOptions(checkpointable=True)
+if sys.argv[1] == "capture":
+    engine = SolverEngine(system, options)
+    engine.run()
+    capture(engine).save(sys.argv[2])
+else:
+    try:
+        restore(system, options, EngineCheckpoint.load(sys.argv[2]))
+    except CheckpointError as error:
+        print(error)
+"""
+
+
+def test_restore_refuses_another_hash_seed(tmp_path):
+    """Bucket layout follows string hashes; resuming a capture made
+    under another PYTHONHASHSEED would silently diverge."""
+    path = str(tmp_path / "run.ckpt")
+    outputs = []
+    for step, seed in (("capture", "0"), ("restore", "1")):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.join(os.getcwd(), "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", _CROSS_SEED_SCRIPT, step, path],
+            capture_output=True, text=True, env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__)))),
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert "string hashes differ" in outputs[1]
+    assert "PYTHONHASHSEED=0" in outputs[1]
 
 
 # ----------------------------------------------------------------------
