@@ -288,9 +288,7 @@ class ConstraintGenerator(ProgramWalker):
             self.rvalue(expr.left)
             return self.lvalue(expr.right)
         if isinstance(expr, ast.SizeOf):
-            if expr.operand is not None:
-                self.rvalue(expr.operand)
-            return ZERO
+            return ZERO  # the operand is not evaluated
         # Assignments, calls, arithmetic, conditionals: not designators;
         # wrap the R-value in a transient location.
         return self._wrapper(self.rvalue(expr))
@@ -308,9 +306,7 @@ class ConstraintGenerator(ProgramWalker):
         """The points-to set of the expression's *value*."""
         if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.CharLit,
                              ast.SizeOf)):
-            if isinstance(expr, ast.SizeOf) and expr.operand is not None:
-                self.rvalue(expr.operand)
-            return ZERO
+            return ZERO  # a sizeof operand is not evaluated
         if isinstance(expr, ast.Assign):
             return self._assign(expr)
         if isinstance(expr, ast.Call):

@@ -228,7 +228,11 @@ class ProgramWalker:
         ]
         info = self._function(name, location, param_locations, ctype)
         self.functions[name] = info
-        self._bind(Symbol(name, ctype, location, info))
+        symbol = Symbol(name, ctype, location, info)
+        # Functions have external linkage: one location per name, seen
+        # file-wide even when first declared inside a block.
+        self._scopes[0][name] = symbol
+        self._bind(symbol)
         return info
 
     def _declare_global(self, decl: ast.Decl) -> None:

@@ -13,8 +13,9 @@ Comparing runs with different suites, seeds, or hash seeds is refused
 rather than attempted: the counters are only oracles when the workload
 is literally the same.
 
-:func:`counter_drift` is the one per-pair diff; ``python -m repro.trace
-report --check-baseline`` applies it to traced runs.
+A traced or metered run (``python -m repro.bench --trace DIR
+--metrics DIR --baseline B``) goes through the same diff, so a sink
+that changed any counter would fail the gate.
 """
 
 from __future__ import annotations

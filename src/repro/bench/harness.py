@@ -164,10 +164,12 @@ def run_bench(
     ``trace_dir`` attaches a bounded-memory telemetry sink
     (:class:`repro.metrics.sink.MetricsSink`) to every run and
     writes ``trace_summary.json`` (per-run distributions and phase
-    times) plus ``trace_spans.json`` (a Chrome/Perfetto view of the
-    phase spans) into that directory.  Sinks observe without steering,
-    so every deterministic counter in the returned report is identical
-    to an untraced run.
+    times, and per experiment the suite-wide mean partial-search
+    visits) plus ``trace_spans.json`` (a Chrome/Perfetto view of the
+    phase spans) into that directory.  A sink observes the first of a
+    pair's ``repeats`` solves only, so its counts describe one solve.
+    Sinks observe without steering, so every deterministic counter in
+    the returned report is identical to an untraced run.
 
     ``timeout_seconds`` bounds the *whole suite run* by wall clock with
     one deadline under either executor: the time left until it is wired
@@ -385,6 +387,11 @@ def _write_trace_outputs(report: BenchReport, telemetry: List[tuple],
         "suite": report.suite,
         "seed": report.seed,
         "repeats": report.repeats,
+        "aggregates": {
+            label: {"mean_search_visits": _mean_search_visits(
+                report.records, label)}
+            for label in report.experiments
+        },
         "runs": [
             {"benchmark": name, "experiment": label,
              "telemetry": run_summary}
@@ -403,6 +410,17 @@ def _write_trace_outputs(report: BenchReport, telemetry: List[tuple],
         ),
         os.path.join(trace_dir, "trace_spans.json"),
     )
+
+
+def _mean_search_visits(records: List[BenchRecord], label: str) -> float:
+    """Suite-wide visits per partial search for one experiment, the
+    quantity Theorem 5.2 bounds at about 2.2 (0.0 with no searches)."""
+    visits = searches = 0
+    for record in records:
+        if record.experiment == label:
+            visits += record.counters["cycle_search_visits"]
+            searches += record.counters["cycle_searches"]
+    return visits / searches if searches else 0.0
 
 
 def render_report(report: BenchReport) -> str:

@@ -69,13 +69,17 @@ def measure_system(
 
     Returns the best-timed solution (all repeats are verified to agree
     on every deterministic counter, so which solution is kept only
-    affects the attached wall-clock stats).
+    affects the attached wall-clock stats).  An attached
+    ``options.sink`` observes the first repeat only, so its telemetry
+    describes one solve; later repeats run without it.
     """
     repeats = max(1, repeats)
     best: Solution = None  # type: ignore[assignment]
     best_time = float("inf")
     reference: Dict[str, int] = {}
     for attempt in range(repeats):
+        if attempt == 1:
+            options = options.replace(sink=None)
         solution = solve(system, options)
         elapsed = solution.stats.total_seconds
         counters = counters_of(solution)

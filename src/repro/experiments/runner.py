@@ -11,15 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
 from ..bench.measure import measure_system
 from ..constraints.errors import ConstraintDiagnostic
@@ -36,7 +28,6 @@ from .config import EXPERIMENT_LABELS, options_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.stats import SolverStats
-    from ..trace.sinks import TraceSink
 
 
 @dataclass(frozen=True)
@@ -125,20 +116,11 @@ class SuiteResults:
     """Runs and caches all experiments over one benchmark suite."""
 
     def __init__(self, benchmarks: Iterable[Benchmark], seed: int = 0,
-                 repeats: int = 1,
-                 sink_factory: Optional[
-                     Callable[[str, str], "TraceSink"]] = None) -> None:
+                 repeats: int = 1) -> None:
         self.benchmarks: List[Benchmark] = list(benchmarks)
         self.seed = seed
         #: best-of-N timing, like the paper's best-of-three CPU times
         self.repeats = max(1, repeats)
-        #: optional observability hook: called as ``(benchmark,
-        #: experiment) -> TraceSink`` once per executed run, and the
-        #: returned sink is attached to that run's solver options.  With
-        #: ``repeats > 1`` the same sink observes every repeat, so
-        #: telemetry counts scale by ``repeats`` (means are unaffected).
-        #: Tracing never changes the deterministic counters.
-        self.sink_factory = sink_factory
         self._records: Dict[Tuple[str, str], RunRecord] = {}
         # Solutions hold whole constraint graphs; keeping all of them
         # alive would distort timing through garbage-collector pressure
@@ -151,12 +133,8 @@ class SuiteResults:
 
     @classmethod
     def for_suite(cls, which: str = "medium", seed: int = 0,
-                  repeats: int = 1,
-                  sink_factory: Optional[
-                      Callable[[str, str], "TraceSink"]] = None
-                  ) -> "SuiteResults":
-        return cls(suite(which), seed=seed, repeats=repeats,
-                   sink_factory=sink_factory)
+                  repeats: int = 1) -> "SuiteResults":
+        return cls(suite(which), seed=seed, repeats=repeats)
 
     # ------------------------------------------------------------------
     def benchmark(self, name: str) -> Benchmark:
@@ -191,10 +169,6 @@ class SuiteResults:
         # harness alike (see repro.bench.measure); best-of-N timing,
         # like the paper's best-of-three CPU times.
         options = options_for(experiment, seed=self.seed)
-        if self.sink_factory is not None:
-            options = options.replace(
-                sink=self.sink_factory(benchmark_name, experiment)
-            )
         measured = measure_system(system, options, repeats=self.repeats)
         best = measured.solution
         self._solutions[(benchmark_name, experiment)] = best

@@ -97,8 +97,8 @@ class SolverStats:
         counters alone.  It is distinct from Figure 11's per-*variable*
         detection fraction (variables eliminated online over variables
         in final-graph SCCs), which needs the final SCC denominator —
-        see :func:`repro.experiments.figures.figure11` and the
-        ``python -m repro.trace`` report for that quantity.
+        see :func:`repro.experiments.figures.figure11`
+        (``python -m repro.experiments figure11``) for that quantity.
         """
         if self.cycle_searches == 0:
             return 0.0

@@ -17,8 +17,8 @@ service is monitored through:
   the registry onto the :class:`repro.trace.sinks.TraceSink` protocol,
   so metrics reuse the solver's existing instrumentation points and
   disabled metrics keep the one-attribute-check overhead guarantee.
-  It is the only sink that aggregates: the trace report and
-  ``repro.bench --trace`` read its per-run ``summary()`` and spans.
+  It is the only sink that aggregates: ``repro.bench --trace`` reads
+  its per-run ``summary()`` and spans.
 * **Exporters** (:mod:`repro.metrics.exposition`,
   :mod:`repro.metrics.server`): exposition rendering + validation and
   a stdlib-only HTTP scrape endpoint

@@ -50,14 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoid solver <-> metrics cycle
 #: Base label names every solver instrument carries, in order.
 BASE_LABELS = ("form", "mode", "suite", "benchmark")
 
-#: Attributes holding this sink's prebound scalar counter children.
-_SCALARS = ("_resolutions", "_clashes", "_searches", "_search_hits",
-            "_collapses", "_vars_eliminated", "_sweeps", "_swept_vars")
-
-#: Attributes holding families with labels beyond :data:`BASE_LABELS`.
-_LABELED = ("_edges", "_audit_failures", "_budget_stops",
-            "_phase_seconds")
-
 
 class MetricsSink(TraceSink):
     """Fold solver events into a registry's instruments."""
@@ -161,8 +153,6 @@ class MetricsSink(TraceSink):
         self.spans: List[Tuple[str, float, float]] = []
         #: source variable id -> added outgoing var-var edges
         self._fanout: Dict[int, int] = {}
-        #: fan-out distributions of the runs folded in by :meth:`merge`
-        self._merged_fanout = Histogram()
 
     @classmethod
     def for_options(cls, options: "SolverOptions",
@@ -299,29 +289,11 @@ class MetricsSink(TraceSink):
         return self._totals(self._phase_seconds, 0)
 
     def fanout_histogram(self) -> Histogram:
-        """Distribution of per-variable added var-var out-degree.
-
-        A merged sink reports the sum of its runs' distributions:
-        variable ids of different runs name different variables.
-        """
+        """Distribution of per-variable added var-var out-degree."""
         hist = Histogram()
-        hist.merge(self._merged_fanout)
         for degree in self._fanout.values():
             hist.observe(degree)
         return hist
-
-    def merge(self, other: "MetricsSink") -> None:
-        """Fold another sink's per-run series into this sink's labels."""
-        for name in _SCALARS:
-            getattr(self, name).value += getattr(other, name).value
-        self.search_visits.merge(other.search_visits)
-        self.cycle_lengths.merge(other.cycle_lengths)
-        for name in _LABELED:
-            mine = getattr(self, name)
-            for extra, child in other._own_series(getattr(other, name)):
-                mine.labels(*self._base, *extra).value += child.value
-        self._merged_fanout.merge(other.fanout_histogram())
-        self.spans.extend(other.spans)
 
     def summary(self) -> dict:
         """JSON-ready per-run snapshot (the ``trace_summary`` layout)."""

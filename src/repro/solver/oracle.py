@@ -17,7 +17,9 @@ We realize the oracle in two phases:
 
 Phase 2's statistics are the oracle numbers; phase 1 is attached to the
 returned solution for inspection but its cost is *not* charged to the
-oracle (matching the paper's zero-cost idealization).
+oracle (matching the paper's zero-cost idealization).  An attached
+``options.sink`` likewise observes phase 2 only, so its telemetry
+agrees with the returned counters.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ def solve_with_oracle(
     phase1_options = options.replace(
         cycles=CyclePolicy.NONE,
         alias_map=None,
+        sink=None,
     )
     phase1 = SolverEngine(system, phase1_options).run()
     mapping = witness_map(range(system.num_vars), phase1.var_edges)

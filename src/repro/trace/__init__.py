@@ -13,11 +13,13 @@ The subsystem has three layers:
   the one sink that keeps totals.  Tracing is enabled by setting
   ``SolverOptions(sink=...)``; when no sink is attached the
   instrumentation costs one attribute check per operation.
-* **Export & reporting** (:mod:`repro.trace.chrome`,
-  :mod:`repro.trace.report`): Chrome/Perfetto trace export and the
-  ``python -m repro.trace`` CLI, which records traced suite runs and
-  reports the paper's per-operation quantities (mean partial-search
-  visits vs Theorem 5.2's ≈2.2, IF vs SF online detection rates).
+* **Export** (:mod:`repro.trace.chrome`): Chrome/Perfetto trace
+  export and the ``python -m repro.trace`` CLI, which records one run's
+  full event log (``record``) and converts saved logs (``convert``).
+  Traced suite runs are ``python -m repro.bench --trace DIR``, whose
+  summary carries each experiment's mean partial-search visits (vs
+  Theorem 5.2's ≈2.2); Figure 11's IF vs SF detection rates are
+  ``python -m repro.experiments figure11``.
 
 Quick use::
 

@@ -15,7 +15,8 @@ from repro.workloads import ALL_PROGRAMS
 #: Programs where Steensgaard once fell short of Andersen: a call's
 #: array member must decay, enumerators are integer constants (not
 #: implicitly declared variables that alias whatever flows through
-#: them), and a unary operator's operand is still walked.
+#: them), and a unary operator's operand is still walked.  The last
+#: calls one implicitly declared function from two functions.
 COARSENESS_EXTRAS = {
     "decay_through_call": (
         "struct buf { int data[8]; } g;"
@@ -29,6 +30,11 @@ COARSENESS_EXTRAS = {
     "assignment_under_not": (
         "int *p;"
         "int main(void) { if (!(p = (int *)malloc(4))) return 1; return 0; }"
+    ),
+    "implicit_callee_twice": (
+        "int x; int *p, *q;"
+        "int a(void) { p = ext2(&x); return 0; }"
+        "int c(void) { q = ext2(&x); return 0; }"
     ),
 }
 COARSENESS_PROGRAMS = dict(ALL_PROGRAMS, **COARSENESS_EXTRAS)
@@ -139,3 +145,29 @@ class TestCoarseness:
             unification.average_set_size()
             >= andersen.average_set_size() - 1e-9
         )
+
+
+class TestSharedProgramModel:
+    """Walker rules that shape both analyses' location tables."""
+
+    @staticmethod
+    def tables(source):
+        return (
+            analyze_source(source).locations,
+            steensgaard(source).locations,
+        )
+
+    def test_implicit_function_gets_one_location(self):
+        # A callee implicitly declared inside a() is a file-scope
+        # function: c()'s call must not make an int variable of it.
+        for table in self.tables(COARSENESS_EXTRAS["implicit_callee_twice"]):
+            matches = [loc for loc in table if loc.name == "ext2"]
+            assert [loc.kind for loc in matches] == [LocationKind.FUNCTION]
+
+    def test_sizeof_operand_is_not_walked(self):
+        source = (
+            "int n; int main(void) { n = sizeof(undeclared_thing); "
+            "return 0; }"
+        )
+        for table in self.tables(source):
+            assert sorted(loc.name for loc in table) == ["main", "n"]

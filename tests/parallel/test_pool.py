@@ -197,7 +197,7 @@ class TestRepinHashSeed:
 
         monkeypatch.delenv("PYTHONHASHSEED", raising=False)
         monkeypatch.setattr(pool.subprocess, "call", reexec)
-        assert pool.repin_hash_seed("repro.trace", ["report"]) == 3
+        assert pool.repin_hash_seed("repro.trace", ["record"]) == 3
         (command, env), = calls
-        assert command[1:] == ["-m", "repro.trace", "report"]
+        assert command[1:] == ["-m", "repro.trace", "record"]
         assert env["PYTHONHASHSEED"] == "0"

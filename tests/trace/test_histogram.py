@@ -1,8 +1,8 @@
 """Trace-side telemetry: histogram bucketing and per-run sink views.
 
 The histogram is :class:`repro.metrics.instruments.Histogram`; the
-aggregating sink whose ``summary()``/spans/fan-out the trace report and
-``repro.bench --trace`` read is :class:`repro.metrics.sink.MetricsSink`.
+aggregating sink whose ``summary()``/spans/fan-out ``repro.bench
+--trace`` reads is :class:`repro.metrics.sink.MetricsSink`.
 """
 
 import pytest
@@ -138,46 +138,6 @@ class TestHistogramSink:
         hist = sink.fanout_histogram()
         assert hist.count == 1
         assert hist.sum == 2
-
-    def test_merge_combines_runs(self):
-        first, second = new_sink(), new_sink()
-        solve_three_cycle(first)
-        solve_three_cycle(second)
-        merged = new_sink(label="merged")
-        merged.merge(first)
-        merged.merge(second)
-        assert merged.summary()["searches"] == (
-            first.summary()["searches"] + second.summary()["searches"]
-        )
-        assert merged.search_visits.sum == (
-            first.search_visits.sum + second.search_visits.sum
-        )
-        assert merged.search_visits.mean == pytest.approx(
-            first.search_visits.mean
-        )
-        assert merged.summary()["edge_outcomes"] == {
-            outcome: 2 * count
-            for outcome, count in first.summary()["edge_outcomes"].items()
-        }
-        assert len(merged.spans) == len(first.spans) + len(second.spans)
-
-    def test_merged_fanout_sums_per_run_histograms(self):
-        # Variable ids restart at 0 in every benchmark, so merging must
-        # add the runs' histograms, not their per-variable counts.
-        from repro.trace.report import trace_suite
-
-        report = trace_suite("quick", experiments=("IF-Online",),
-                             benchmarks=("allroots", "ks"))
-        per_run = [run.telemetry.fanout_histogram() for run in report.runs]
-        assert len(per_run) == 2
-        merged = report.merged_telemetry("IF-Online").fanout_histogram()
-        assert merged.count == sum(hist.count for hist in per_run)
-        assert merged.sum == sum(hist.sum for hist in per_run)
-        expected = {}
-        for hist in per_run:
-            for floor, count in hist.buckets.items():
-                expected[floor] = expected.get(floor, 0) + count
-        assert merged.buckets == expected
 
     def test_summary_is_json_ready(self):
         import json
