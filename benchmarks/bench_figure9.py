@@ -24,9 +24,17 @@ def test_figure9(results, benchmark):
     # Speedup on the largest program exceeds speedup on the smallest.
     assert total[-1][1] > total[0][1]
 
-    if total[-1][0] < 0.2:
+    # The largest program's size as SF-Plain Work, not time, so that a
+    # faster machine or kernel does not skip the check (the medium
+    # suite's largest does 1.06M; 300k took about 0.2 s on the Python
+    # kernel).
+    largest_work = max(
+        results.run(bench.name, "SF-Plain").work
+        for bench in results.benchmarks
+    )
+    if largest_work < 300_000:
         pytest.skip(
-            "SF-Plain finishes in under 0.2s everywhere; the paper's "
+            "SF-Plain does under 300k Work everywhere; the paper's "
             "large-program speedup claims need a bigger suite"
         )
 

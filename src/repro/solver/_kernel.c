@@ -1,0 +1,1809 @@
+/* The native closure kernel.
+
+   A transliteration of repro.solver.kernel.run_kernel and of
+   repro.graph.cycles.find_chain_path.  It executes the same worklist
+   operations in the same order over the same state: the engine's
+   `pending` deque, the graph's `parent` and `ranks` lists and its four
+   lists of `set` buckets.  Buckets stay real sets holding the same
+   objects, inserted in the same sequence, and are iterated in CPython's
+   own order, so cycle detection and every counter equal the Python
+   kernel's.  Python is called back only for the cycle collapse
+   (graph.collapse_path), pairs that need decompose (_resolve_generic),
+   flat plans (flat_plan), periodic sweeps (engine._sweep) and the trace
+   sink's methods.
+
+   Every index read from a worklist entry, a bucket or `parent` is
+   bounds-checked as Python's list indexing checks it (negative indices
+   count from the end), so a stale index raises IndexError here too.
+
+   repro.solver.native compiles this file on first import and calls
+   bind() with the Python kernel module; the worklist tags, the Term and
+   Var classes and the constructors 0 and 1 come from there. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <string.h>
+
+/* CPython 3.10-3.12 export _PySet_NextEntry: it walks a set's table in
+   the order the set iterator does, without an iterator object.  Other
+   versions use the iterator protocol. */
+#if PY_VERSION_HEX >= 0x030A0000 && PY_VERSION_HEX < 0x030D0000
+#define FAST_SET_ITERATION 1
+#endif
+
+/* ------------------------------------------------------------------ */
+/* Names bound from the Python kernel module by bind()                  */
+/* ------------------------------------------------------------------ */
+
+static PyObject *python_kernel;
+static PyObject *TermType, *VarType;
+static PyObject *OP_SOURCE_FAN, *OP_SOURCES_FAN, *OP_SUCC_FAN, *OP_PRED_FAN;
+static PyObject *OP_RESOLVE, *OP_SINK, *OP_VAR_VAR, *OP_SOURCE;
+static PyObject *ONE_CONSTRUCTOR, *ZERO_CONSTRUCTOR, *DECREASING;
+
+static struct {
+    PyObject **slot;
+    const char *name;
+} bound_names[] = {
+    {&TermType, "Term"},
+    {&VarType, "Var"},
+    {&OP_SOURCE_FAN, "OP_SOURCE_FAN"},
+    {&OP_SOURCES_FAN, "OP_SOURCES_FAN"},
+    {&OP_SUCC_FAN, "OP_SUCC_FAN"},
+    {&OP_PRED_FAN, "OP_PRED_FAN"},
+    {&OP_RESOLVE, "OP_RESOLVE"},
+    {&OP_SINK, "OP_SINK"},
+    {&OP_VAR_VAR, "OP_VAR_VAR"},
+    {&OP_SOURCE, "OP_SOURCE"},
+    {&ONE_CONSTRUCTOR, "ONE_CONSTRUCTOR"},
+    {&ZERO_CONSTRUCTOR, "ZERO_CONSTRUCTOR"},
+    {&DECREASING, "_DECREASING"},
+    {NULL, NULL},
+};
+
+/* Interned attribute, method and event names. */
+static PyObject *S_pending, *S_popleft, *S_appendleft, *S_append, *S_pop;
+static PyObject *S_graph, *S_sink, *S_stats, *S_parent, *S_ranks;
+static PyObject *S_succ_vars, *S_pred_vars, *S_sources, *S_sinks;
+static PyObject *S_journal_succ, *S_journal_pred, *S_journal_sources;
+static PyObject *S_journal_sinks, *S_inductive, *S_online_cycles;
+static PyObject *S_collapse_path, *S_search_mode, *S_periodic;
+static PyObject *S_since_sweep, *S_periodic_interval, *S_sweep;
+static PyObject *S_work, *S_redundant, *S_self_edges, *S_resolutions;
+static PyObject *S_cycle_searches, *S_cycle_search_visits;
+static PyObject *S_constructor, *S_index, *S_plan, *S_flat_plan;
+static PyObject *S_resolve_generic, *S_edge, *S_resolve, *S_search_start;
+static PyObject *S_search_visit, *S_search_end;
+static PyObject *S_added, *S_redundant_outcome, *S_self, *S_cycle;
+
+static struct {
+    PyObject **slot;
+    const char *text;
+} interned[] = {
+    {&S_pending, "pending"},
+    {&S_popleft, "popleft"},
+    {&S_appendleft, "appendleft"},
+    {&S_append, "append"},
+    {&S_pop, "pop"},
+    {&S_graph, "graph"},
+    {&S_sink, "sink"},
+    {&S_stats, "stats"},
+    {&S_parent, "parent"},
+    {&S_ranks, "ranks"},
+    {&S_succ_vars, "succ_vars"},
+    {&S_pred_vars, "pred_vars"},
+    {&S_sources, "sources"},
+    {&S_sinks, "sinks"},
+    {&S_journal_succ, "_journal_succ"},
+    {&S_journal_pred, "_journal_pred"},
+    {&S_journal_sources, "_journal_sources"},
+    {&S_journal_sinks, "_journal_sinks"},
+    {&S_inductive, "inductive"},
+    {&S_online_cycles, "online_cycles"},
+    {&S_collapse_path, "collapse_path"},
+    {&S_search_mode, "search_mode"},
+    {&S_periodic, "_periodic"},
+    {&S_since_sweep, "_since_sweep"},
+    {&S_periodic_interval, "_periodic_interval"},
+    {&S_sweep, "_sweep"},
+    {&S_work, "work"},
+    {&S_redundant, "redundant"},
+    {&S_self_edges, "self_edges"},
+    {&S_resolutions, "resolutions"},
+    {&S_cycle_searches, "cycle_searches"},
+    {&S_cycle_search_visits, "cycle_search_visits"},
+    {&S_constructor, "constructor"},
+    {&S_index, "index"},
+    {&S_plan, "_plan"},
+    {&S_flat_plan, "flat_plan"},
+    {&S_resolve_generic, "_resolve_generic"},
+    {&S_edge, "edge"},
+    {&S_resolve, "resolve"},
+    {&S_search_start, "search_start"},
+    {&S_search_visit, "search_visit"},
+    {&S_search_end, "search_end"},
+    {&S_added, "added"},
+    {&S_redundant_outcome, "redundant"},
+    {&S_self, "self"},
+    {&S_cycle, "cycle"},
+    {NULL, NULL},
+};
+
+/* ------------------------------------------------------------------ */
+/* Kernel state: what run_kernel binds to locals                        */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    PyObject *engine;
+    PyObject *pending, *popleft, *appendleft, *append, *pop;
+    PyObject *sink; /* NULL: no sink */
+    PyObject *stats;
+    PyObject *parent, *ranks, *succ_vars, *pred_vars, *sources, *sinks;
+    /* NULL: not journaling */
+    PyObject *journal_succ, *journal_pred, *journal_sources, *journal_sinks;
+    PyObject *collapse_path;
+    int inductive, online, periodic, sf_decreasing;
+    Py_ssize_t since_sweep, interval;
+    Py_ssize_t work, redundant, self_edges, resolutions;
+    /* Chain-search scratch, allocated by the first search: marks[v] ==
+       search means v was visited by the current search, came_from[v]
+       is the vertex it was reached from. */
+    Py_ssize_t capacity;
+    size_t search;
+    size_t *marks;
+    Py_ssize_t *came_from;
+    Py_ssize_t *stack;
+    Py_ssize_t stack_capacity;
+} Kernel;
+
+/* ------------------------------------------------------------------ */
+/* Indexing as Python's lists index                                     */
+/* ------------------------------------------------------------------ */
+
+/* An index value as list indexing takes it. */
+static int
+as_index(PyObject *object, Py_ssize_t *out)
+{
+    Py_ssize_t value;
+    if (PyLong_CheckExact(object)) {
+        value = PyLong_AsSsize_t(object);
+        if (value == -1 && PyErr_Occurred()) {
+            if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
+                PyErr_Format(PyExc_IndexError,
+                             "cannot fit 'int' into an index-sized integer");
+            }
+            return -1;
+        }
+    }
+    else if (PyIndex_Check(object)) {
+        value = PyNumber_AsSsize_t(object, PyExc_IndexError);
+        if (value == -1 && PyErr_Occurred()) {
+            return -1;
+        }
+    }
+    else {
+        PyErr_Format(PyExc_TypeError,
+                     "list indices must be integers or slices, not %.200s",
+                     Py_TYPE(object)->tp_name);
+        return -1;
+    }
+    *out = value;
+    return 0;
+}
+
+/* list[i], borrowed; a negative i counts from the end. */
+static PyObject *
+item_at(PyObject *list, Py_ssize_t i)
+{
+    Py_ssize_t size = PyList_GET_SIZE(list);
+    if (i < 0) {
+        i += size;
+    }
+    if (i < 0 || i >= size) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return NULL;
+    }
+    return PyList_GET_ITEM(list, i);
+}
+
+static int
+index_at(PyObject *list, Py_ssize_t i, Py_ssize_t *out)
+{
+    PyObject *item = item_at(list, i);
+    return item == NULL ? -1 : as_index(item, out);
+}
+
+/* buckets[i], which must be a set; a new reference. */
+static PyObject *
+bucket_at(PyObject *buckets, Py_ssize_t i)
+{
+    PyObject *bucket = item_at(buckets, i);
+    if (bucket == NULL) {
+        return NULL;
+    }
+    if (!PySet_Check(bucket)) {
+        PyErr_Format(PyExc_TypeError, "solver bucket must be a set, not %.200s",
+                     Py_TYPE(bucket)->tp_name);
+        return NULL;
+    }
+    return Py_NewRef(bucket);
+}
+
+/* journal[i].append(value) */
+static int
+journal_append(PyObject *journal, Py_ssize_t i, PyObject *value)
+{
+    PyObject *record = item_at(journal, i), *result;
+    if (record == NULL) {
+        return -1;
+    }
+    if (PyList_CheckExact(record)) {
+        return PyList_Append(record, value);
+    }
+    result = PyObject_CallMethodOneArg(record, S_append, value);
+    Py_XDECREF(result);
+    return result == NULL ? -1 : 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Set iteration in CPython's order                                     */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    PyObject *set;
+    Py_ssize_t position;
+    PyObject *iterator;
+    PyObject *item;
+} SetIter;
+
+static int
+set_iter_start(SetIter *it, PyObject *set)
+{
+    it->set = set;
+    it->position = 0;
+    it->iterator = NULL;
+    it->item = NULL;
+#ifndef FAST_SET_ITERATION
+    it->iterator = PyObject_GetIter(set);
+    if (it->iterator == NULL) {
+        return -1;
+    }
+#endif
+    return 0;
+}
+
+/* 1 with the next member (borrowed until the next call), 0 at the end,
+   -1 on error. */
+static int
+set_iter_next(SetIter *it, PyObject **item)
+{
+#ifdef FAST_SET_ITERATION
+    Py_hash_t hash;
+    return _PySet_NextEntry(it->set, &it->position, item, &hash);
+#else
+    Py_CLEAR(it->item);
+    it->item = PyIter_Next(it->iterator);
+    if (it->item == NULL) {
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    *item = it->item;
+    return 1;
+#endif
+}
+
+static void
+set_iter_stop(SetIter *it)
+{
+    Py_CLEAR(it->item);
+    Py_CLEAR(it->iterator);
+}
+
+/* tuple(set) */
+static PyObject *
+set_tuple(PyObject *set)
+{
+#ifdef FAST_SET_ITERATION
+    Py_ssize_t size = PySet_GET_SIZE(set), i = 0, position = 0;
+    PyObject *tuple = PyTuple_New(size), *key;
+    Py_hash_t hash;
+    if (tuple == NULL) {
+        return NULL;
+    }
+    if (PySet_GET_SIZE(set) != size) {
+        /* Allocating the tuple ran code that changed the set. */
+        Py_DECREF(tuple);
+        return PySequence_Tuple(set);
+    }
+    while (i < size && _PySet_NextEntry(set, &position, &key, &hash)) {
+        PyTuple_SET_ITEM(tuple, i, Py_NewRef(key));
+        i++;
+    }
+    return tuple;
+#else
+    return PySequence_Tuple(set);
+#endif
+}
+
+/* ------------------------------------------------------------------ */
+/* Worklist, sink and counters                                          */
+/* ------------------------------------------------------------------ */
+
+static int
+call_discard(PyObject *callable, PyObject *argument)
+{
+    PyObject *result = PyObject_CallOneArg(callable, argument);
+    Py_XDECREF(result);
+    return result == NULL ? -1 : 0;
+}
+
+/* method((tag, first, second)) for method in append/appendleft */
+static int
+emit(PyObject *method, PyObject *tag, PyObject *first, PyObject *second)
+{
+    PyObject *entry = PyTuple_Pack(3, tag, first, second);
+    int rc;
+    if (entry == NULL) {
+        return -1;
+    }
+    rc = call_discard(method, entry);
+    Py_DECREF(entry);
+    return rc;
+}
+
+/* method((tag, first, (member,))): a fan-out of one */
+static int
+emit_one(PyObject *method, PyObject *tag, PyObject *first, PyObject *member)
+{
+    PyObject *members = PyTuple_Pack(1, member);
+    int rc;
+    if (members == NULL) {
+        return -1;
+    }
+    rc = emit(method, tag, first, members);
+    Py_DECREF(members);
+    return rc;
+}
+
+/* append((tag, first, tuple(bucket))) when the bucket is not empty */
+static int
+emit_bucket(Kernel *k, PyObject *tag, PyObject *first, PyObject *buckets,
+            Py_ssize_t i)
+{
+    PyObject *bucket = bucket_at(buckets, i), *members;
+    int rc = 0;
+    if (bucket == NULL) {
+        return -1;
+    }
+    if (PySet_GET_SIZE(bucket) > 0) {
+        members = set_tuple(bucket);
+        rc = members == NULL ? -1 : emit(k->append, tag, first, members);
+        Py_XDECREF(members);
+    }
+    Py_DECREF(bucket);
+    return rc;
+}
+
+/* sink.<name>(*args) */
+static int
+sink_call(Kernel *k, PyObject *name, PyObject **args, size_t count)
+{
+    PyObject *stack[5], *result;
+    stack[0] = k->sink;
+    memcpy(&stack[1], args, count * sizeof(PyObject *));
+    result = PyObject_VectorcallMethod(name, stack, count + 1, NULL);
+    Py_XDECREF(result);
+    return result == NULL ? -1 : 0;
+}
+
+static int
+edge_event(Kernel *k, PyObject *kind, PyObject *source, PyObject *target,
+           PyObject *outcome)
+{
+    PyObject *args[4] = {kind, source, target, outcome};
+    return sink_call(k, S_edge, args, 4);
+}
+
+/* sink.<name>(*values) for small integer and bool arguments */
+static int
+sink_ints(Kernel *k, PyObject *name, size_t count, Py_ssize_t a,
+          Py_ssize_t b, Py_ssize_t c, int first_is_bool)
+{
+    Py_ssize_t values[3] = {a, b, c};
+    PyObject *args[3] = {NULL, NULL, NULL};
+    size_t i;
+    int rc = -1;
+    for (i = 0; i < count; i++) {
+        args[i] = (i == 0 && first_is_bool) ? PyBool_FromLong((long)a)
+                                           : PyLong_FromSsize_t(values[i]);
+        if (args[i] == NULL) {
+            goto done;
+        }
+    }
+    rc = sink_call(k, name, args, count);
+done:
+    for (i = 0; i < count; i++) {
+        Py_XDECREF(args[i]);
+    }
+    return rc;
+}
+
+/* stats.<name> += count */
+static int
+add_count(PyObject *stats, PyObject *name, Py_ssize_t count)
+{
+    PyObject *old, *delta = NULL, *sum = NULL;
+    int rc = -1;
+    old = PyObject_GetAttr(stats, name);
+    if (old != NULL && (delta = PyLong_FromSsize_t(count)) != NULL
+            && (sum = PyNumber_InPlaceAdd(old, delta)) != NULL) {
+        rc = PyObject_SetAttr(stats, name, sum);
+    }
+    Py_XDECREF(old);
+    Py_XDECREF(delta);
+    Py_XDECREF(sum);
+    return rc;
+}
+
+/* Pending exceptions survive the cleanup code that runs after them, as
+   in a Python `finally`; an exception raised by that code replaces
+   them. */
+#if PY_VERSION_HEX >= 0x030C0000
+typedef struct { PyObject *exception; } SavedError;
+static void save_error(SavedError *saved)
+{
+    saved->exception = PyErr_GetRaisedException();
+}
+static void restore_error(SavedError *saved)
+{
+    if (PyErr_Occurred()) {
+        Py_XDECREF(saved->exception);
+    }
+    else {
+        PyErr_SetRaisedException(saved->exception);
+    }
+}
+#else
+typedef struct { PyObject *type, *value, *traceback; } SavedError;
+static void save_error(SavedError *saved)
+{
+    PyErr_Fetch(&saved->type, &saved->value, &saved->traceback);
+}
+static void restore_error(SavedError *saved)
+{
+    if (PyErr_Occurred()) {
+        Py_XDECREF(saved->type);
+        Py_XDECREF(saved->value);
+        Py_XDECREF(saved->traceback);
+    }
+    else {
+        PyErr_Restore(saved->type, saved->value, saved->traceback);
+    }
+}
+#endif
+
+/* ------------------------------------------------------------------ */
+/* find and the chain search (repro.graph.cycles.find_chain_path)       */
+/* ------------------------------------------------------------------ */
+
+/* graph.find(var): the representative, with path compression. */
+static int
+find(Kernel *k, Py_ssize_t var, Py_ssize_t *out)
+{
+    PyObject *parent = k->parent, *root_object;
+    Py_ssize_t root, next, size;
+    if (index_at(parent, var, &root) < 0) {
+        return -1;
+    }
+    if (root == var) {
+        *out = root;
+        return 0;
+    }
+    for (;;) {
+        if (index_at(parent, root, &next) < 0) {
+            return -1;
+        }
+        if (next == root) {
+            break;
+        }
+        root = next;
+    }
+    root_object = item_at(parent, root);
+    size = PyList_GET_SIZE(parent);
+    for (;;) {
+        if (index_at(parent, var, &next) < 0) {
+            return -1;
+        }
+        if (next == root) {
+            break;
+        }
+        /* parent[var], var = root, parent[var] */
+        if (PyList_SetItem(parent, var < 0 ? var + size : var,
+                           Py_NewRef(root_object)) < 0) {
+            return -1;
+        }
+        var = next;
+    }
+    *out = root;
+    return 0;
+}
+
+/* `if parent[var] != var: var = find(var)` for the variable `object`:
+   the representative's index and object (a new reference). */
+static PyObject *
+representative(Kernel *k, PyObject *object, Py_ssize_t *out)
+{
+    Py_ssize_t var, up;
+    PyObject *item;
+    if (as_index(object, &var) < 0 || index_at(k->parent, var, &up) < 0) {
+        return NULL;
+    }
+    if (up == var) {
+        *out = var;
+        return Py_NewRef(object);
+    }
+    if (find(k, var, out) < 0) {
+        return NULL;
+    }
+    item = item_at(k->parent, *out);
+    return item == NULL ? NULL : Py_NewRef(item);
+}
+
+/* Make vertex v addressable in the search scratch. */
+static int
+reserve(Kernel *k, Py_ssize_t v)
+{
+    Py_ssize_t capacity, i;
+    size_t *marks;
+    Py_ssize_t *came_from;
+    if (v >= 0 && v < k->capacity) {
+        return 0;
+    }
+    if (v < 0) {
+        PyErr_SetString(PyExc_IndexError, "negative variable in chain search");
+        return -1;
+    }
+    capacity = PyList_GET_SIZE(k->parent);
+    if (capacity <= v) {
+        capacity = v + 1;
+    }
+    marks = PyMem_Realloc(k->marks, (size_t)capacity * sizeof(size_t));
+    if (marks == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    k->marks = marks;
+    came_from = PyMem_Realloc(k->came_from,
+                              (size_t)capacity * sizeof(Py_ssize_t));
+    if (came_from == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    k->came_from = came_from;
+    for (i = k->capacity; i < capacity; i++) {
+        marks[i] = 0;
+    }
+    k->capacity = capacity;
+    return 0;
+}
+
+static int
+push(Kernel *k, Py_ssize_t *depth, Py_ssize_t v)
+{
+    if (*depth == k->stack_capacity) {
+        Py_ssize_t capacity = k->stack_capacity ? 2 * k->stack_capacity : 64;
+        Py_ssize_t *stack = PyMem_Realloc(
+            k->stack, (size_t)capacity * sizeof(Py_ssize_t));
+        if (stack == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        k->stack = stack;
+        k->stack_capacity = capacity;
+    }
+    k->stack[(*depth)++] = v;
+    return 0;
+}
+
+/* The path [start, ..., target] through came_from, as a new list. */
+static PyObject *
+reconstruct(Kernel *k, Py_ssize_t start, Py_ssize_t target)
+{
+    Py_ssize_t length = 1, node = target, i;
+    PyObject *path, *item;
+    while (node != start) {
+        node = k->came_from[node];
+        length++;
+    }
+    path = PyList_New(length);
+    if (path == NULL) {
+        return NULL;
+    }
+    node = target;
+    for (i = length - 1; i >= 0; i--) {
+        item = PyLong_FromSsize_t(node);
+        if (item == NULL) {
+            Py_DECREF(path);
+            return NULL;
+        }
+        PyList_SET_ITEM(path, i, item);
+        if (i > 0) {
+            node = k->came_from[node];
+        }
+    }
+    return path;
+}
+
+/* find_chain_path(adjacency, graph.find, graph.ranks.__getitem__, start,
+   target, mode, stats, sink): the path as a new list, Py_None (a new
+   reference) when the restricted search finds no chain, NULL on error. */
+static PyObject *
+chain_path(Kernel *k, PyObject *adjacency, Py_ssize_t start,
+           Py_ssize_t target, int decreasing)
+{
+    PyObject *bucket, *raw, *path;
+    Py_ssize_t depth = 0, visits = 0, current, current_rank, node;
+    Py_ssize_t neighbour, neighbour_rank;
+    int found = 0, more, empty;
+    SetIter it;
+
+    if (add_count(k->stats, S_cycle_searches, 1) < 0) {
+        return NULL;
+    }
+    if (k->sink != NULL
+            && sink_ints(k, S_search_start, 2, start, target, 0, 0) < 0) {
+        return NULL;
+    }
+    if (start == target) {
+        if (k->sink != NULL
+                && sink_ints(k, S_search_end, 3, 1, 0, 1, 1) < 0) {
+            return NULL;
+        }
+        return reconstruct(k, start, start);
+    }
+    bucket = bucket_at(adjacency, start);
+    if (bucket == NULL) {
+        return NULL;
+    }
+    empty = PySet_GET_SIZE(bucket) == 0;
+    Py_DECREF(bucket);
+    if (empty) {
+        if (add_count(k->stats, S_cycle_search_visits, 1) < 0) {
+            return NULL;
+        }
+        if (k->sink != NULL
+                && (sink_ints(k, S_search_visit, 1, start, 0, 0, 0) < 0
+                    || sink_ints(k, S_search_end, 3, 0, 1, 0, 1) < 0)) {
+            return NULL;
+        }
+        Py_RETURN_NONE;
+    }
+    if (reserve(k, start) < 0) {
+        return NULL;
+    }
+    k->search++;
+    k->marks[start] = k->search;
+    if (push(k, &depth, start) < 0) {
+        return NULL;
+    }
+    while (depth > 0 && !found) {
+        current = k->stack[--depth];
+        visits++;
+        if (k->sink != NULL
+                && sink_ints(k, S_search_visit, 1, current, 0, 0, 0) < 0) {
+            return NULL;
+        }
+        if (index_at(k->ranks, current, &current_rank) < 0) {
+            return NULL;
+        }
+        bucket = bucket_at(adjacency, current);
+        if (bucket == NULL || set_iter_start(&it, bucket) < 0) {
+            Py_XDECREF(bucket);
+            return NULL;
+        }
+        while ((more = set_iter_next(&it, &raw)) == 1) {
+            if (as_index(raw, &node) < 0 || find(k, node, &neighbour) < 0
+                    || reserve(k, neighbour) < 0) {
+                more = -1;
+                break;
+            }
+            if (k->marks[neighbour] == k->search || neighbour == current) {
+                continue;
+            }
+            if (index_at(k->ranks, neighbour, &neighbour_rank) < 0) {
+                more = -1;
+                break;
+            }
+            if (decreasing ? neighbour_rank >= current_rank
+                           : neighbour_rank <= current_rank) {
+                continue;
+            }
+            k->marks[neighbour] = k->search;
+            k->came_from[neighbour] = current;
+            if (neighbour == target) {
+                found = 1;
+                break;
+            }
+            if (push(k, &depth, neighbour) < 0) {
+                more = -1;
+                break;
+            }
+        }
+        set_iter_stop(&it);
+        Py_DECREF(bucket);
+        if (more < 0) {
+            return NULL;
+        }
+    }
+    if (add_count(k->stats, S_cycle_search_visits, visits) < 0) {
+        return NULL;
+    }
+    if (!found) {
+        if (k->sink != NULL
+                && sink_ints(k, S_search_end, 3, 0, visits, 0, 1) < 0) {
+            return NULL;
+        }
+        Py_RETURN_NONE;
+    }
+    path = reconstruct(k, start, target);
+    if (path != NULL && k->sink != NULL
+            && sink_ints(k, S_search_end, 3, 1, visits,
+                         PyList_GET_SIZE(path), 1) < 0) {
+        Py_CLEAR(path);
+    }
+    return path;
+}
+
+/* ------------------------------------------------------------------ */
+/* The handlers                                                         */
+/* ------------------------------------------------------------------ */
+
+/* One source insertion `term <= var` of a source fan-out. */
+static int
+source_member(Kernel *k, PyObject *term, PyObject *var_object)
+{
+    PyObject *var, *bucket = NULL, *sink_term;
+    Py_ssize_t v, size;
+    SetIter it;
+    int rc = -1, more;
+
+    k->work++;
+    var = representative(k, var_object, &v);
+    if (var == NULL || (bucket = bucket_at(k->sources, v)) == NULL) {
+        goto done;
+    }
+    /* Single-probe redundancy check: `add` reports a duplicate through
+       an unchanged size. */
+    size = PySet_GET_SIZE(bucket);
+    if (PySet_Add(bucket, term) < 0) {
+        goto done;
+    }
+    if (PySet_GET_SIZE(bucket) == size) {
+        k->redundant++;
+        if (k->sink != NULL && edge_event(k, OP_SOURCE, term, var,
+                                          S_redundant_outcome) < 0) {
+            goto done;
+        }
+        rc = 0;
+        goto done;
+    }
+    if (k->journal_sources != NULL
+            && journal_append(k->journal_sources, v, term) < 0) {
+        goto done;
+    }
+    if (k->sink != NULL && edge_event(k, OP_SOURCE, term, var, S_added) < 0) {
+        goto done;
+    }
+    if (emit_bucket(k, OP_SOURCE_FAN, term, k->succ_vars, v) < 0) {
+        goto done;
+    }
+    Py_CLEAR(bucket);
+    if ((bucket = bucket_at(k->sinks, v)) == NULL
+            || set_iter_start(&it, bucket) < 0) {
+        goto done;
+    }
+    while ((more = set_iter_next(&it, &sink_term)) == 1) {
+        if (emit(k->append, OP_RESOLVE, term, sink_term) < 0) {
+            more = -1;
+            break;
+        }
+    }
+    set_iter_stop(&it);
+    rc = more;
+done:
+    Py_XDECREF(var);
+    Py_XDECREF(bucket);
+    return rc;
+}
+
+/* graph.collapse_path(path), then the sink's "cycle" event. */
+static int
+collapse(Kernel *k, PyObject *path, PyObject **left, PyObject **right,
+         Py_ssize_t l, int refind)
+{
+    Py_ssize_t witness;
+    PyObject *item;
+    if (call_discard(k->collapse_path, path) < 0) {
+        return -1;
+    }
+    if (k->sink == NULL) {
+        return 0;
+    }
+    if (refind) {
+        /* The path held both endpoints, so they are one vertex now. */
+        if (find(k, l, &witness) < 0
+                || (item = item_at(k->parent, witness)) == NULL) {
+            return -1;
+        }
+        Py_SETREF(*left, Py_NewRef(item));
+        Py_SETREF(*right, Py_NewRef(item));
+    }
+    return edge_event(k, OP_VAR_VAR, *left, *right, S_cycle);
+}
+
+/* A successor edge `left -> right` stored at `left`. */
+static int
+successor_edge(Kernel *k, Py_ssize_t l, Py_ssize_t r, PyObject **left,
+               PyObject **right)
+{
+    PyObject *bucket, *path = NULL;
+    int rc = -1, present;
+
+    if ((bucket = bucket_at(k->succ_vars, l)) == NULL) {
+        return -1;
+    }
+    present = PySet_Contains(bucket, *right);
+    if (present < 0) {
+        goto done;
+    }
+    if (present) {
+        k->redundant++;
+        rc = k->sink == NULL ? 0 : edge_event(k, OP_VAR_VAR, *left, *right,
+                                              S_redundant_outcome);
+        goto done;
+    }
+    if (k->online) {
+        /* IF searches predecessor chains left -> right, SF successor
+           chains right -> left; either closes a cycle with the new
+           edge. */
+        path = k->inductive
+            ? chain_path(k, k->pred_vars, l, r, 1)
+            : chain_path(k, k->succ_vars, r, l, k->sf_decreasing);
+        if (path == NULL) {
+            goto done;
+        }
+        if (path != Py_None) {
+            rc = collapse(k, path, left, right, l, !k->inductive);
+            goto done;
+        }
+    }
+    if (PySet_Add(bucket, *right) < 0
+            || (k->journal_succ != NULL
+                && journal_append(k->journal_succ, l, *right) < 0)
+            || (k->sink != NULL
+                && edge_event(k, OP_VAR_VAR, *left, *right, S_added) < 0)
+            || (k->inductive
+                && emit_bucket(k, OP_PRED_FAN, *right, k->pred_vars, l) < 0)
+            || emit_bucket(k, OP_SOURCES_FAN, *right, k->sources, l) < 0) {
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(path);
+    Py_DECREF(bucket);
+    return rc;
+}
+
+/* An inductive predecessor edge `left -> right` stored at `right`. */
+static int
+predecessor_edge(Kernel *k, Py_ssize_t l, Py_ssize_t r, PyObject **left,
+                 PyObject **right)
+{
+    PyObject *bucket, *path = NULL, *term;
+    SetIter it;
+    int rc = -1, present, more;
+
+    if ((bucket = bucket_at(k->pred_vars, r)) == NULL) {
+        return -1;
+    }
+    present = PySet_Contains(bucket, *left);
+    if (present < 0) {
+        goto done;
+    }
+    if (present) {
+        k->redundant++;
+        rc = k->sink == NULL ? 0 : edge_event(k, OP_VAR_VAR, *left, *right,
+                                              S_redundant_outcome);
+        goto done;
+    }
+    if (k->online) {
+        path = chain_path(k, k->succ_vars, r, l, 1);
+        if (path == NULL) {
+            goto done;
+        }
+        if (path != Py_None) {
+            rc = collapse(k, path, left, right, l, 0);
+            goto done;
+        }
+    }
+    if (PySet_Add(bucket, *left) < 0
+            || (k->journal_pred != NULL
+                && journal_append(k->journal_pred, r, *left) < 0)
+            || (k->sink != NULL
+                && edge_event(k, OP_VAR_VAR, *left, *right, S_added) < 0)
+            || emit_bucket(k, OP_SUCC_FAN, *left, k->succ_vars, r) < 0) {
+        goto done;
+    }
+    Py_SETREF(bucket, bucket_at(k->sinks, r));
+    if (bucket == NULL || set_iter_start(&it, bucket) < 0) {
+        goto done;
+    }
+    while ((more = set_iter_next(&it, &term)) == 1) {
+        if (emit(k->append, OP_SINK, *left, term) < 0) {
+            more = -1;
+            break;
+        }
+    }
+    set_iter_stop(&it);
+    rc = more;
+done:
+    Py_XDECREF(path);
+    Py_XDECREF(bucket);
+    return rc;
+}
+
+/* One var-var insertion `left <= right` of a var-var fan-out. */
+static int
+var_var_member(Kernel *k, PyObject *left_object, PyObject *right_object)
+{
+    PyObject *left, *right = NULL, *result;
+    Py_ssize_t l, r, left_rank, right_rank;
+    int rc = -1;
+
+    k->work++;
+    left = representative(k, left_object, &l);
+    if (left == NULL
+            || (right = representative(k, right_object, &r)) == NULL) {
+        goto done;
+    }
+    if (l == r) {
+        k->self_edges++;
+        if (k->sink != NULL
+                && edge_event(k, OP_VAR_VAR, left, right, S_self) < 0) {
+            goto done;
+        }
+    }
+    else {
+        int stored_at_left = 1;
+        if (k->inductive) {
+            if (index_at(k->ranks, l, &left_rank) < 0
+                    || index_at(k->ranks, r, &right_rank) < 0) {
+                goto done;
+            }
+            stored_at_left = left_rank > right_rank;
+        }
+        if (stored_at_left
+                ? successor_edge(k, l, r, &left, &right) < 0
+                : predecessor_edge(k, l, r, &left, &right) < 0) {
+            goto done;
+        }
+    }
+    if (k->periodic) {
+        k->since_sweep++;
+        if (k->since_sweep >= k->interval) {
+            k->since_sweep = 0;
+            result = PyObject_CallMethodNoArgs(k->engine, S_sweep);
+            if (result == NULL) {
+                goto done;
+            }
+            Py_DECREF(result);
+        }
+    }
+    rc = 0;
+done:
+    Py_XDECREF(left);
+    Py_XDECREF(right);
+    return rc;
+}
+
+/* One sink insertion `var <= term`. */
+static int
+sink_entry(Kernel *k, PyObject *var_object, PyObject *term)
+{
+    PyObject *var, *bucket = NULL, *member;
+    Py_ssize_t v, size;
+    SetIter it;
+    int rc = -1, more;
+
+    k->work++;
+    var = representative(k, var_object, &v);
+    if (var == NULL || (bucket = bucket_at(k->sinks, v)) == NULL) {
+        goto done;
+    }
+    size = PySet_GET_SIZE(bucket);
+    if (PySet_Add(bucket, term) < 0) {
+        goto done;
+    }
+    if (PySet_GET_SIZE(bucket) == size) {
+        k->redundant++;
+        rc = k->sink == NULL ? 0 : edge_event(k, OP_SINK, var, term,
+                                              S_redundant_outcome);
+        goto done;
+    }
+    if ((k->journal_sinks != NULL
+            && journal_append(k->journal_sinks, v, term) < 0)
+            || (k->sink != NULL
+                && edge_event(k, OP_SINK, var, term, S_added) < 0)) {
+        goto done;
+    }
+    /* Passed back to the variable predecessors (IF only: SF never
+       stores any) and resolved against the sources. */
+    Py_SETREF(bucket, bucket_at(k->pred_vars, v));
+    if (bucket == NULL || set_iter_start(&it, bucket) < 0) {
+        goto done;
+    }
+    while ((more = set_iter_next(&it, &member)) == 1) {
+        if (emit(k->append, OP_SINK, member, term) < 0) {
+            more = -1;
+            break;
+        }
+    }
+    set_iter_stop(&it);
+    if (more < 0) {
+        goto done;
+    }
+    Py_SETREF(bucket, bucket_at(k->sources, v));
+    if (bucket == NULL || set_iter_start(&it, bucket) < 0) {
+        goto done;
+    }
+    while ((more = set_iter_next(&it, &member)) == 1) {
+        if (emit(k->append, OP_RESOLVE, member, term) < 0) {
+            more = -1;
+            break;
+        }
+    }
+    set_iter_stop(&it);
+    rc = more;
+done:
+    Py_XDECREF(var);
+    Py_XDECREF(bucket);
+    return rc;
+}
+
+/* term._plan, computed by flat_plan and cached on first use; a new
+   reference. */
+static PyObject *
+plan_of(PyObject *term)
+{
+    PyObject *plan = PyObject_GetAttr(term, S_plan), *flat_plan;
+    if (plan != Py_None) {
+        return plan;
+    }
+    Py_DECREF(plan);
+    flat_plan = PyObject_GetAttr(python_kernel, S_flat_plan);
+    if (flat_plan == NULL) {
+        return NULL;
+    }
+    plan = PyObject_CallOneArg(flat_plan, term);
+    Py_DECREF(flat_plan);
+    if (plan != NULL && PyObject_SetAttr(term, S_plan, plan) < 0) {
+        Py_CLEAR(plan);
+    }
+    return plan;
+}
+
+/* `value.constructor is constant` */
+static int
+constructor_is(PyObject *value, PyObject *constant)
+{
+    PyObject *constructor = PyObject_GetAttr(value, S_constructor);
+    if (constructor == NULL) {
+        return -1;
+    }
+    Py_DECREF(constructor);
+    return constructor == constant;
+}
+
+/* The operations of two flat plans, as decompose emits them.  1 when
+   the pair resolved; 0 on a clash, after taking back what the pair
+   emitted; -1 on error. */
+static int
+resolve_plans(Kernel *k, PyObject *left_plan, PyObject *right_plan)
+{
+    PyObject *parts[3] = {NULL, NULL, NULL}, *low, *high, *low_ctor = NULL;
+    PyObject *high_ctor;
+    Py_ssize_t count, i, emitted = 0;
+    int rc = -1, covariant, is, clash = 0, equal;
+
+    parts[0] = PySequence_GetItem(left_plan, 0);
+    parts[1] = PySequence_GetItem(left_plan, 1);
+    parts[2] = PySequence_GetItem(right_plan, 1);
+    for (i = 0; i < 3; i++) {
+        if (parts[i] == NULL) {
+            goto done;
+        }
+        Py_SETREF(parts[i], PySequence_Tuple(parts[i]));
+        if (parts[i] == NULL) {
+            goto done;
+        }
+    }
+    count = PyTuple_GET_SIZE(parts[0]);
+    for (i = 1; i < 3; i++) {
+        if (PyTuple_GET_SIZE(parts[i]) < count) {
+            count = PyTuple_GET_SIZE(parts[i]);
+        }
+    }
+    for (i = 0; i < count && !clash; i++) {
+        covariant = PyObject_IsTrue(PyTuple_GET_ITEM(parts[0], i));
+        if (covariant < 0) {
+            goto done;
+        }
+        low = PyTuple_GET_ITEM(parts[covariant ? 1 : 2], i);
+        high = PyTuple_GET_ITEM(parts[covariant ? 2 : 1], i);
+        if (PyLong_CheckExact(low)) {
+            if (PyLong_CheckExact(high)) {
+                if (emit_one(k->append, OP_SUCC_FAN, low, high) < 0) {
+                    goto done;
+                }
+            }
+            else {
+                if ((is = constructor_is(high, ONE_CONSTRUCTOR)) < 0) {
+                    goto done;
+                }
+                if (is) {
+                    continue;
+                }
+                if (emit(k->append, OP_SINK, low, high) < 0) {
+                    goto done;
+                }
+            }
+        }
+        else {
+            if ((is = constructor_is(low, ZERO_CONSTRUCTOR)) < 0) {
+                goto done;
+            }
+            if (is) {
+                continue;
+            }
+            if (PyLong_CheckExact(high)) {
+                if (emit_one(k->append, OP_SOURCE_FAN, low, high) < 0) {
+                    goto done;
+                }
+            }
+            else {
+                if ((is = constructor_is(high, ONE_CONSTRUCTOR)) < 0) {
+                    goto done;
+                }
+                if (is) {
+                    continue;
+                }
+                low_ctor = PyObject_GetAttr(low, S_constructor);
+                high_ctor = low_ctor == NULL
+                    ? NULL : PyObject_GetAttr(high, S_constructor);
+                equal = high_ctor == NULL
+                    ? -1 : PyObject_RichCompareBool(low_ctor, high_ctor,
+                                                    Py_EQ);
+                Py_CLEAR(low_ctor);
+                Py_XDECREF(high_ctor);
+                if (equal < 0) {
+                    goto done;
+                }
+                /* Different constructors clash; the same nullary
+                   constructor resolves to nothing. */
+                clash = !equal;
+                continue;
+            }
+        }
+        emitted++;
+    }
+    if (clash) {
+        /* Take back what the pair emitted; decompose resolves it again
+           and reports the clash. */
+        for (i = 0; i < emitted; i++) {
+            PyObject *taken = PyObject_CallNoArgs(k->pop);
+            if (taken == NULL) {
+                goto done;
+            }
+            Py_DECREF(taken);
+        }
+    }
+    rc = !clash;
+done:
+    for (i = 0; i < 3; i++) {
+        Py_XDECREF(parts[i]);
+    }
+    return rc;
+}
+
+/* `var.index` */
+static PyObject *
+index_of(PyObject *var)
+{
+    return PyObject_GetAttr(var, S_index);
+}
+
+/* The resolution rules R for one pair. */
+static int
+resolve_entry(Kernel *k, PyObject *first, PyObject *second)
+{
+    PyObject *left_type = (PyObject *)Py_TYPE(first);
+    PyObject *right_type = (PyObject *)Py_TYPE(second);
+    PyObject *a = NULL, *b = NULL, *resolve_generic, *args[3], *result;
+    int rc = -1, is;
+
+    k->resolutions++;
+    if (k->sink != NULL) {
+        PyObject *pair[2] = {first, second};
+        if (sink_call(k, S_resolve, pair, 2) < 0) {
+            return -1;
+        }
+    }
+    if (left_type == TermType && right_type == TermType) {
+        int equal;
+        a = PyObject_GetAttr(first, S_constructor);
+        b = a == NULL ? NULL : PyObject_GetAttr(second, S_constructor);
+        equal = b == NULL ? -1 : PyObject_RichCompareBool(a, b, Py_EQ);
+        Py_CLEAR(a);
+        Py_CLEAR(b);
+        if (equal < 0) {
+            return -1;
+        }
+        if (equal) {
+            a = plan_of(first);
+            b = a == NULL ? NULL : plan_of(second);
+            if (b == NULL) {
+                goto done;
+            }
+            if (a != Py_False && b != Py_False) {
+                is = resolve_plans(k, a, b);
+                if (is != 0) {
+                    rc = is < 0 ? -1 : 0;
+                    goto done;
+                }
+            }
+            Py_CLEAR(a);
+            Py_CLEAR(b);
+        }
+    }
+    else if (left_type == VarType) {
+        if (right_type == VarType) {
+            a = index_of(first);
+            b = a == NULL ? NULL : index_of(second);
+            rc = b == NULL ? -1 : emit_one(k->append, OP_SUCC_FAN, a, b);
+            goto done;
+        }
+        if (right_type == TermType) {
+            if ((is = constructor_is(second, ONE_CONSTRUCTOR)) < 0) {
+                return -1;
+            }
+            if (!is) {
+                a = index_of(first);
+                rc = a == NULL ? -1 : emit(k->append, OP_SINK, a, second);
+                goto done;
+            }
+            return 0;
+        }
+    }
+    else if (right_type == VarType && left_type == TermType) {
+        if ((is = constructor_is(first, ZERO_CONSTRUCTOR)) < 0) {
+            return -1;
+        }
+        if (!is) {
+            b = index_of(second);
+            rc = b == NULL ? -1 : emit_one(k->append, OP_SOURCE_FAN, first, b);
+            goto done;
+        }
+        return 0;
+    }
+    resolve_generic = PyObject_GetAttr(python_kernel, S_resolve_generic);
+    if (resolve_generic == NULL) {
+        goto done;
+    }
+    args[0] = k->engine;
+    args[1] = first;
+    args[2] = second;
+    result = PyObject_Vectorcall(resolve_generic, args, 3, NULL);
+    Py_DECREF(resolve_generic);
+    Py_XDECREF(result);
+    rc = result == NULL ? -1 : 0;
+done:
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* run_kernel                                                           */
+/* ------------------------------------------------------------------ */
+
+enum {
+    K_SOURCE_FAN, K_SOURCES_FAN, K_RESOLVE, K_SUCC_FAN, K_PRED_FAN,
+    K_SINK, K_VAR_VAR, K_SOURCE, K_UNKNOWN
+};
+
+/* The handler of a tag, compared by value as the Python kernel does;
+   -1 on error. */
+static int
+tag_kind(PyObject *tag)
+{
+    PyObject *tags[K_UNKNOWN] = {
+        OP_SOURCE_FAN, OP_SOURCES_FAN, OP_RESOLVE, OP_SUCC_FAN,
+        OP_PRED_FAN, OP_SINK, OP_VAR_VAR, OP_SOURCE,
+    };
+    int kind, equal;
+    for (kind = 0; kind < K_UNKNOWN; kind++) {
+        if (tag == tags[kind]) {
+            return kind;
+        }
+    }
+    /* Equal but not identical tags, as from an unpickled worklist. */
+    for (kind = 0; kind < K_UNKNOWN; kind++) {
+        equal = PyObject_RichCompareBool(tag, tags[kind], Py_EQ);
+        if (equal != 0) {
+            return equal < 0 ? -1 : kind;
+        }
+    }
+    return K_UNKNOWN;
+}
+
+static PyObject *
+list_attribute(PyObject *object, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(object, name);
+    if (value != NULL && !PyList_Check(value)) {
+        PyErr_Format(PyExc_TypeError, "%U must be a list, not %.200s", name,
+                     Py_TYPE(value)->tp_name);
+        Py_CLEAR(value);
+    }
+    return value;
+}
+
+/* A list attribute that may be None (NULL in *out). */
+static int
+optional_list_attribute(PyObject *object, PyObject *name, PyObject **out)
+{
+    PyObject *value = PyObject_GetAttr(object, name);
+    if (value == NULL) {
+        return -1;
+    }
+    if (value == Py_None) {
+        Py_DECREF(value);
+        *out = NULL;
+        return 0;
+    }
+    Py_DECREF(value);
+    *out = list_attribute(object, name);
+    return *out == NULL ? -1 : 0;
+}
+
+static int
+truth_attribute(PyObject *object, PyObject *name, int *out)
+{
+    PyObject *value = PyObject_GetAttr(object, name);
+    if (value == NULL) {
+        return -1;
+    }
+    *out = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return *out < 0 ? -1 : 0;
+}
+
+static int
+size_attribute(PyObject *object, PyObject *name, Py_ssize_t *out)
+{
+    PyObject *value = PyObject_GetAttr(object, name);
+    if (value == NULL) {
+        return -1;
+    }
+    *out = PyNumber_AsSsize_t(value, PyExc_OverflowError);
+    Py_DECREF(value);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* Bind the engine's and the graph's state, as run_kernel's locals. */
+static int
+kernel_load(Kernel *k, PyObject *engine)
+{
+    PyObject *graph = NULL, *mode = NULL;
+    int rc = -1;
+    k->engine = engine;
+    if ((k->pending = PyObject_GetAttr(engine, S_pending)) == NULL
+            || (k->popleft = PyObject_GetAttr(k->pending, S_popleft)) == NULL
+            || (k->appendleft = PyObject_GetAttr(k->pending,
+                                                 S_appendleft)) == NULL
+            || (k->append = PyObject_GetAttr(k->pending, S_append)) == NULL
+            || (k->pop = PyObject_GetAttr(k->pending, S_pop)) == NULL
+            || (graph = PyObject_GetAttr(engine, S_graph)) == NULL
+            || (k->sink = PyObject_GetAttr(engine, S_sink)) == NULL
+            || (k->stats = PyObject_GetAttr(engine, S_stats)) == NULL
+            || (k->parent = list_attribute(graph, S_parent)) == NULL
+            || (k->ranks = list_attribute(graph, S_ranks)) == NULL
+            || (k->succ_vars = list_attribute(graph, S_succ_vars)) == NULL
+            || (k->pred_vars = list_attribute(graph, S_pred_vars)) == NULL
+            || (k->sources = list_attribute(graph, S_sources)) == NULL
+            || (k->sinks = list_attribute(graph, S_sinks)) == NULL
+            || optional_list_attribute(graph, S_journal_succ,
+                                       &k->journal_succ) < 0
+            || optional_list_attribute(graph, S_journal_pred,
+                                       &k->journal_pred) < 0
+            || optional_list_attribute(graph, S_journal_sources,
+                                       &k->journal_sources) < 0
+            || optional_list_attribute(graph, S_journal_sinks,
+                                       &k->journal_sinks) < 0
+            || truth_attribute(graph, S_inductive, &k->inductive) < 0
+            || truth_attribute(graph, S_online_cycles, &k->online) < 0
+            || (k->collapse_path = PyObject_GetAttr(graph,
+                                                    S_collapse_path)) == NULL
+            || (mode = PyObject_GetAttr(graph, S_search_mode)) == NULL
+            || truth_attribute(engine, S_periodic, &k->periodic) < 0
+            || size_attribute(engine, S_since_sweep, &k->since_sweep) < 0
+            || size_attribute(engine, S_periodic_interval, &k->interval) < 0) {
+        goto done;
+    }
+    if (k->sink == Py_None) {
+        Py_CLEAR(k->sink);
+    }
+    k->sf_decreasing = mode == DECREASING;
+    rc = 0;
+done:
+    Py_XDECREF(graph);
+    Py_XDECREF(mode);
+    return rc;
+}
+
+static void
+kernel_release(Kernel *k)
+{
+    Py_XDECREF(k->pending);
+    Py_XDECREF(k->popleft);
+    Py_XDECREF(k->appendleft);
+    Py_XDECREF(k->append);
+    Py_XDECREF(k->pop);
+    Py_XDECREF(k->sink);
+    Py_XDECREF(k->stats);
+    Py_XDECREF(k->parent);
+    Py_XDECREF(k->ranks);
+    Py_XDECREF(k->succ_vars);
+    Py_XDECREF(k->pred_vars);
+    Py_XDECREF(k->sources);
+    Py_XDECREF(k->sinks);
+    Py_XDECREF(k->journal_succ);
+    Py_XDECREF(k->journal_pred);
+    Py_XDECREF(k->journal_sources);
+    Py_XDECREF(k->journal_sinks);
+    Py_XDECREF(k->collapse_path);
+    PyMem_Free(k->marks);
+    PyMem_Free(k->came_from);
+    PyMem_Free(k->stack);
+}
+
+/* Add the counters to engine.stats and store the sweep countdown. */
+static int
+kernel_flush(Kernel *k)
+{
+    PyObject *since_sweep;
+    int rc;
+    if (add_count(k->stats, S_work, k->work) < 0
+            || add_count(k->stats, S_redundant, k->redundant) < 0
+            || add_count(k->stats, S_self_edges, k->self_edges) < 0
+            || add_count(k->stats, S_resolutions, k->resolutions) < 0) {
+        return -1;
+    }
+    since_sweep = PyLong_FromSsize_t(k->since_sweep);
+    if (since_sweep == NULL) {
+        return -1;
+    }
+    rc = PyObject_SetAttr(k->engine, S_since_sweep, since_sweep);
+    Py_DECREF(since_sweep);
+    return rc;
+}
+
+/* Split a fan-out at `room`: the members that fit stay in *members,
+   the rest go back to the head of the worklist. */
+static int
+take_fan_out(Kernel *k, PyObject *tag, PyObject *first, PyObject **members,
+             Py_ssize_t *room)
+{
+    Py_ssize_t count = PyObject_Size(*members);
+    PyObject *part;
+    int rc;
+    if (count < 0) {
+        return -1;
+    }
+    if (count > *room) {
+        part = PySequence_GetSlice(*members, *room, PY_SSIZE_T_MAX);
+        if (part == NULL) {
+            return -1;
+        }
+        rc = emit(k->appendleft, tag, first, part);
+        Py_DECREF(part);
+        if (rc < 0) {
+            return -1;
+        }
+        part = PySequence_GetSlice(*members, 0, *room);
+        if (part == NULL) {
+            return -1;
+        }
+        Py_SETREF(*members, part);
+        count = *room;
+    }
+    *room -= count;
+    return 0;
+}
+
+/* Put back the members after `done` of an interrupted fan-out. */
+static int
+put_back(Kernel *k, PyObject *tag, PyObject *first, PyObject *members,
+         Py_ssize_t done)
+{
+    PyObject *rest = PySequence_GetSlice(members, done + 1, PY_SSIZE_T_MAX);
+    int rc = 0, any;
+    if (rest == NULL) {
+        return -1;
+    }
+    any = PyObject_IsTrue(rest);
+    if (any < 0) {
+        rc = -1;
+    }
+    else if (any) {
+        rc = emit(k->appendleft, tag, first, rest);
+    }
+    Py_DECREF(rest);
+    return rc;
+}
+
+/* Unpack a worklist entry `(tag, first, second)` into new references. */
+static int
+unpack(PyObject *entry, PyObject **tag, PyObject **first, PyObject **second)
+{
+    PyObject *items = PySequence_Tuple(entry);
+    if (items == NULL) {
+        return -1;
+    }
+    if (PyTuple_GET_SIZE(items) != 3) {
+        if (PyTuple_GET_SIZE(items) < 3) {
+            PyErr_Format(PyExc_ValueError,
+                         "not enough values to unpack (expected 3, got %zd)",
+                         PyTuple_GET_SIZE(items));
+        }
+        else {
+            PyErr_SetString(PyExc_ValueError,
+                            "too many values to unpack (expected 3)");
+        }
+        Py_DECREF(items);
+        return -1;
+    }
+    *tag = Py_NewRef(PyTuple_GET_ITEM(items, 0));
+    *first = Py_NewRef(PyTuple_GET_ITEM(items, 1));
+    *second = Py_NewRef(PyTuple_GET_ITEM(items, 2));
+    Py_DECREF(items);
+    return 0;
+}
+
+/* Entries between two checks for signals (a KeyboardInterrupt). */
+#define SIGNAL_STRIDE 1024
+
+PyDoc_STRVAR(run_kernel_doc,
+"run_kernel(engine, limit)\n--\n\n"
+"Execute up to ``limit`` atomic operations; return how many ran.\n\n"
+"The native twin of :func:`repro.solver.kernel.run_kernel`, with the\n"
+"same operations, order, counters, sink calls and exceptions.");
+
+static PyObject *
+run_kernel(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Kernel k;
+    Py_ssize_t limit, room, pending, count;
+    PyObject *entry = NULL, *tag = NULL, *first = NULL, *second = NULL;
+    /* The fan-out being executed and its current member, so that an
+       exception can put the members after it back. */
+    PyObject *members = NULL;
+    Py_ssize_t member = 0;
+    unsigned int ticks = 0;
+    int kind, failed = 0;
+    SavedError saved;
+
+    (void)module;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "run_kernel expected 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    if (python_kernel == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "the native kernel was not bound to the Python kernel");
+        return NULL;
+    }
+    limit = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
+    if (limit == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    memset(&k, 0, sizeof k);
+    if (kernel_load(&k, args[0]) < 0) {
+        kernel_release(&k);
+        return NULL;
+    }
+    room = limit;
+    while (room > 0) {
+        if (++ticks % SIGNAL_STRIDE == 0 && PyErr_CheckSignals() < 0) {
+            goto error;
+        }
+        pending = PyObject_Size(k.pending);
+        if (pending < 0) {
+            goto error;
+        }
+        if (pending == 0) {
+            break;
+        }
+        Py_CLEAR(tag);
+        Py_CLEAR(first);
+        Py_CLEAR(second);
+        entry = PyObject_CallNoArgs(k.popleft);
+        if (entry == NULL || unpack(entry, &tag, &first, &second) < 0) {
+            Py_XDECREF(entry);
+            goto error;
+        }
+        Py_DECREF(entry);
+        kind = tag_kind(tag);
+        switch (kind) {
+        case K_SOURCE_FAN:
+        case K_SOURCES_FAN:
+        case K_SUCC_FAN:
+        case K_PRED_FAN:
+            /* Sources `c(...) <= X` and var-var `X <= Y`. */
+            if (take_fan_out(&k, tag, first, &second, &room) < 0) {
+                goto error;
+            }
+            members = PySequence_Tuple(second);
+            if (members == NULL) {
+                goto error;
+            }
+            count = PyTuple_GET_SIZE(members);
+            for (member = 0; member < count; member++) {
+                PyObject *x = PyTuple_GET_ITEM(members, member);
+                int rc;
+                switch (kind) {
+                case K_SOURCE_FAN:
+                    rc = source_member(&k, first, x);
+                    break;
+                case K_SOURCES_FAN:
+                    rc = source_member(&k, x, first);
+                    break;
+                case K_SUCC_FAN:
+                    rc = var_var_member(&k, first, x);
+                    break;
+                default:
+                    rc = var_var_member(&k, x, first);
+                    break;
+                }
+                if (rc < 0) {
+                    goto error;
+                }
+            }
+            Py_CLEAR(members);
+            break;
+        case K_RESOLVE:
+            /* The resolution rules R. */
+            room--;
+            if (resolve_entry(&k, first, second) < 0) {
+                goto error;
+            }
+            break;
+        case K_SINK:
+            /* `X <= c(...)` */
+            room--;
+            if (sink_entry(&k, first, second) < 0) {
+                goto error;
+            }
+            break;
+        case K_VAR_VAR:
+            /* Unit vv/sv from outside the kernel (cycle collapse, a
+               restored checkpoint): run as a fan-out of one. */
+            if (emit_one(k.appendleft, OP_SUCC_FAN, first, second) < 0) {
+                goto error;
+            }
+            break;
+        case K_SOURCE:
+            if (emit_one(k.appendleft, OP_SOURCE_FAN, first, second) < 0) {
+                goto error;
+            }
+            break;
+        case K_UNKNOWN:
+            PyErr_Format(PyExc_ValueError, "unknown worklist operation %R",
+                         tag);
+            goto error;
+        default:
+            goto error;
+        }
+    }
+    goto finally;
+
+error:
+    failed = 1;
+    if (members != NULL) {
+        /* The current member raised; the members after it have not
+           started. */
+        save_error(&saved);
+        put_back(&k, tag, first, second, member);
+        restore_error(&saved);
+    }
+finally:
+    if (failed) {
+        save_error(&saved);
+        kernel_flush(&k);
+        restore_error(&saved);
+    }
+    else if (kernel_flush(&k) < 0) {
+        failed = 1;
+    }
+    Py_XDECREF(members);
+    Py_XDECREF(tag);
+    Py_XDECREF(first);
+    Py_XDECREF(second);
+    kernel_release(&k);
+    return failed ? NULL : PyLong_FromSsize_t(limit - room);
+}
+
+/* ------------------------------------------------------------------ */
+/* Module                                                               */
+/* ------------------------------------------------------------------ */
+
+PyDoc_STRVAR(bind_doc,
+"bind(kernel)\n--\n\n"
+"Take the worklist tags, ``Term``, ``Var``, the constructors 0 and 1\n"
+"and the decreasing search mode from the Python kernel module, which\n"
+"also serves ``flat_plan`` and ``_resolve_generic`` at each call.");
+
+static PyObject *
+bind(PyObject *module, PyObject *kernel)
+{
+    PyObject *value;
+    int i;
+    (void)module;
+    for (i = 0; bound_names[i].slot != NULL; i++) {
+        value = PyObject_GetAttrString(kernel, bound_names[i].name);
+        if (value == NULL) {
+            return NULL;
+        }
+        Py_XSETREF(*bound_names[i].slot, value);
+    }
+    if (!PyType_Check(TermType) || !PyType_Check(VarType)) {
+        PyErr_SetString(PyExc_TypeError, "Term and Var must be classes");
+        return NULL;
+    }
+    Py_XSETREF(python_kernel, Py_NewRef(kernel));
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"run_kernel", (PyCFunction)(void (*)(void))run_kernel, METH_FASTCALL,
+     run_kernel_doc},
+    {"bind", bind, METH_O, bind_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    "_kernel",
+    "The native closure kernel (see repro.solver.native).",
+    -1,
+    kernel_methods,
+    NULL,
+    NULL,
+    NULL,
+    NULL,
+};
+
+PyMODINIT_FUNC
+PyInit__kernel(void)
+{
+    int i;
+    for (i = 0; interned[i].slot != NULL; i++) {
+        if (*interned[i].slot == NULL) {
+            *interned[i].slot = PyUnicode_InternFromString(interned[i].text);
+            if (*interned[i].slot == NULL) {
+                return NULL;
+            }
+        }
+    }
+    return PyModule_Create(&kernel_module);
+}

@@ -34,12 +34,20 @@ from ..resilience.errors import (
     GraphInvariantError,
     SolveCancelledError,
 )
-from .kernel import run_kernel
+from . import kernel, native
 from .options import CyclePolicy, GraphForm, SolverOptions
 from .solution import Solution
 
 #: Chunk length of an unsupervised drain: never reached.
 _UNBOUNDED = sys.maxsize
+
+#: The closure kernel: the native one when it built (see
+#: :mod:`repro.solver.native`), the Python one otherwise.
+run_kernel = (
+    native.kernel.run_kernel
+    if native.kernel is not None
+    else kernel.run_kernel
+)
 
 
 class SolverEngine:

@@ -5,6 +5,9 @@ kernel end to end; these tests pin the edge cases it would only hit by
 chance: a fan-out cut by a supervision boundary, checkpoints taken with
 fan-outs pending, tags that are equal but not identical, and the pairs
 that must still go through ``decompose``.
+
+Each test class runs on the Python kernel; its ``...Native`` subclass
+runs the same tests on the native kernel (:mod:`repro.solver.native`).
 """
 
 import itertools
@@ -28,12 +31,13 @@ from repro.resilience import (
 from repro.resilience.checkpoint import CHECKPOINT_VERSION
 from repro.solver import SolverEngine, SolverOptions, SolveStatus
 from repro.solver import engine as engine_module
+from repro.solver import kernel as python_kernel
+from repro.solver import native
 from repro.solver.kernel import (
     OP_PRED_FAN,
     OP_SOURCE_FAN,
     OP_SOURCES_FAN,
     OP_SUCC_FAN,
-    run_kernel,
     unit_operations,
 )
 from repro.workloads.generator import RandomSystemConfig, random_system
@@ -41,6 +45,21 @@ from repro.workloads.generator import RandomSystemConfig, random_system
 FAN_TAGS = (OP_SOURCE_FAN, OP_SOURCES_FAN, OP_SUCC_FAN, OP_PRED_FAN)
 UNIT_TAGS = (OP_VAR_VAR, OP_SOURCE, OP_SINK, OP_RESOLVE)
 ONLINE_LABELS = ("SF-Online", "IF-Online")
+
+native_only = pytest.mark.skipif(
+    native.kernel is None,
+    reason=f"native kernel unavailable: {native.build_error}")
+NATIVE_KERNEL = native.kernel.run_kernel if native.kernel else None
+
+
+class KernelCase:
+    """Tests of one closure kernel, which the engine runs too."""
+
+    run_kernel = staticmethod(python_kernel.run_kernel)
+
+    @pytest.fixture(autouse=True)
+    def _engine_kernel(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "run_kernel", self.run_kernel)
 
 
 def make_system(seed=5):
@@ -57,7 +76,7 @@ def ops_so_far(engine):
     return engine.stats.work + engine.stats.resolutions
 
 
-class TestChunkSplitting:
+class TestChunkSplitting(KernelCase):
     def test_fan_out_split_at_limit(self):
         system = ConstraintSystem()
         atom = system.term(system.constructor("a"), label="a")
@@ -65,10 +84,10 @@ class TestChunkSplitting:
         engine = SolverEngine(system, SolverOptions(order=CreationOrder()))
         fan = tuple(var.index for var in targets)
         engine.pending.append((OP_SOURCE_FAN, atom, fan))
-        assert run_kernel(engine, 2) == 2
+        assert self.run_kernel(engine, 2) == 2
         assert list(engine.pending) == [(OP_SOURCE_FAN, atom, fan[2:])]
         assert engine.stats.work == 2
-        assert run_kernel(engine, 5) == 1
+        assert self.run_kernel(engine, 5) == 1
         assert not engine.pending
         assert engine.stats.work == 3
 
@@ -89,7 +108,7 @@ class TestChunkSplitting:
             order=CreationOrder(), sink=FailOn()))
         engine.pending.append((OP_SOURCE_FAN, atom, fan))
         with pytest.raises(OSError):
-            run_kernel(engine, 10)
+            self.run_kernel(engine, 10)
         assert list(engine.pending) == [(OP_SOURCE_FAN, atom, fan[2:])]
         assert engine.stats.work == 2
 
@@ -102,7 +121,7 @@ class TestChunkSplitting:
 
         def recording_kernel(engine, limit):
             head = engine.pending[0]
-            done = run_kernel(engine, limit)
+            done = self.run_kernel(engine, limit)
             assert limit == 1 and done == 1
             if head[0] in FAN_TAGS and len(head[2]) > 1:
                 assert engine.pending[0] == (head[0], head[1], head[2][1:])
@@ -172,7 +191,7 @@ def stop_with_fan_out_pending(system, label):
     pytest.fail("no cut left a multi-member fan-out pending")
 
 
-class TestCheckpointFlattening:
+class TestCheckpointFlattening(KernelCase):
     @pytest.mark.parametrize("label", ONLINE_LABELS)
     def test_capture_stores_unit_operations(self, label):
         system = make_system()
@@ -188,7 +207,7 @@ class TestCheckpointFlattening:
         assert counters_of(restored.resume()) == uninterrupted(system, label)
 
 
-class TestTagValues:
+class TestTagValues(KernelCase):
     @pytest.mark.parametrize("label", ONLINE_LABELS)
     def test_equal_but_not_identical_tags(self, label):
         """Unpickled tags are equal strings, not the module constants;
@@ -221,7 +240,7 @@ def as_unit_operations(atoms):
     return out
 
 
-class TestResolution:
+class TestResolution(KernelCase):
     def test_every_flat_pair_matches_decompose(self):
         """Flat plans emit decompose's operations in decompose's order,
         and pairs with an argument clash fall back to it."""
@@ -243,7 +262,7 @@ class TestResolution:
             before = len(engine.diagnostics)
             engine.pending.clear()
             engine.pending.append((OP_RESOLVE, left, right))
-            assert run_kernel(engine, 1) == 1
+            assert self.run_kernel(engine, 1) == 1
             assert list(unit_operations(engine.pending)) == \
                 as_unit_operations(atoms), (left, right)
             assert engine.diagnostics[before:] == expected_diagnostics
@@ -322,3 +341,23 @@ class TestResolution:
         x, y = flat.fresh_vars(2)
         flat.add(flat.term(f, (x,)), flat.term(f, (y,)))
         assert SolverEngine(flat, options_for(label)).run().ok
+
+
+@native_only
+class TestChunkSplittingNative(TestChunkSplitting):
+    run_kernel = staticmethod(NATIVE_KERNEL)
+
+
+@native_only
+class TestCheckpointFlatteningNative(TestCheckpointFlattening):
+    run_kernel = staticmethod(NATIVE_KERNEL)
+
+
+@native_only
+class TestTagValuesNative(TestTagValues):
+    run_kernel = staticmethod(NATIVE_KERNEL)
+
+
+@native_only
+class TestResolutionNative(TestResolution):
+    run_kernel = staticmethod(NATIVE_KERNEL)
