@@ -9,7 +9,12 @@ one per function, and one shared location for string literals
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from ..constraints.hashing import Hashed, str_hash
+
+#: Stand-in for the ``"loc"`` tag of every location's hash.
+_LOC_TAG = Hashed(str_hash("loc"))
 
 
 class LocationKind(enum.Enum):
@@ -26,20 +31,25 @@ class AbstractLocation:
 
     ``uid`` is a dense index assigned by the location table; equality
     and hashing use only the uid, so locations are cheap dictionary
-    keys.  ``name`` is the diagnostic spelling, qualified by function
-    for locals (``main::p``) and by site for heap locations
-    (``heap@12``).
+    keys; the hash, ``hash(("loc", uid))`` with the tag's seed-free
+    string hash, is computed once.  ``name`` is the diagnostic
+    spelling, qualified by function for locals (``main::p``) and by
+    site for heap locations (``heap@12``).
     """
 
     uid: int
     name: str
     kind: LocationKind
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((_LOC_TAG, self.uid)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AbstractLocation) and other.uid == self.uid
 
     def __hash__(self) -> int:
-        return hash(("loc", self.uid))
+        return self._hash
 
     def __str__(self) -> str:
         return self.name

@@ -9,11 +9,10 @@ Typical uses::
     # Record a new baseline after an intentional counter change.
     python -m repro.bench --write-baseline benchmarks/BASELINE.json
 
-Work counts are exact oracles only under a pinned hash seed, so unless
-``PYTHONHASHSEED`` is already set the process re-executes itself once
-with ``PYTHONHASHSEED=0``.  Exit codes: 0 counters match (or no
-baseline given), 1 a counter drifted or a baseline pair is missing,
-2 bad input or an incomparable baseline, 3 timeout.
+Work counts are exact oracles under any hash seed.  Exit codes: 0
+counters match (or no baseline given), 1 a counter drifted or a
+baseline pair is missing, 2 bad input or an incomparable baseline, 3
+timeout.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .baseline import (
     load_report,
     write_report,
 )
-from ..parallel.pool import ParallelError, repin_hash_seed
+from ..parallel.pool import ParallelError
 from .compare import IncomparableReportsError, compare_reports
 from .harness import (
     DEFAULT_REPEATS,
@@ -93,21 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "processes (0 = one per core; default 1 = serial); the "
              "report is identical to a serial run's",
     )
-    parser.add_argument(
-        "--no-pin-hashseed", action="store_true",
-        help="do not re-exec with PYTHONHASHSEED=0 (work counts of "
-             "Online configurations then vary between processes)",
-    )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
-    if not args.no_pin_hashseed:
-        code = repin_hash_seed("repro.bench", argv)
-        if code is not None:
-            return code
     try:
         report = run_bench(
             suite_name=args.suite,

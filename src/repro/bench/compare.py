@@ -1,7 +1,7 @@
 """The counter-identity gate: diff a fresh report against the baseline.
 
 Every :data:`~repro.bench.measure.COUNTER_FIELDS` value is deterministic
-for a pinned workload, seed, and ``PYTHONHASHSEED``, so the gate is
+for a pinned workload and seed, under any hash seed, so the gate is
 exact: a counter that differs from the baseline in *either* direction
 is a regression.  A drop in ``work`` or in ``cycle_search_visits``
 breaks the oracle as surely as a rise does, and a change the author
@@ -9,7 +9,7 @@ intended is recorded by re-writing the baseline.  A (benchmark,
 experiment) pair present in the baseline but missing from the fresh run
 also fails: silently shrinking the suite must not read as green.
 
-Comparing runs with different suites, seeds, or hash seeds is refused
+Comparing runs with different suites or seeds is refused
 rather than attempted: the counters are only oracles when the workload
 is literally the same.
 
@@ -91,13 +91,6 @@ def compare_reports(baseline: BenchReport,
                 f"baseline {attr}={getattr(baseline, attr)!r} but current "
                 f"run has {attr}={getattr(current, attr)!r}"
             )
-    if baseline.hash_seed != current.hash_seed:
-        raise IncomparableReportsError(
-            f"baseline was recorded with PYTHONHASHSEED="
-            f"{baseline.hash_seed} but this run used "
-            f"{current.hash_seed}; work counts are only comparable "
-            "under the same hash seed"
-        )
     result = ComparisonResult()
     current_by_key = current.key()
     for key, base_record in baseline.key().items():

@@ -5,8 +5,9 @@ Table-4 experiment configurations through the shared measurement
 primitive (:func:`repro.bench.measure.measure_system`) and returns a
 schema-versioned :class:`BenchReport` of the deterministic
 ``SolverStats`` counters per (benchmark, experiment).  The counters are
-exact oracles, reproducible across machines when ``PYTHONHASHSEED`` is
-pinned (the CLI pins it to ``0``).  Every pair is solved ``repeats``
+exact oracles, reproducible across machines and processes under any
+hash seed (expressions hash seed-free; see
+:mod:`repro.constraints.hashing`).  Every pair is solved ``repeats``
 times, and the repeats must agree on every counter
 (:class:`~repro.bench.measure.NondeterministicRunError` otherwise).
 
@@ -92,9 +93,6 @@ class BenchReport:
     python_version: str = field(
         default_factory=lambda: platform.python_version()
     )
-    hash_seed: str = field(
-        default_factory=lambda: os.environ.get("PYTHONHASHSEED", "random")
-    )
 
     def key(self) -> Dict[Tuple[str, str], BenchRecord]:
         return {
@@ -110,7 +108,6 @@ class BenchReport:
             "repeats": self.repeats,
             "experiments": list(self.experiments),
             "python_version": self.python_version,
-            "hash_seed": self.hash_seed,
             "records": [record.to_dict() for record in self.records],
         }
 
@@ -126,7 +123,6 @@ class BenchReport:
             ],
             schema_version=int(payload["schema_version"]),
             python_version=payload.get("python_version", "unknown"),
-            hash_seed=str(payload.get("hash_seed", "random")),
         )
 
 
@@ -427,7 +423,7 @@ def render_report(report: BenchReport) -> str:
     """A compact human-readable table of one report."""
     lines = [
         f"suite={report.suite} seed={report.seed} repeats={report.repeats} "
-        f"python={report.python_version} hash_seed={report.hash_seed}",
+        f"python={report.python_version}",
         f"{'benchmark':<14} {'experiment':<10} {'work':>10}",
     ]
     for record in report.records:

@@ -10,10 +10,11 @@ signature within one system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .errors import SignatureError
+from .hashing import stand_in
 from .variance import Variance
 
 
@@ -29,6 +30,7 @@ class Constructor:
 
     name: str
     signature: Tuple[Variance, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -42,6 +44,14 @@ class Constructor:
                     f"signature of {self.name!r} contains non-Variance "
                     f"entry {variance!r}"
                 )
+        # Computed once, for every Term built over this constructor,
+        # with the name's seed-free hash (see repro.constraints.hashing).
+        object.__setattr__(
+            self, "_hash", hash((stand_in(self.name), self.signature))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def arity(self) -> int:

@@ -10,7 +10,11 @@ constructors :data:`~repro.constraints.constructors.ZERO_CONSTRUCTOR` and
 paper's treatment of 0 and 1 as constructors.
 
 Expressions are immutable and hashable; terms hash structurally, which is
-what lets the solver deduplicate source/sink edges.
+what lets the solver deduplicate source/sink edges.  No hash depends on
+the interpreter's hash seed: every string that reaches one (constructor
+names, the ``"var"`` tag, string labels) goes through
+:func:`repro.constraints.hashing.str_hash`, so bucket iteration order,
+and with it every solver counter, is the same in every process.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ from typing import Tuple, Union
 
 from .constructors import Constructor, ONE_CONSTRUCTOR, ZERO_CONSTRUCTOR
 from .errors import MalformedExpressionError, SignatureError
+from .hashing import Hashed, stand_in, str_hash
+
+#: Stand-in for the ``"var"`` tag of every variable's hash.
+_VAR_TAG = Hashed(str_hash("var"))
 
 
 class SetExpression:
@@ -50,13 +58,16 @@ class Var(SetExpression):
     :meth:`repro.constraints.ConstraintSystem.fresh_var`, which assigns a
     deterministic creation ``index``.  Identity (and hashing) is by index,
     so two systems' variables must never be mixed — the system checks this.
+    The hash, ``hash(("var", index))`` with the tag's seed-free string
+    hash, is computed once.
     """
 
-    __slots__ = ("index", "name")
+    __slots__ = ("index", "name", "_hash")
 
     def __init__(self, index: int, name: str = "") -> None:
         self.index = index
         self.name = name or f"v{index}"
+        self._hash = hash((_VAR_TAG, index))
 
     def __repr__(self) -> str:
         return f"Var({self.index}, {self.name!r})"
@@ -65,7 +76,7 @@ class Var(SetExpression):
         return self.name
 
     def __hash__(self) -> int:
-        return hash(("var", self.index))
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Var) and other.index == self.index
@@ -109,10 +120,11 @@ class Term(SetExpression):
         # make unlabeled-term hashes (and hence set iteration order and
         # the solver's Work counts) vary between processes.  Omit the
         # label from the hash when absent; equality still checks it.
+        # String labels, also inside tuples, hash seed-free.
         if label is None:
             self._hash = hash((constructor, args))
         else:
-            self._hash = hash((constructor, args, label))
+            self._hash = hash((constructor, args, stand_in(label)))
 
     def __repr__(self) -> str:
         return (

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import enum
 
+from .hashing import str_hash
+
 
 class Variance(enum.Enum):
     """Variance of a constructor argument position."""
@@ -46,11 +48,11 @@ class Variance(enum.Enum):
     def __hash__(self) -> int:
         # Enum members hash by object identity by default, which varies
         # between processes.  Variance participates (via Constructor
-        # signatures) in every Term hash, so give it a value-based hash:
-        # with PYTHONHASHSEED pinned, term-set iteration order — and
-        # therefore the solver's emitted-operation order and Work counts
-        # — becomes reproducible across processes.
-        return hash(self.value)
+        # signatures) in every Term hash, so it hashes to a constant:
+        # its value's seed-free string hash (see repro.constraints.hashing),
+        # which keeps term-set iteration order, and so the solver's
+        # Work counts, the same in every process.
+        return str_hash(self.value)
 
 
 #: Shorthands used throughout signature declarations.

@@ -6,8 +6,8 @@ embarrassingly parallel, and this package shards it across processes
 without giving up the repo's determinism contract: parallel reports are
 byte-identical to serial ones modulo wall-clock fields, because a serial
 run calls the very same worker inline, results are assembled in task
-submission order, and every child runs under a pinned
-``PYTHONHASHSEED``.
+submission order, and expressions hash seed-free, so a child under any
+hash seed reproduces the parent's counters.
 
 Entry points: ``python -m repro.bench --jobs N`` and ``python -m
 repro.resilience fuzz --jobs N``.  The workers live with their jobs

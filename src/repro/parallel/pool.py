@@ -7,10 +7,10 @@ the repo depends on:
 
 * **Determinism.**  Results are returned in *task submission order*,
   never completion order, so a parallel run assembles the exact same
-  report a serial loop would.  ``PYTHONHASHSEED`` is pinned to ``0``
-  for child interpreters unless the environment already pins it —
-  work counts of the Online configurations are exact cross-process
-  oracles only under a pinned hash seed (see :mod:`repro.bench`).
+  report a serial loop would.  Children need no pinned hash seed:
+  expressions hash seed-free (:mod:`repro.constraints.hashing`), so a
+  forked or spawned worker reproduces the parent's work counts under
+  any hash seed.
 * **Crash isolation.**  Each in-flight task runs in its own process;
   a worker dying (segfault, OOM-kill) cannot poison a shared pool.
   Crashes and per-task timeouts are retried up to ``retries`` times
@@ -36,8 +36,6 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
-import subprocess
-import sys
 import time
 import traceback
 from collections import deque
@@ -63,8 +61,7 @@ def default_jobs() -> int:
 
 
 def _default_start_method() -> str:
-    """``fork`` where available (fast, inherits the pinned hash seed),
-    else ``spawn``."""
+    """``fork`` where available (fast), else ``spawn``."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
@@ -134,33 +131,6 @@ class _Running:
         self.deadline = deadline
 
 
-def _pin_hash_seed() -> None:
-    """Pin ``PYTHONHASHSEED=0`` for child interpreters.
-
-    Work counts of the Online configurations hash-partition sets, so a
-    spawn-started child with a random hash seed would disagree with the
-    parent.  Setting the variable here only affects interpreters
-    started afterwards; fork children inherit the parent's (already
-    initialized) hash state either way.
-    """
-    if os.environ.get("PYTHONHASHSEED") is None:
-        os.environ["PYTHONHASHSEED"] = "0"
-
-
-def repin_hash_seed(module: str, argv: List[str]) -> Optional[int]:
-    """Re-run ``python -m module *argv`` once with ``PYTHONHASHSEED=0``.
-
-    The CLIs whose output carries work counts call this first.  Returns
-    ``None`` without re-executing when ``PYTHONHASHSEED`` is already
-    set (including in the re-executed child), else the child's exit
-    code.
-    """
-    if os.environ.get("PYTHONHASHSEED") is not None:
-        return None
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    return subprocess.call([sys.executable, "-m", module, *argv], env=env)
-
-
 def run_tasks(
     worker: Callable[[Any], Any],
     tasks: Sequence[TaskSpec],
@@ -187,7 +157,6 @@ def run_tasks(
     tasks = list(tasks)
     if jobs is None or jobs <= 0:
         jobs = default_jobs()
-    _pin_hash_seed()
     ctx = multiprocessing.get_context(_default_start_method())
     results: List[Optional[TaskResult]] = [None] * len(tasks)
     queue: deque = deque((index, 1) for index in range(len(tasks)))

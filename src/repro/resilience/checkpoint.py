@@ -16,12 +16,10 @@ What a checkpoint holds (format :data:`CHECKPOINT_VERSION`):
   periodic-sweep position, diagnostics, and the engine's
   :class:`~repro.resilience.budget.SolveStatus`;
 * verification metadata — options label, order name,
-  variable/constraint/constructor counts, a string-hash probe and the
-  capturing process' ``PYTHONHASHSEED`` — and the graph's ``ranks``
+  variable/constraint/constructor counts — and the graph's ``ranks``
   list.  :func:`restore` refuses (with
   :class:`~repro.resilience.errors.CheckpointError`) to resume against
-  a different system, configuration, variable order or string-hash
-  seed.
+  a different system, configuration or variable order.
 
 Determinism: a resumed run must reproduce the *exact* final counters of
 an uninterrupted run (the regression tests enforce this against the
@@ -35,9 +33,9 @@ cancellation token) and :func:`restore` replays each bucket's journal
 into a fresh set — byte-for-byte the same layout the interrupted run
 had.  :func:`capture` refuses engines that ran without journaling.
 Replaying a journal reproduces a layout only under the same hash
-function: ``Term`` hashes fold in constructor-name string hashes, which
-follow ``PYTHONHASHSEED``, so a resume under another seed would
-silently diverge and is refused instead.
+function, and expression hashes are seed-free
+(:mod:`repro.constraints.hashing`), so a checkpoint resumes in any
+process under any hash seed.
 Trace sinks are not checkpointed — the restored engine attaches
 whatever sinks the supplied options carry.
 
@@ -62,7 +60,6 @@ construction (which is how every workload in this repo is built).
 from __future__ import annotations
 
 import io
-import os
 import pickle
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
@@ -78,11 +75,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..solver.options import SolverOptions
 
 #: Format version; bump on any breaking change to the payload shape.
-CHECKPOINT_VERSION = 3
-
-#: Hashed into every checkpoint: equal across processes only when they
-#: share a string-hash seed (and hence every set's layout).
-_HASH_PROBE = "repro.checkpoint"
+CHECKPOINT_VERSION = 4
 
 #: Leading magic in the byte encoding, so stray pickles are rejected.
 _MAGIC = b"repro-ckpt\x00"
@@ -286,8 +279,6 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
             # after the system has grown (fresh_var between batches).
             "num_constructors": len(engine.system._constructors),
             "order": engine.options.order_spec().name,
-            "hash_probe": hash(_HASH_PROBE),
-            "hash_seed": os.environ.get("PYTHONHASHSEED"),
         },
         # The *materialized* rank array, not the order spec: a spec
         # like RandomOrder re-run over a grown variable count would
@@ -350,13 +341,6 @@ def restore(
         mismatches.append(
             f"variable order {options.order_spec().name!r} != saved "
             f"{saved_order!r}"
-        )
-    if meta["hash_probe"] != hash(_HASH_PROBE):
-        seed = meta["hash_seed"]
-        mismatches.append(
-            "string hashes differ from the capturing process"
-            + (f" (captured under PYTHONHASHSEED={seed})"
-               if seed is not None else "")
         )
     if sorted(saved_ranks) != list(range(len(saved_ranks))):
         mismatches.append(

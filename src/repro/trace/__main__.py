@@ -14,10 +14,6 @@ Traced suite runs are ``python -m repro.bench --trace DIR``: per-run
 telemetry, Chrome spans and each experiment's mean partial-search
 visits (Theorem 5.2 bounds it at about 2.2).  Figure 11's detection
 rates are ``python -m repro.experiments figure11``.
-
-Work counters are exact cross-process oracles only under a pinned hash
-seed, so (like ``repro.bench``) the process re-executes itself once with
-``PYTHONHASHSEED=0`` unless a seed is already set.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..parallel.pool import repin_hash_seed
 from .chrome import convert_jsonl
 from .sinks import JsonlSink
 
@@ -36,16 +31,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.trace",
         description="solver event tracing, profiling, and telemetry",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--no-pin-hashseed", action="store_true",
-        help="do not re-exec with PYTHONHASHSEED=0 (work counts of "
-             "Online configurations then vary between processes)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     record = sub.add_parser(
-        "record", parents=[common],
+        "record",
         help="full JSONL event log of one benchmark run",
     )
     record.add_argument("--benchmark", required=True, metavar="NAME")
@@ -148,12 +137,7 @@ def _cmd_convert(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
-    if args.command != "convert" and not args.no_pin_hashseed:
-        code = repin_hash_seed("repro.trace", argv)
-        if code is not None:
-            return code
     if args.command == "record":
         return _cmd_record(args)
     return _cmd_convert(args)

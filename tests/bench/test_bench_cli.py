@@ -1,15 +1,14 @@
 """Exit-code contract of ``python -m repro.bench``.
 
-The tests call ``main`` in-process with ``--no-pin-hashseed`` (the
-re-exec would escape pytest) and a one-experiment slice of the quick
-suite to stay fast.
+The tests call ``main`` in-process with a one-experiment slice of the
+quick suite to stay fast.
 """
 
 import json
 
 from repro.bench.__main__ import main
 
-FAST = ["--no-pin-hashseed", "--experiments", "SF-Plain", "--repeats", "1"]
+FAST = ["--experiments", "SF-Plain", "--repeats", "1"]
 
 
 def run_cli(*extra):
@@ -105,8 +104,7 @@ class TestCli:
         assert "repro_solver_edges_total" in exposition
 
     def test_unknown_experiment_label_exits_two(self, capsys):
-        assert main(["--no-pin-hashseed",
-                     "--experiments", "NOT-A-LABEL"]) == 2
+        assert main(["--experiments", "NOT-A-LABEL"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_unknown_label_is_one_error_line_under_any_jobs(self, capsys):
@@ -114,7 +112,7 @@ class TestCli:
         fails like a serial one instead of once per worker."""
         outputs = []
         for jobs in ("1", "2"):
-            code = main(["--no-pin-hashseed", "--repeats", "1",
+            code = main(["--repeats", "1",
                          "--experiments", "SF-Bogus", "--jobs", jobs])
             captured = capsys.readouterr()
             assert code == 2

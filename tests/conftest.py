@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import ConstraintSystem, Variance
@@ -24,6 +26,24 @@ def solver_options(request):
     """Parametrized solver options covering all six experiments."""
     form, policy = request.param
     return SolverOptions(form=form, cycles=policy)
+
+
+#: The committed counter baseline (quick suite, seed 0).
+BASELINE_PATH = (
+    Path(__file__).resolve().parent.parent / "benchmarks" / "BASELINE.json"
+)
+
+
+@pytest.fixture(scope="session")
+def baseline_counters():
+    """``BASELINE.json``'s counters by ``(benchmark, experiment)``."""
+    from repro.bench.baseline import load_report
+
+    report = load_report(str(BASELINE_PATH))
+    return {
+        (record.benchmark, record.experiment): record.counters
+        for record in report.records
+    }
 
 
 @pytest.fixture

@@ -21,12 +21,7 @@ BENCHES = ["allroots", "anagram"]
 
 
 class TestBenchParity:
-    def test_jobs4_report_matches_serial(self, monkeypatch):
-        # The parallel path pins PYTHONHASHSEED=0 into the environment
-        # for its workers; pin it up front so the serial report records
-        # the same hash_seed metadata (counters are unaffected — fork
-        # workers share the parent's hash state either way).
-        monkeypatch.setenv("PYTHONHASHSEED", "0")
+    def test_jobs4_report_matches_serial(self):
         serial = run_bench("quick", benchmarks=BENCHES, repeats=1)
         parallel = run_bench("quick", benchmarks=BENCHES, repeats=1,
                              jobs=4)
@@ -89,21 +84,19 @@ class TestBenchParity:
         from repro.bench.__main__ import main
 
         code = main([
-            "--no-pin-hashseed", "--jobs", "2",
+            "--jobs", "2",
             "--experiments", "SF-Plain", "--repeats", "1",
             "--timeout", "0.000001",
         ])
         assert code == 3
         assert "timeout" in capsys.readouterr().err
 
-    def test_parallel_cli_report_matches_serial_cli(self, tmp_path,
-                                                    monkeypatch):
+    def test_parallel_cli_report_matches_serial_cli(self, tmp_path):
         from repro.bench.__main__ import main
 
-        monkeypatch.setenv("PYTHONHASHSEED", "0")
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
-        base = ["--no-pin-hashseed", "--experiments", "SF-Online",
+        base = ["--experiments", "SF-Online",
                 "IF-Online", "--repeats", "1"]
         assert main([*base, "--write-baseline", str(serial)]) == 0
         assert main([*base, "--write-baseline", str(parallel),

@@ -173,31 +173,23 @@ class TestMapTasks:
             map_tasks(raiser, [TaskSpec("a", 1)])
 
 
-class TestRepinHashSeed:
-    """The CLIs' one-shot ``PYTHONHASHSEED=0`` re-exec."""
-
-    def test_no_reexec_when_hash_seed_already_set(self, monkeypatch):
+class TestSpawnedWorkers:
+    def test_spawned_workers_under_random_seed_match_baseline(
+        self, monkeypatch, baseline_counters
+    ):
+        """Spawned children start fresh interpreters with their own
+        random hash seeds and still reproduce the committed counters."""
+        from repro.bench.harness import run_bench
         from repro.parallel import pool
 
-        def reexec(*args, **kwargs):
-            raise AssertionError("re-executed despite a pinned seed")
-
-        monkeypatch.setenv("PYTHONHASHSEED", "123")
-        monkeypatch.setattr(pool.subprocess, "call", reexec)
-        assert pool.repin_hash_seed("repro.bench", ["--jobs", "2"]) is None
-
-    def test_reexecs_module_once_with_seed_zero(self, monkeypatch):
-        from repro.parallel import pool
-
-        calls = []
-
-        def reexec(command, env):
-            calls.append((command, env))
-            return 3
-
-        monkeypatch.delenv("PYTHONHASHSEED", raising=False)
-        monkeypatch.setattr(pool.subprocess, "call", reexec)
-        assert pool.repin_hash_seed("repro.trace", ["record"]) == 3
-        (command, env), = calls
-        assert command[1:] == ["-m", "repro.trace", "record"]
-        assert env["PYTHONHASHSEED"] == "0"
+        monkeypatch.setattr(pool, "_default_start_method", lambda: "spawn")
+        monkeypatch.setenv("PYTHONHASHSEED", "random")
+        labels = ["SF-Online", "IF-Online"]
+        report = run_bench("quick", experiments=labels, jobs=2)
+        assert {
+            (record.benchmark, record.experiment): record.counters
+            for record in report.records
+        } == {
+            key: counters for key, counters in baseline_counters.items()
+            if key[1] in labels
+        }

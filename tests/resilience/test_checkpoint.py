@@ -97,18 +97,17 @@ def test_bytes_rejects_garbage_and_bad_versions():
 
 def test_version_one_payload_refused():
     """Format 2 dropped v1's union-find count, recorded var-edge keys
-    and form name; format 3 added the string-hash probe.  Older
-    checkpoints are refused, not half-read."""
+    and form name; format 3 added a string-hash probe, which format 4
+    dropped with seed-free expression hashes.  Older checkpoints are
+    refused, not half-read."""
     system = make_system()
     engine = SolverEngine(system, SolverOptions(checkpointable=True))
     engine.run()
     checkpoint = capture(engine)
-    assert checkpoint.version == 3
+    assert checkpoint.version == 4
     assert "form" not in checkpoint.payload["meta"]
-    assert checkpoint.payload["meta"]["hash_probe"] == hash(
-        "repro.checkpoint"
-    )
-    for old_version in (1, 2):
+    assert "hash_probe" not in checkpoint.payload["meta"]
+    for old_version in (1, 2, 3):
         checkpoint.version = old_version
         with pytest.raises(CheckpointError, match="version"):
             EngineCheckpoint.from_bytes(checkpoint.to_bytes())
@@ -162,97 +161,74 @@ def test_restored_engine_is_checkpointable_again():
     capture(second)  # must not raise
 
 
-#: Subprocess script: interrupt a baseline benchmark mid-closure,
-#: checkpoint, restore, resume, and compare the final work counters
-#: against the committed benchmarks/BASELINE.json record.  Runs in a
-#: child process because baseline counters are pinned to
-#: PYTHONHASHSEED=0 while the test suite runs under any hash seed.
-_BASELINE_SCRIPT = """
+@pytest.mark.parametrize("label", ("SF-Online", "IF-Online"))
+def test_resume_reproduces_committed_baseline(label, baseline_counters):
+    """Interrupt a quick-suite benchmark mid-closure, checkpoint,
+    restore and resume: the final counters equal the committed
+    ``benchmarks/BASELINE.json`` record, under any hash seed."""
+    from repro.workloads import benchmark
+
+    want = baseline_counters["allroots", label]
+    system = benchmark("allroots").program.system
+    engine = SolverEngine(system, options_for(
+        label, budget=SolveBudget(max_work=want["work"] // 2),
+        on_budget="partial", check_stride=1,
+    ))
+    assert engine.run().is_partial
+    resumed = restore(
+        system,
+        options_for(label, checkpointable=True),
+        EngineCheckpoint.from_bytes(capture(engine).to_bytes()),
+    )
+    assert counters_of(resumed.resume()) == want
+
+
+#: Subprocess script, run under its own hash seed: stop allroots'
+#: IF-Online solve after argv[3] work and save a checkpoint to argv[2]
+#: (argv[1] == "capture"), or restore that checkpoint, resume it and
+#: print the final counters as JSON.
+_CROSS_SEED_SCRIPT = """
 import json, sys
 from repro.bench.measure import counters_of
 from repro.experiments.config import options_for
-from repro.resilience import (EngineCheckpoint, SolveBudget, capture,
-                              restore)
+from repro.resilience import EngineCheckpoint, SolveBudget, capture, restore
 from repro.solver import SolverEngine
-from repro.workloads import suite
+from repro.workloads import benchmark
 
-label, bench_name = sys.argv[1], sys.argv[2]
-baseline = json.load(open("benchmarks/BASELINE.json"))
-record = next(r for r in baseline["records"]
-              if r["benchmark"] == bench_name and r["experiment"] == label)
-system = next(b for b in suite("quick") if b.name == bench_name
-              ).program.system
-engine = SolverEngine(system, options_for(
-    label, budget=SolveBudget(max_work=record["counters"]["work"] // 2),
-    on_budget="partial", check_stride=1,
-))
-assert engine.run().is_partial
-blob = capture(engine).to_bytes()
-resumed = restore(system, options_for(label, checkpointable=True),
-                  EngineCheckpoint.from_bytes(blob))
-got = counters_of(resumed.resume())
-want = record["counters"]
-assert got == want, f"resumed counters {got} != baseline {want}"
-print("ok")
-"""
-
-
-@pytest.mark.parametrize("label", ("SF-Online", "IF-Online"))
-def test_resume_reproduces_committed_baseline(label):
-    env = dict(os.environ, PYTHONHASHSEED="0",
-               PYTHONPATH=os.path.join(os.getcwd(), "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", _BASELINE_SCRIPT, label, "allroots"],
-        capture_output=True, text=True, env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__)))),
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"
-
-
-#: Subprocess script: capture (argv[1] == "capture") or restore a run
-#: of the module's random system through the checkpoint file argv[2].
-_CROSS_SEED_SCRIPT = """
-import sys
-from repro.resilience import (CheckpointError, EngineCheckpoint, capture,
-                              restore)
-from repro.solver import SolverEngine, SolverOptions
-from repro.workloads.generator import RandomSystemConfig, random_system
-
-system = random_system(RandomSystemConfig(seed=5, variables=28,
-                                          var_var=46, feedback=0.35))
-options = SolverOptions(checkpointable=True)
+system = benchmark("allroots").program.system
 if sys.argv[1] == "capture":
-    engine = SolverEngine(system, options)
-    engine.run()
+    engine = SolverEngine(system, options_for(
+        "IF-Online", budget=SolveBudget(max_work=int(sys.argv[3])),
+        on_budget="partial", check_stride=1,
+    ))
+    assert engine.run().is_partial
     capture(engine).save(sys.argv[2])
 else:
-    try:
-        restore(system, options, EngineCheckpoint.load(sys.argv[2]))
-    except CheckpointError as error:
-        print(error)
+    engine = restore(system, options_for("IF-Online", checkpointable=True),
+                     EngineCheckpoint.load(sys.argv[2]))
+    print(json.dumps(counters_of(engine.resume())))
 """
 
 
-def test_restore_refuses_another_hash_seed(tmp_path):
-    """Bucket layout follows string hashes; resuming a capture made
-    under another PYTHONHASHSEED would silently diverge."""
+def test_resume_under_another_hash_seed(tmp_path, baseline_counters):
+    """Expression hashes are seed-free, so a capture made under
+    PYTHONHASHSEED=0 resumes under seed 1 to the uninterrupted run's
+    exact counters."""
+    want = baseline_counters["allroots", "IF-Online"]
     path = str(tmp_path / "run.ckpt")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))), "src")
     outputs = []
     for step, seed in (("capture", "0"), ("restore", "1")):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.path.join(os.getcwd(), "src"))
         result = subprocess.run(
-            [sys.executable, "-c", _CROSS_SEED_SCRIPT, step, path],
-            capture_output=True, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.abspath(__file__)))),
+            [sys.executable, "-c", _CROSS_SEED_SCRIPT, step, path,
+             str(want["work"] // 2)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
         )
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
-    assert "string hashes differ" in outputs[1]
-    assert "PYTHONHASHSEED=0" in outputs[1]
+    assert json.loads(outputs[1]) == want
 
 
 # ----------------------------------------------------------------------

@@ -97,68 +97,37 @@ class TestOverheadGuard:
         sink.close()
 
 
-_BASELINE_IDENTITY_SCRIPT = """
-import json, sys
-from repro.experiments.config import EXPERIMENT_LABELS, options_for
-from repro.metrics import MetricsRegistry, MetricsSink
-from repro.solver import solve
-from repro.bench.measure import counters_of
-from repro.workloads import suite
-
-registry = MetricsRegistry()
-registry.disable()
-out = {}
-for bench in suite("quick"):
-    system = bench.program.system
-    for label in EXPERIMENT_LABELS:
-        options = options_for(label, seed=0)
-        sink = MetricsSink.for_options(
-            options, registry, suite="quick", benchmark=bench.name
-        )
-        solution = solve(system, options.replace(sink=sink))
-        out[bench.name + "/" + label] = counters_of(solution)
-json.dump(out, sys.stdout, sort_keys=True)
-"""
-
-
 class TestBaselineIdentity:
     """A registered-but-disabled MetricsSink must not perturb counters.
 
-    Runs the whole quick suite in a ``PYTHONHASHSEED=0`` subprocess
-    (the baseline's pin; Online work counts are only oracles under it)
-    with a disabled :class:`~repro.metrics.sink.MetricsSink` attached
-    to every solve, and demands the counters of every configuration
-    come out byte-identical to ``benchmarks/BASELINE.json``.
+    Solves the whole quick suite with a disabled
+    :class:`~repro.metrics.sink.MetricsSink` attached to every solve,
+    and demands the counters of every configuration equal
+    ``benchmarks/BASELINE.json``'s, under whatever hash seed the test
+    run has.
     """
 
-    def test_disabled_metrics_counters_match_baseline(self):
-        import os
-        import subprocess
-        import sys
+    def test_disabled_metrics_counters_match_baseline(
+        self, baseline_counters
+    ):
+        from repro.experiments.config import EXPERIMENT_LABELS, options_for
+        from repro.metrics import MetricsRegistry, MetricsSink
+        from repro.workloads import suite
 
-        repo = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        env = dict(
-            os.environ,
-            PYTHONHASHSEED="0",
-            PYTHONPATH=os.path.join(repo, "src"),
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", _BASELINE_IDENTITY_SCRIPT],
-            capture_output=True, text=True, env=env, timeout=600,
-        )
-        assert result.returncode == 0, result.stderr
-        baseline_path = os.path.join(repo, "benchmarks", "BASELINE.json")
-        with open(baseline_path, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        expected = {
-            f"{record['benchmark']}/{record['experiment']}":
-                record["counters"]
-            for record in baseline["records"]
-        }
-        expected_bytes = json.dumps(expected, sort_keys=True).encode()
-        assert result.stdout.encode() == expected_bytes
+        registry = MetricsRegistry()
+        registry.disable()
+        got = {}
+        for bench in suite("quick"):
+            for label in EXPERIMENT_LABELS:
+                options = options_for(label, seed=0)
+                sink = MetricsSink.for_options(
+                    options, registry, suite="quick", benchmark=bench.name
+                )
+                solution = solve(
+                    bench.program.system, options.replace(sink=sink)
+                )
+                got[bench.name, label] = counters_of(solution)
+        assert got == baseline_counters
 
 
 class TestEventStream:

@@ -1,6 +1,5 @@
 """Smoke tests for ``python -m repro.trace`` (in-process, like the
-bench CLI tests: ``--no-pin-hashseed`` keeps the re-exec from escaping
-pytest, and runs use one quick-suite benchmark)."""
+bench CLI tests; runs use one quick-suite benchmark)."""
 
 import json
 
@@ -23,7 +22,7 @@ class TestSubcommands:
 class TestRecordAndConvert:
     def test_record_then_convert_round_trips(self, tmp_path, capsys):
         jsonl = tmp_path / "run.jsonl"
-        assert main(["record", "--no-pin-hashseed",
+        assert main(["record",
                      "--benchmark", "allroots", "--suite", "quick",
                      "--experiment", "IF-Online",
                      "--out", str(jsonl)]) == 0
@@ -39,7 +38,7 @@ class TestRecordAndConvert:
         assert "dropped_instants" in document["otherData"]
 
     def test_record_unknown_benchmark_exits_two(self, tmp_path, capsys):
-        assert main(["record", "--no-pin-hashseed",
+        assert main(["record",
                      "--benchmark", "nope", "--suite", "quick",
                      "--out", str(tmp_path / "x.jsonl")]) == 2
         assert "nope" in capsys.readouterr().err
