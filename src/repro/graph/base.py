@@ -50,6 +50,16 @@ OP_RESOLVE = "rr"
 Op = Tuple[str, object, object]
 
 
+def empty_sets(count: int) -> List[Set]:
+    """``count`` new empty sets: natively when the kernel built."""
+    # Imported late: repro.solver imports this module.
+    from ..solver.native import kernel
+
+    if kernel is None:
+        return [set() for _ in range(count)]
+    return kernel.empty_sets(count)
+
+
 class ConstraintGraphBase:
     """State and behaviour common to SF and IF graphs.
 
@@ -83,10 +93,10 @@ class ConstraintGraphBase:
         self.parent: List[int] = list(range(num_vars))
         #: the order o(.): ``ranks[i] = o(X_i)``, a permutation
         self.ranks: List[int] = order.ranks(num_vars)
-        self.succ_vars: List[Set[int]] = [set() for _ in range(num_vars)]
-        self.pred_vars: List[Set[int]] = [set() for _ in range(num_vars)]
-        self.sources: List[Set[Term]] = [set() for _ in range(num_vars)]
-        self.sinks: List[Set[Term]] = [set() for _ in range(num_vars)]
+        self.succ_vars: List[Set[int]] = empty_sets(num_vars)
+        self.pred_vars: List[Set[int]] = empty_sets(num_vars)
+        self.sources: List[Set[Term]] = empty_sets(num_vars)
+        self.sinks: List[Set[Term]] = empty_sets(num_vars)
         # Insertion journals (checkpoint support): parallel per-variable
         # lists recording each bucket's successful insertions in order.
         # A set's iteration order — which the solver's Work counts depend

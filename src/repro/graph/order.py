@@ -27,6 +27,21 @@ class OrderSpec(Protocol):
         """Return ``rank[i] = o(X_i)``, a permutation of ``0..n-1``."""
 
 
+def shuffled_ranks(seed: object, num_vars: int) -> List[int]:
+    """The ranks of ``random.Random(seed).shuffle`` over the variables.
+
+    The reference for the native kernel's ``random_ranks``, which
+    :meth:`RandomOrder.ranks` calls when it built.
+    """
+    positions = list(range(num_vars))
+    random.Random(seed).shuffle(positions)
+    # positions[r] = which variable has rank r; invert to rank-by-var.
+    ranks = [0] * num_vars
+    for rank, var_index in enumerate(positions):
+        ranks[var_index] = rank
+    return ranks
+
+
 class RandomOrder:
     """A uniformly random order, deterministic in the seed (the default)."""
 
@@ -35,13 +50,13 @@ class RandomOrder:
         self.name = f"random(seed={seed})"
 
     def ranks(self, num_vars: int) -> List[int]:
-        positions = list(range(num_vars))
-        random.Random(self.seed).shuffle(positions)
-        # positions[r] = which variable has rank r; invert to rank-by-var.
-        ranks = [0] * num_vars
-        for rank, var_index in enumerate(positions):
-            ranks[var_index] = rank
-        return ranks
+        # Imported late: repro.solver imports this package.
+        from ..solver.native import kernel
+
+        if kernel is None or num_vars > 2 ** 31:
+            return shuffled_ranks(self.seed, num_vars)
+        return kernel.random_ranks(
+            random.Random(self.seed).getrandbits, num_vars)
 
 
 class CreationOrder:

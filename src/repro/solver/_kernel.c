@@ -1,4 +1,4 @@
-/* The native closure kernel.
+/* The native closure kernel and the solve envelope around it.
 
    A transliteration of repro.solver.kernel.run_kernel and of
    repro.graph.cycles.find_chain_path.  It executes the same worklist
@@ -16,13 +16,27 @@
    bounds-checked as Python's list indexing checks it (negative indices
    count from the end), so a stale index raises IndexError here too.
 
+   The envelope transliterates the rest of a batch solve: the system's
+   validation, the random order's ranks and the graph's empty buckets,
+   the final edge counts and both forms' least solutions (see "The solve
+   envelope" below).
+
    repro.solver.native compiles this file on first import and calls
    bind() with the Python kernel module; the worklist tags, the Term and
    Var classes and the constructors 0 and 1 come from there. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+
+/* Py_T_OBJECT_EX and Py_READONLY are in Python.h from 3.12 on. */
+#if PY_VERSION_HEX < 0x030C0000
+#include <structmember.h>
+#define Py_T_OBJECT_EX T_OBJECT_EX
+#define Py_READONLY READONLY
+#endif
 
 /* CPython 3.10-3.12 export _PySet_NextEntry: it walks a set's table in
    the order the set iterator does, without an iterator object.  Other
@@ -75,6 +89,9 @@ static PyObject *S_constructor, *S_index, *S_plan, *S_flat_plan;
 static PyObject *S_resolve_generic, *S_edge, *S_resolve, *S_search_start;
 static PyObject *S_search_visit, *S_search_end;
 static PyObject *S_added, *S_redundant_outcome, *S_self, *S_cycle;
+static PyObject *S__vars, *S__constructors, *S__constraints, *S_validate;
+static PyObject *S_name, *S_signature, *S_num_vars, *S_finalize_statistics;
+static PyObject *S_compute_least_solution;
 
 static struct {
     PyObject **slot;
@@ -126,6 +143,15 @@ static struct {
     {&S_redundant_outcome, "redundant"},
     {&S_self, "self"},
     {&S_cycle, "cycle"},
+    {&S__vars, "_vars"},
+    {&S__constructors, "_constructors"},
+    {&S__constraints, "_constraints"},
+    {&S_validate, "validate"},
+    {&S_name, "name"},
+    {&S_signature, "signature"},
+    {&S_num_vars, "num_vars"},
+    {&S_finalize_statistics, "finalize_statistics"},
+    {&S_compute_least_solution, "compute_least_solution"},
     {NULL, NULL},
 };
 
@@ -1744,6 +1770,956 @@ finally:
 }
 
 /* ------------------------------------------------------------------ */
+/* The solve envelope                                                   */
+/* ------------------------------------------------------------------ */
+
+/* What SolverEngine.run does around run_kernel: validation, the random
+   order and the buckets of a new graph, the final edge counts and the
+   least solution.  Each function produces exactly the state its Python
+   reference produces.  Where the state holds anything the reference
+   handles by its generic Python semantics (a subclass, an index out of
+   range, an attribute that is not set), the function stops and calls
+   the reference, which then raises or does what it always did; the
+   native work done before that point (find's path compression) is a
+   prefix of the reference's own, so calling it is safe. */
+
+/* The result a step returns when it hands over to its reference. */
+#define HAND_OVER 1
+
+/* The offset of a __slots__ member of a class, or -1. */
+static Py_ssize_t
+slot_offset(PyObject *type, const char *name)
+{
+    PyMemberDef *member = ((PyTypeObject *)type)->tp_members;
+    for (; member != NULL && member->name != NULL; member++) {
+        if (strcmp(member->name, name) == 0
+                && member->type == Py_T_OBJECT_EX
+                && !(member->flags & Py_READONLY)) {
+            return member->offset;
+        }
+    }
+    return -1;
+}
+
+static PyObject *ConstructorType;
+static Py_ssize_t var_index_offset, term_args_offset, term_ctor_offset;
+
+/* The object in a __slots__ member (borrowed), or NULL when the member
+   is unset or the offset unknown. */
+static PyObject *
+slot_value(PyObject *object, Py_ssize_t offset)
+{
+    return offset < 0 ? NULL : *(PyObject **)((char *)object + offset);
+}
+
+/* Constructors already checked by one validation, by address. */
+#define CONSTRUCTOR_CACHE 64
+
+typedef struct {
+    PyObject *constructor;
+    Py_ssize_t arity;
+} CheckedConstructor;
+
+/* Whether `ctor` is a plain Constructor whose name is unregistered or
+   registered with an identical signature: 1 with its arity, 0 to hand
+   over, -1 on error. */
+static int
+constructor_ok(PyObject *registered, PyObject *ctor, Py_ssize_t *arity)
+{
+    PyObject *name, *signature, *known, *known_signature = NULL;
+    Py_ssize_t i;
+    int ok = 0;
+    if (Py_TYPE(ctor) != (PyTypeObject *)ConstructorType) {
+        return 0;
+    }
+    name = PyObject_GetAttr(ctor, S_name);
+    if (name == NULL) {
+        return -1;
+    }
+    signature = PyObject_GetAttr(ctor, S_signature);
+    if (signature == NULL) {
+        Py_DECREF(name);
+        return -1;
+    }
+    if (!PyUnicode_CheckExact(name) || !PyTuple_CheckExact(signature)) {
+        goto done;
+    }
+    known = PyDict_GetItemWithError(registered, name);
+    if (known == NULL) {
+        if (PyErr_Occurred()) {
+            ok = -1;
+            goto done;
+        }
+    }
+    else if (known != ctor) {
+        /* `known.signature != ctor.signature` with only identical
+           variances counting as equal; anything else is handed over. */
+        known_signature = PyObject_GetAttr(known, S_signature);
+        if (known_signature == NULL) {
+            ok = -1;
+            goto done;
+        }
+        if (!PyTuple_CheckExact(known_signature)
+                || PyTuple_GET_SIZE(known_signature)
+                   != PyTuple_GET_SIZE(signature)) {
+            goto done;
+        }
+        for (i = 0; i < PyTuple_GET_SIZE(signature); i++) {
+            if (PyTuple_GET_ITEM(signature, i)
+                    != PyTuple_GET_ITEM(known_signature, i)) {
+                goto done;
+            }
+        }
+    }
+    *arity = PyTuple_GET_SIZE(signature);
+    ok = 1;
+done:
+    Py_DECREF(name);
+    Py_DECREF(signature);
+    Py_XDECREF(known_signature);
+    return ok;
+}
+
+/* Room for `needed` entries on a stack of borrowed references. */
+static int
+grow_stack(PyObject ***stack, Py_ssize_t *capacity, Py_ssize_t needed)
+{
+    Py_ssize_t size = 2 * needed + 16;
+    PyObject **grown = PyMem_Realloc(*stack, size * sizeof **stack);
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *stack = grown;
+    *capacity = size;
+    return 0;
+}
+
+/* ConstraintSystem.validate's walk: 0 when every constraint is valid,
+   HAND_OVER at the first node it does not pass, -1 on error.  Only
+   plain Var and Term objects pass; the walk reads slots, tuples and a
+   str-keyed dict, so no Python code runs and borrowed references stay
+   valid throughout. */
+static int
+validate_walk(PyObject *system)
+{
+    PyObject *vars = NULL, *registered = NULL, *constraints = NULL;
+    PyObject *pair, *node, *ctor, *args, *index_object;
+    PyObject **stack = NULL;
+    CheckedConstructor checked[CONSTRUCTOR_CACHE];
+    Py_ssize_t depth = 0, capacity = 0, num_vars, position, index, arity, i;
+    size_t slot;
+    int rc = -1, ok;
+
+    memset(checked, 0, sizeof checked);
+    if ((vars = PyObject_GetAttr(system, S__vars)) == NULL
+            || (registered = PyObject_GetAttr(system,
+                                              S__constructors)) == NULL
+            || (constraints = PyObject_GetAttr(system,
+                                               S__constraints)) == NULL) {
+        goto done;
+    }
+    rc = HAND_OVER;
+    if (!PyList_CheckExact(vars) || !PyDict_CheckExact(registered)
+            || !PyList_CheckExact(constraints)) {
+        goto done;
+    }
+    num_vars = PyList_GET_SIZE(vars);
+    for (position = 0; position < PyList_GET_SIZE(constraints); position++) {
+        pair = PyList_GET_ITEM(constraints, position);
+        if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            goto done;
+        }
+        if (capacity < 2 && grow_stack(&stack, &capacity, 2) < 0) {
+            rc = -1;
+            goto done;
+        }
+        stack[0] = PyTuple_GET_ITEM(pair, 0);
+        stack[1] = PyTuple_GET_ITEM(pair, 1);
+        depth = 2;
+        while (depth > 0) {
+            node = stack[--depth];
+            if (Py_TYPE(node) == (PyTypeObject *)VarType) {
+                index_object = slot_value(node, var_index_offset);
+                if (index_object == NULL || !PyLong_CheckExact(index_object)) {
+                    goto done;
+                }
+                index = PyLong_AsSsize_t(index_object);
+                if (index == -1 && PyErr_Occurred()) {
+                    PyErr_Clear();
+                    goto done;
+                }
+                if (index < 0 || index >= num_vars) {
+                    goto done;
+                }
+            }
+            else if (Py_TYPE(node) == (PyTypeObject *)TermType) {
+                ctor = slot_value(node, term_ctor_offset);
+                args = slot_value(node, term_args_offset);
+                if (ctor == NULL || args == NULL || !PyTuple_CheckExact(args)) {
+                    goto done;
+                }
+                slot = ((size_t)ctor >> 4) % CONSTRUCTOR_CACHE;
+                if (checked[slot].constructor == ctor) {
+                    arity = checked[slot].arity;
+                }
+                else {
+                    ok = constructor_ok(registered, ctor, &arity);
+                    if (ok <= 0) {
+                        rc = ok < 0 ? -1 : HAND_OVER;
+                        goto done;
+                    }
+                    checked[slot].constructor = ctor;
+                    checked[slot].arity = arity;
+                }
+                if (PyTuple_GET_SIZE(args) != arity) {
+                    goto done;
+                }
+                if (depth + arity > capacity
+                        && grow_stack(&stack, &capacity, depth + arity) < 0) {
+                    rc = -1;
+                    goto done;
+                }
+                for (i = 0; i < arity; i++) {
+                    stack[depth++] = PyTuple_GET_ITEM(args, i);
+                }
+            }
+            else {
+                goto done;
+            }
+        }
+    }
+    rc = 0;
+done:
+    PyMem_Free(stack);
+    Py_XDECREF(vars);
+    Py_XDECREF(registered);
+    Py_XDECREF(constraints);
+    return rc;
+}
+
+PyDoc_STRVAR(validate_doc,
+"validate(system)\n--\n\n"
+"Check every constraint as :meth:`ConstraintSystem.validate` does;\n"
+"when one fails, call that method, which raises the same\n"
+":class:`InvalidSystemError` for it.");
+
+static PyObject *
+validate(PyObject *module, PyObject *system)
+{
+    int rc = validate_walk(system);
+    (void)module;
+    if (rc < 0) {
+        return NULL;
+    }
+    if (rc == HAND_OVER) {
+        return PyObject_CallMethodNoArgs(system, S_validate);
+    }
+    Py_RETURN_NONE;
+}
+
+/* Words of the Mersenne Twister, drawn in batches through
+   getrandbits(32 * count): its little-endian 32-bit words are the
+   generator's next `count` outputs, in order. */
+typedef struct {
+    PyObject *getrandbits;
+    PyObject *bytes;
+    Py_ssize_t next, count;
+} Words;
+
+static int
+words_refill(Words *w, Py_ssize_t count)
+{
+    PyObject *bits, *value;
+    Py_CLEAR(w->bytes);
+    bits = PyLong_FromSsize_t(32 * count);
+    if (bits == NULL) {
+        return -1;
+    }
+    value = PyObject_CallOneArg(w->getrandbits, bits);
+    Py_DECREF(bits);
+    if (value == NULL) {
+        return -1;
+    }
+    w->bytes = PyObject_CallMethod(value, "to_bytes", "ns", 4 * count,
+                                   "little");
+    Py_DECREF(value);
+    if (w->bytes == NULL) {
+        return -1;
+    }
+    if (!PyBytes_Check(w->bytes) || PyBytes_GET_SIZE(w->bytes) != 4 * count) {
+        PyErr_SetString(PyExc_TypeError, "getrandbits gave no usable bits");
+        return -1;
+    }
+    w->next = 0;
+    w->count = count;
+    return 0;
+}
+
+static int
+words_next(Words *w, Py_ssize_t refill, uint32_t *out)
+{
+    const unsigned char *b;
+    if (w->next == w->count && words_refill(w, refill) < 0) {
+        return -1;
+    }
+    b = (const unsigned char *)PyBytes_AS_STRING(w->bytes) + 4 * w->next++;
+    *out = (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16
+           | (uint32_t)b[3] << 24;
+    return 0;
+}
+
+PyDoc_STRVAR(random_ranks_doc,
+"random_ranks(getrandbits, num_vars)\n--\n\n"
+"The ranks :func:`repro.graph.order.shuffled_ranks` computes, with\n"
+"``getrandbits`` the method of the ``random.Random(seed)`` it\n"
+"shuffles with: the same Fisher-Yates swaps, each index drawn as\n"
+"``Random._randbelow`` draws it (the top ``k`` bits of a 32-bit word,\n"
+"again while too large).  ``num_vars`` is at most ``2**31``.");
+
+static PyObject *
+random_ranks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Words w = {NULL, NULL, 0, 0};
+    Py_ssize_t n, i, m, rank, *positions = NULL, swap;
+    PyObject *ranks = NULL, *value;
+    uint32_t word;
+    int k;
+
+    (void)module;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "random_ranks expected 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    n = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
+    if (n == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    if (n < 0) {
+        n = 0; /* as list(range(n)) */
+    }
+    if ((uint64_t)n > ((uint64_t)1 << 31)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "random_ranks needs num_vars <= 2**31");
+        return NULL;
+    }
+    w.getrandbits = args[0];
+    positions = PyMem_Malloc((n > 0 ? n : 1) * sizeof *positions);
+    if (positions == NULL) {
+        return PyErr_NoMemory();
+    }
+    for (i = 0; i < n; i++) {
+        positions[i] = i;
+    }
+    /* for i in reversed(range(1, n)): j = randbelow(i + 1); swap */
+    for (i = n - 1; i >= 1; i--) {
+        m = i + 1;
+        for (k = 0; ((uint64_t)m >> k) != 0; k++) {
+        }
+        do {
+            /* A first batch covers the expected draws (under 2 per
+               swap) most of the time; a refill covers the rest. */
+            if (words_next(&w, w.bytes == NULL ? i + i / 2 + 16 : i / 2 + 16,
+                           &word) < 0) {
+                goto error;
+            }
+            rank = (Py_ssize_t)(word >> (32 - k));
+        } while (rank >= m);
+        swap = positions[i];
+        positions[i] = positions[rank];
+        positions[rank] = swap;
+    }
+    ranks = PyList_New(n);
+    if (ranks == NULL) {
+        goto error;
+    }
+    for (rank = 0; rank < n; rank++) {
+        value = PyLong_FromSsize_t(rank);
+        if (value == NULL) {
+            goto error;
+        }
+        PyList_SET_ITEM(ranks, positions[rank], value);
+    }
+    Py_XDECREF(w.bytes);
+    PyMem_Free(positions);
+    return ranks;
+error:
+    Py_XDECREF(ranks);
+    Py_XDECREF(w.bytes);
+    PyMem_Free(positions);
+    return NULL;
+}
+
+PyDoc_STRVAR(empty_sets_doc,
+"empty_sets(count)\n--\n\n"
+"``[set() for _ in range(count)]``.");
+
+static PyObject *
+empty_sets(PyObject *module, PyObject *count_object)
+{
+    Py_ssize_t count = PyNumber_AsSsize_t(count_object, PyExc_OverflowError);
+    Py_ssize_t i;
+    PyObject *sets, *set;
+    (void)module;
+    if (count == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    sets = PyList_New(count > 0 ? count : 0);
+    if (sets == NULL) {
+        return NULL;
+    }
+    for (i = 0; i < count; i++) {
+        set = PySet_New(NULL);
+        if (set == NULL) {
+            Py_DECREF(sets);
+            return NULL;
+        }
+        PyList_SET_ITEM(sets, i, set);
+    }
+    return sets;
+}
+
+/* A graph's forwarding pointers, read into C: `up` holds the values of
+   the `parent` list, which find updates alongside. */
+typedef struct {
+    PyObject *graph;
+    PyObject *parent;
+    Py_ssize_t size;     /* len(parent) */
+    Py_ssize_t num_vars; /* graph.num_vars */
+    Py_ssize_t *up;
+} Forest;
+
+/* 0, HAND_OVER unless `parent` is a list of indices into itself and
+   `num_vars` an int within it, or -1 on error. */
+static int
+forest_load(Forest *f, PyObject *graph)
+{
+    PyObject *num_vars, *item;
+    Py_ssize_t i;
+    memset(f, 0, sizeof *f);
+    f->graph = graph;
+    if ((f->parent = PyObject_GetAttr(graph, S_parent)) == NULL
+            || (num_vars = PyObject_GetAttr(graph, S_num_vars)) == NULL) {
+        return -1;
+    }
+    if (!PyList_CheckExact(f->parent) || !PyLong_CheckExact(num_vars)) {
+        Py_DECREF(num_vars);
+        return HAND_OVER;
+    }
+    f->num_vars = PyLong_AsSsize_t(num_vars);
+    Py_DECREF(num_vars);
+    if (f->num_vars == -1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        return HAND_OVER;
+    }
+    f->size = PyList_GET_SIZE(f->parent);
+    if (f->num_vars < 0 || f->num_vars > f->size) {
+        return HAND_OVER;
+    }
+    f->up = PyMem_Malloc((f->size > 0 ? f->size : 1) * sizeof *f->up);
+    if (f->up == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < f->size; i++) {
+        item = PyList_GET_ITEM(f->parent, i);
+        if (!PyLong_CheckExact(item)) {
+            return HAND_OVER;
+        }
+        f->up[i] = PyLong_AsSsize_t(item);
+        if (f->up[i] == -1 && PyErr_Occurred()) {
+            PyErr_Clear();
+            return HAND_OVER;
+        }
+        if (f->up[i] < 0 || f->up[i] >= f->size) {
+            return HAND_OVER;
+        }
+    }
+    return 0;
+}
+
+static void
+forest_release(Forest *f)
+{
+    Py_XDECREF(f->parent);
+    PyMem_Free(f->up);
+}
+
+/* graph.find(v) for an index within parent, compressing the path as it
+   does: the representative, or -1 when the pointers from v never reach
+   one (the Python find would not return either). */
+static Py_ssize_t
+forest_find(Forest *f, Py_ssize_t v)
+{
+    Py_ssize_t *up = f->up, root = up[v], next, steps = 0;
+    PyObject *root_object;
+    if (root == v) {
+        return v;
+    }
+    while (up[root] != root) {
+        root = up[root];
+        if (++steps > f->size) {
+            return -1;
+        }
+    }
+    root_object = PyList_GET_ITEM(f->parent, root);
+    while (up[v] != root) {
+        next = up[v];
+        up[v] = root;
+        /* parent[v] = root; the old item is an int, whose release runs
+           no code. */
+        PyList_SetItem(f->parent, v, Py_NewRef(root_object));
+        v = next;
+    }
+    return root;
+}
+
+/* `raw if parent[raw] == raw else find(raw)` for a bucket member: 0 with
+   the index in *out, or HAND_OVER. */
+static int
+forest_canonical(Forest *f, PyObject *raw, Py_ssize_t *out)
+{
+    Py_ssize_t v;
+    if (!PyLong_CheckExact(raw)) {
+        return HAND_OVER;
+    }
+    v = PyLong_AsSsize_t(raw);
+    if (v == -1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        return HAND_OVER;
+    }
+    if (v < 0 || v >= f->size) {
+        return HAND_OVER;
+    }
+    *out = f->up[v] == v ? v : forest_find(f, v);
+    return *out < 0 ? HAND_OVER : 0;
+}
+
+/* graph.<name>, a list with a bucket per variable: a new reference, or
+   NULL with *rc set to HAND_OVER or -1. */
+static PyObject *
+forest_buckets(Forest *f, PyObject *name, int *rc)
+{
+    PyObject *buckets = PyObject_GetAttr(f->graph, name);
+    *rc = -1;
+    if (buckets != NULL && (!PyList_CheckExact(buckets)
+                            || PyList_GET_SIZE(buckets) < f->num_vars)) {
+        Py_CLEAR(buckets);
+        *rc = HAND_OVER;
+    }
+    return buckets;
+}
+
+/* buckets[rep] when it is a set (borrowed), else NULL. */
+static PyObject *
+set_at(PyObject *buckets, Py_ssize_t rep)
+{
+    PyObject *bucket = PyList_GET_ITEM(buckets, rep);
+    return PySet_CheckExact(bucket) ? bucket : NULL;
+}
+
+/* ConstraintGraphBase.finalize_statistics' counts: 0, HAND_OVER or
+   -1. */
+static int
+final_counts(Forest *f, Py_ssize_t *var_var, Py_ssize_t *source_edges,
+             Py_ssize_t *sink_edges)
+{
+    PyObject *lists[4] = {NULL, NULL, NULL, NULL};
+    PyObject *names[4] = {S_succ_vars, S_pred_vars, S_sources, S_sinks};
+    PyObject *bucket, *raw;
+    size_t *marks = NULL, stamp = 0;
+    Py_ssize_t rep, canonical;
+    SetIter it;
+    int rc = 0, i, more;
+
+    for (i = 0; i < 4; i++) {
+        if ((lists[i] = forest_buckets(f, names[i], &rc)) == NULL) {
+            goto done;
+        }
+    }
+    rc = 0;
+    marks = PyMem_Calloc(f->size > 0 ? f->size : 1, sizeof *marks);
+    if (marks == NULL) {
+        PyErr_NoMemory();
+        rc = -1;
+        goto done;
+    }
+    *var_var = *source_edges = *sink_edges = 0;
+    for (rep = 0; rep < f->num_vars; rep++) {
+        if (f->up[rep] != rep) {
+            continue;
+        }
+        for (i = 0; i < 4; i++) {
+            if (set_at(lists[i], rep) == NULL) {
+                rc = HAND_OVER;
+                goto done;
+            }
+        }
+        /* len(canonical_bucket(rep, adjacency)) */
+        for (i = 0; i < 2; i++) {
+            bucket = PyList_GET_ITEM(lists[i], rep);
+            if (PySet_GET_SIZE(bucket) == 0) {
+                continue;
+            }
+            stamp++;
+            if (set_iter_start(&it, bucket) < 0) {
+                rc = -1;
+                goto done;
+            }
+            while ((more = set_iter_next(&it, &raw)) > 0) {
+                if ((rc = forest_canonical(f, raw, &canonical)) != 0) {
+                    break;
+                }
+                if (canonical != rep && marks[canonical] != stamp) {
+                    marks[canonical] = stamp;
+                    (*var_var)++;
+                }
+            }
+            set_iter_stop(&it);
+            if (more < 0) {
+                rc = -1;
+            }
+            if (rc != 0) {
+                goto done;
+            }
+        }
+        *source_edges += PySet_GET_SIZE(PyList_GET_ITEM(lists[2], rep));
+        *sink_edges += PySet_GET_SIZE(PyList_GET_ITEM(lists[3], rep));
+    }
+done:
+    for (i = 0; i < 4; i++) {
+        Py_XDECREF(lists[i]);
+    }
+    PyMem_Free(marks);
+    return rc;
+}
+
+PyDoc_STRVAR(finalize_statistics_doc,
+"finalize_statistics(graph)\n--\n\n"
+":meth:`ConstraintGraphBase.finalize_statistics` for ``graph``: the\n"
+"same final edge counts, and ``parent`` compressed as its ``find``\n"
+"calls compress it.");
+
+static PyObject *
+finalize_statistics(PyObject *module, PyObject *graph)
+{
+    Forest f;
+    Py_ssize_t var_var = 0, source_edges = 0, sink_edges = 0;
+    PyObject *stats, *result;
+    int rc = forest_load(&f, graph);
+    (void)module;
+    if (rc == 0) {
+        rc = final_counts(&f, &var_var, &source_edges, &sink_edges);
+    }
+    forest_release(&f);
+    if (rc < 0) {
+        return NULL;
+    }
+    if (rc == HAND_OVER) {
+        return PyObject_CallMethodNoArgs(graph, S_finalize_statistics);
+    }
+    stats = PyObject_GetAttr(graph, S_stats);
+    if (stats == NULL) {
+        return NULL;
+    }
+    result = PyObject_CallMethod(stats, "finalize_edges", "nnn", var_var,
+                                 source_edges, sink_edges);
+    Py_DECREF(stats);
+    return result;
+}
+
+/* StandardGraph.compute_least_solution: every representative's source
+   bucket, frozen. */
+static int
+least_standard(Forest *f, PyObject *solution)
+{
+    PyObject *sources, *own, *value;
+    Py_ssize_t rep;
+    int rc;
+    if ((sources = forest_buckets(f, S_sources, &rc)) == NULL) {
+        return rc;
+    }
+    rc = 0;
+    for (rep = 0; rep < f->num_vars && rc == 0; rep++) {
+        if (f->up[rep] != rep) {
+            continue;
+        }
+        if ((own = set_at(sources, rep)) == NULL) {
+            rc = HAND_OVER;
+        }
+        else if ((value = PyFrozenSet_New(own)) == NULL) {
+            rc = -1;
+        }
+        else {
+            rc = PyDict_SetItem(solution, PyList_GET_ITEM(f->parent, rep),
+                                value);
+            Py_DECREF(value);
+        }
+    }
+    Py_DECREF(sources);
+    return rc;
+}
+
+typedef struct {
+    Py_ssize_t rank, rep;
+} Ranked;
+
+/* reps.sort(key=ranks.__getitem__): reps start in increasing order and
+   the sort is stable, so ties go by rep. */
+static int
+by_rank(const void *a, const void *b)
+{
+    const Ranked *x = a, *y = b;
+    if (x->rank != y->rank) {
+        return x->rank < y->rank ? -1 : 1;
+    }
+    return x->rep < y->rep ? -1 : x->rep > y->rep;
+}
+
+/* The representatives in increasing rank: a new array of *count, or
+   NULL with *rc set to HAND_OVER or -1. */
+static Ranked *
+ranked_reps(Forest *f, Py_ssize_t *count, int *rc)
+{
+    PyObject *ranks = PyObject_GetAttr(f->graph, S_ranks), *item;
+    Ranked *reps = NULL;
+    Py_ssize_t rep, rank;
+    *rc = -1;
+    if (ranks == NULL) {
+        return NULL;
+    }
+    *rc = HAND_OVER;
+    if (!PyList_CheckExact(ranks) || PyList_GET_SIZE(ranks) < f->num_vars) {
+        goto fail;
+    }
+    reps = PyMem_Malloc((f->num_vars > 0 ? f->num_vars : 1) * sizeof *reps);
+    if (reps == NULL) {
+        PyErr_NoMemory();
+        *rc = -1;
+        goto fail;
+    }
+    *count = 0;
+    for (rep = 0; rep < f->num_vars; rep++) {
+        if (f->up[rep] != rep) {
+            continue;
+        }
+        item = PyList_GET_ITEM(ranks, rep);
+        if (!PyLong_CheckExact(item)) {
+            goto fail;
+        }
+        rank = PyLong_AsSsize_t(item);
+        if (rank == -1 && PyErr_Occurred()) {
+            PyErr_Clear();
+            goto fail;
+        }
+        reps[*count].rank = rank;
+        reps[*count].rep = rep;
+        (*count)++;
+    }
+    Py_DECREF(ranks);
+    qsort(reps, *count, sizeof *reps, by_rank);
+    *rc = 0;
+    return reps;
+fail:
+    Py_DECREF(ranks);
+    PyMem_Free(reps);
+    return NULL;
+}
+
+/* canonical_bucket(rep, raw): a new set built as the Python set
+   comprehension builds it, so that it iterates in the same order; NULL
+   with *rc set to HAND_OVER or -1. */
+static PyObject *
+canonical_set(Forest *f, Py_ssize_t rep, PyObject *raw_bucket, int *rc)
+{
+    PyObject *out = PySet_New(NULL), *raw;
+    Py_ssize_t canonical;
+    SetIter it;
+    int more;
+    *rc = -1;
+    if (out == NULL) {
+        return NULL;
+    }
+    if (set_iter_start(&it, raw_bucket) < 0) {
+        Py_DECREF(out);
+        return NULL;
+    }
+    *rc = 0;
+    while ((more = set_iter_next(&it, &raw)) > 0) {
+        if ((*rc = forest_canonical(f, raw, &canonical)) != 0
+                || (*rc = PySet_Add(out, PyList_GET_ITEM(f->parent,
+                                                         canonical))) != 0) {
+            break;
+        }
+    }
+    set_iter_stop(&it);
+    if (more < 0) {
+        *rc = -1;
+    }
+    if (*rc == 0 && PySet_Discard(out, PyList_GET_ITEM(f->parent, rep)) < 0) {
+        *rc = -1;
+    }
+    if (*rc != 0) {
+        Py_CLEAR(out);
+    }
+    return out;
+}
+
+/* LS(rep) by equation (1), as InductiveGraph.compute_least_solution
+   evaluates it: a new reference, or NULL with *rc set. */
+static PyObject *
+least_of(Forest *f, Py_ssize_t rep, PyObject *raw_preds, PyObject *own,
+         PyObject **solved, int *rc)
+{
+    PyObject *preds = NULL, *merged = NULL, *value = NULL, *pred, *sum;
+    Py_ssize_t index;
+    SetIter it;
+    int more = 0;
+    *rc = 0;
+    if (PySet_GET_SIZE(raw_preds) > 0) {
+        preds = canonical_set(f, rep, raw_preds, rc);
+        if (preds == NULL) {
+            return NULL;
+        }
+    }
+    if (preds == NULL || PySet_GET_SIZE(preds) == 0) {
+        value = PyFrozenSet_New(own);
+        *rc = value == NULL ? -1 : 0;
+        goto done;
+    }
+    /* The members of preds are representatives solved before rep; any
+       other is handed over (the Python sweep raises KeyError). */
+    if (PySet_GET_SIZE(own) > 0 || PySet_GET_SIZE(preds) > 1) {
+        merged = PySet_New(own);
+        if (merged == NULL) {
+            *rc = -1;
+            goto done;
+        }
+    }
+    if (set_iter_start(&it, preds) < 0) {
+        *rc = -1;
+        goto done;
+    }
+    while ((more = set_iter_next(&it, &pred)) > 0) {
+        index = PyLong_AsSsize_t(pred);
+        if (solved[index] == NULL) {
+            *rc = HAND_OVER;
+            break;
+        }
+        if (merged == NULL) {
+            /* LS(rep) is its one predecessor's: share the frozenset. */
+            value = Py_NewRef(solved[index]);
+            break;
+        }
+        /* merged.update(solution[pred]) */
+        sum = PyNumber_InPlaceOr(merged, solved[index]);
+        if (sum == NULL) {
+            *rc = -1;
+            break;
+        }
+        Py_DECREF(sum);
+    }
+    set_iter_stop(&it);
+    if (more < 0) {
+        *rc = -1;
+    }
+    if (*rc == 0 && value == NULL) {
+        value = PyFrozenSet_New(merged);
+        *rc = value == NULL ? -1 : 0;
+    }
+done:
+    Py_XDECREF(preds);
+    Py_XDECREF(merged);
+    if (*rc != 0) {
+        Py_CLEAR(value);
+    }
+    return value;
+}
+
+/* InductiveGraph.compute_least_solution: equation (1) in rank order. */
+static int
+least_inductive(Forest *f, PyObject *solution)
+{
+    PyObject *pred_vars = NULL, *sources = NULL, *raw_preds, *own, *value;
+    PyObject **solved = NULL;
+    Ranked *reps = NULL;
+    Py_ssize_t count = 0, i, rep;
+    int rc;
+    if ((pred_vars = forest_buckets(f, S_pred_vars, &rc)) == NULL
+            || (sources = forest_buckets(f, S_sources, &rc)) == NULL
+            || (reps = ranked_reps(f, &count, &rc)) == NULL) {
+        goto done;
+    }
+    solved = PyMem_Calloc(f->size > 0 ? f->size : 1, sizeof *solved);
+    if (solved == NULL) {
+        PyErr_NoMemory();
+        rc = -1;
+        goto done;
+    }
+    rc = 0;
+    for (i = 0; i < count && rc == 0; i++) {
+        rep = reps[i].rep;
+        raw_preds = set_at(pred_vars, rep);
+        own = set_at(sources, rep);
+        if (raw_preds == NULL || own == NULL) {
+            rc = HAND_OVER;
+        }
+        else if ((value = least_of(f, rep, raw_preds, own, solved,
+                                   &rc)) != NULL) {
+            rc = PyDict_SetItem(solution, PyList_GET_ITEM(f->parent, rep),
+                                value);
+            /* The dict keeps value alive. */
+            solved[rep] = value;
+            Py_DECREF(value);
+        }
+    }
+done:
+    Py_XDECREF(pred_vars);
+    Py_XDECREF(sources);
+    PyMem_Free(reps);
+    PyMem_Free(solved);
+    return rc;
+}
+
+PyDoc_STRVAR(compute_least_solution_doc,
+"compute_least_solution(graph)\n--\n\n"
+"``graph.compute_least_solution()`` for either form: the same dict,\n"
+"in the same order, of frozensets built, shared and iterating as the\n"
+"Python sweep builds them.");
+
+static PyObject *
+compute_least_solution(PyObject *module, PyObject *graph)
+{
+    Forest f;
+    PyObject *solution = NULL;
+    int rc, inductive;
+    (void)module;
+    rc = forest_load(&f, graph);
+    if (rc == 0) {
+        rc = truth_attribute(graph, S_inductive, &inductive);
+    }
+    if (rc == 0) {
+        solution = PyDict_New();
+        if (solution == NULL) {
+            rc = -1;
+        }
+        else {
+            rc = inductive ? least_inductive(&f, solution)
+                           : least_standard(&f, solution);
+        }
+    }
+    forest_release(&f);
+    if (rc != 0) {
+        Py_CLEAR(solution);
+    }
+    if (rc == HAND_OVER) {
+        return PyObject_CallMethodNoArgs(graph, S_compute_least_solution);
+    }
+    return solution;
+}
+
+/* ------------------------------------------------------------------ */
 /* Module                                                               */
 /* ------------------------------------------------------------------ */
 
@@ -1770,6 +2746,10 @@ bind(PyObject *module, PyObject *kernel)
         PyErr_SetString(PyExc_TypeError, "Term and Var must be classes");
         return NULL;
     }
+    Py_XSETREF(ConstructorType, Py_NewRef((PyObject *)Py_TYPE(ONE_CONSTRUCTOR)));
+    var_index_offset = slot_offset(VarType, "index");
+    term_args_offset = slot_offset(TermType, "args");
+    term_ctor_offset = slot_offset(TermType, "constructor");
     Py_XSETREF(python_kernel, Py_NewRef(kernel));
     Py_RETURN_NONE;
 }
@@ -1778,6 +2758,14 @@ static PyMethodDef kernel_methods[] = {
     {"run_kernel", (PyCFunction)(void (*)(void))run_kernel, METH_FASTCALL,
      run_kernel_doc},
     {"bind", bind, METH_O, bind_doc},
+    {"validate", validate, METH_O, validate_doc},
+    {"random_ranks", (PyCFunction)(void (*)(void))random_ranks,
+     METH_FASTCALL, random_ranks_doc},
+    {"empty_sets", empty_sets, METH_O, empty_sets_doc},
+    {"finalize_statistics", finalize_statistics, METH_O,
+     finalize_statistics_doc},
+    {"compute_least_solution", compute_least_solution, METH_O,
+     compute_least_solution_doc},
     {NULL, NULL, 0, NULL},
 };
 

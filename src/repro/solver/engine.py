@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 import time
 from collections import deque
+from operator import methodcaller
 from typing import Deque, Dict, FrozenSet, List, Optional
 
 from ..constraints.errors import ConstraintDiagnostic
@@ -41,13 +42,19 @@ from .solution import Solution
 #: Chunk length of an unsupervised drain: never reached.
 _UNBOUNDED = sys.maxsize
 
-#: The closure kernel: the native one when it built (see
-#: :mod:`repro.solver.native`), the Python one otherwise.
-run_kernel = (
-    native.kernel.run_kernel
-    if native.kernel is not None
-    else kernel.run_kernel
-)
+#: The closure kernel and the steps of :meth:`SolverEngine.run` around
+#: it: the native ones when they built (see :mod:`repro.solver.native`),
+#: the Python ones, which they reproduce exactly, otherwise.
+if native.kernel is not None:
+    run_kernel = native.kernel.run_kernel
+    validate_system = native.kernel.validate
+    finalize_statistics = native.kernel.finalize_statistics
+    compute_least_solution = native.kernel.compute_least_solution
+else:
+    run_kernel = kernel.run_kernel
+    validate_system = methodcaller("validate")
+    finalize_statistics = methodcaller("finalize_statistics")
+    compute_least_solution = methodcaller("compute_least_solution")
 
 
 class SolverEngine:
@@ -131,7 +138,7 @@ class SolverEngine:
     def run(self) -> Solution:
         """Close the graph and compute the least solution."""
         if self.options.validate:
-            self.system.validate()
+            validate_system(self.system)
         append = self.pending.append
         for left, right in self.system.constraints:
             append((OP_RESOLVE, left, right))
@@ -154,7 +161,7 @@ class SolverEngine:
         sink = self.sink
         if sink is not None:
             sink.phase_begin("finalize")
-        self.graph.finalize_statistics()
+        finalize_statistics(self.graph)
         if sink is not None:
             sink.phase_end("finalize")
         if self.options.strict and self.diagnostics:
@@ -291,10 +298,9 @@ class SolverEngine:
         raise GraphInvariantError(failures)
 
     def _least_solution(self) -> Dict[int, FrozenSet[Term]]:
-        # Both graph forms implement compute_least_solution: IF sweeps
-        # predecessors in rank order (equation (1)); SF reads the
-        # explicit source buckets, canonicalized through find.
-        return self.graph.compute_least_solution()
+        # Both graph forms compute it: IF sweeps predecessors in rank
+        # order (equation (1)); SF reads the explicit source buckets.
+        return compute_least_solution(self.graph)
 
     def _make_solution(self, least: Dict[int, FrozenSet[Term]]) -> Solution:
         return Solution(

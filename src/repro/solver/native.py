@@ -1,7 +1,12 @@
-"""The native closure kernel: built on first import, else the fallback.
+"""The native solver: built on first import, else the fallback.
 
 ``_kernel.c`` transliterates :func:`repro.solver.kernel.run_kernel` and
-the chain search it calls into C.  Importing this module compiles it
+the chain search it calls into C, and with them the steps of a batch
+solve around the closure: :meth:`ConstraintSystem.validate
+<repro.constraints.ConstraintSystem.validate>`, the random order's ranks
+and the graph's empty buckets, :meth:`finalize_statistics
+<repro.graph.base.ConstraintGraphBase.finalize_statistics>` and both
+forms' ``compute_least_solution``.  Importing this module compiles it
 with the running Python's C compiler and headers (``sysconfig``'s
 ``CC`` and include path) into a cache file named by the source's
 SHA-256 and the interpreter's extension suffix (``EXT_SUFFIX``), then
@@ -11,10 +16,11 @@ temporary file that :func:`os.replace` moves into place, so processes
 importing at once (``repro.parallel`` workers) never load a
 half-written file, and a cached build of other source is never loaded.
 
-:data:`kernel` is the loaded extension module, whose ``run_kernel`` the
-engine calls, or ``None`` when the build failed: :data:`build_error`
-then says why, one :class:`RuntimeWarning` says so, and the engine runs
-the Python kernel, which stays the reference the tests compare against.
+:data:`kernel` is the loaded extension module, whose functions the
+engine (and :class:`~repro.graph.order.RandomOrder` and the graph's
+constructor) call, or ``None`` when the build failed: :data:`build_error`
+then says why, one :class:`RuntimeWarning` says so, and the Python
+versions run.  They stay the reference the tests compare against.
 """
 
 from __future__ import annotations

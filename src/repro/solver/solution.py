@@ -12,6 +12,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..constraints.errors import (
     ConstraintDiagnostic,
     InconsistentConstraintError,
+    MalformedExpressionError,
 )
 from ..constraints.expressions import Term, Var
 from ..constraints.system import ConstraintSystem
@@ -78,6 +79,17 @@ class Solution:
         return self._least.get(self._find(var), frozenset())
 
     def least_solution_by_index(self, index: int) -> FrozenSet[Term]:
+        """The least solution of the variable numbered ``index``.
+
+        ``index`` must lie in ``[0, num_vars)``
+        (:class:`~repro.constraints.errors.MalformedExpressionError`
+        otherwise), as :meth:`least_solution` accepts only the solved
+        system's own variables.
+        """
+        if not 0 <= index < self.num_vars:
+            raise MalformedExpressionError(
+                f"variable index {index!r} is outside [0, {self.num_vars})"
+            )
         rep = self.graph.find(index)
         return self._least.get(rep, frozenset())
 

@@ -16,75 +16,101 @@ def smuggle(system, left, right):
     system._constraints.append((left, right))
 
 
+# Each case builds a system; the native validation is checked against
+# every one of them (tests/solver/test_native_envelope.py).
+def var_out_of_range():
+    system = ConstraintSystem()
+    (v,) = system.fresh_vars(1)
+    smuggle(system, v, Var(99, "stale"))
+    return system
+
+
+def arity_mismatch():
+    # Term.__init__ itself rejects wrong arities, so forge the term
+    # the way a buggy deserializer would: bypassing the constructor.
+    system = ConstraintSystem()
+    (v,) = system.fresh_vars(1)
+    unary = system.constructor("u", (COV,))
+    forged = object.__new__(Term)
+    forged.constructor = unary
+    forged.args = ()  # 0 args for 1-ary
+    forged.label = None
+    forged._hash = 0
+    smuggle(system, forged, v)
+    return system
+
+
+def signature_conflict():
+    system = ConstraintSystem()
+    (v,) = system.fresh_vars(1)
+    system.constructor("c", (COV,))
+    imposter = Constructor("c", (COV, COV))
+    smuggle(system, Term(imposter, (v, v)), v)
+    return system
+
+
+def not_an_expression():
+    system = ConstraintSystem()
+    (v,) = system.fresh_vars(1)
+    smuggle(system, v, "not an expression")
+    return system
+
+
+def nested_fault():
+    system = ConstraintSystem()
+    (v,) = system.fresh_vars(1)
+    pair = system.constructor("pair", (COV, COV))
+    nested = Term(pair, (Term(pair, (v, Var(7, "stale"))), v))
+    smuggle(system, nested, v)
+    return system
+
+
+def offender_at_index_two():
+    system = ConstraintSystem()
+    a, b = system.fresh_vars(2)
+    system.add(a, b)
+    system.add(b, a)
+    smuggle(system, a, Var(50, "stale"))
+    return system
+
+
+def valid_system():
+    system = ConstraintSystem()
+    a, b = system.fresh_vars(2)
+    system.add(a, b)
+    return system
+
+
+def invalid(build):
+    """The error ``validate`` raises for the system ``build`` makes."""
+    with pytest.raises(InvalidSystemError) as excinfo:
+        build().validate()
+    return excinfo.value
+
+
 class TestValidateCases:
     def test_var_out_of_range(self):
-        system = ConstraintSystem()
-        (v,) = system.fresh_vars(1)
-        smuggle(system, v, Var(99, "stale"))
-        with pytest.raises(InvalidSystemError) as excinfo:
-            system.validate()
-        assert excinfo.value.reason == "var-out-of-range"
-        assert excinfo.value.constraint_index == 0
+        error = invalid(var_out_of_range)
+        assert error.reason == "var-out-of-range"
+        assert error.constraint_index == 0
 
     def test_arity_mismatch(self):
-        # Term.__init__ itself rejects wrong arities, so forge the term
-        # the way a buggy deserializer would: bypassing the constructor.
-        system = ConstraintSystem()
-        (v,) = system.fresh_vars(1)
-        unary = system.constructor("u", (COV,))
-        forged = object.__new__(Term)
-        forged.constructor = unary
-        forged.args = ()  # 0 args for 1-ary
-        forged.label = None
-        forged._hash = 0
-        smuggle(system, forged, v)
-        with pytest.raises(InvalidSystemError) as excinfo:
-            system.validate()
-        assert excinfo.value.reason == "arity-mismatch"
+        assert invalid(arity_mismatch).reason == "arity-mismatch"
 
     def test_signature_conflict(self):
-        system = ConstraintSystem()
-        (v,) = system.fresh_vars(1)
-        system.constructor("c", (COV,))
-        imposter = Constructor("c", (COV, COV))
-        smuggle(system, Term(imposter, (v, v)), v)
-        with pytest.raises(InvalidSystemError) as excinfo:
-            system.validate()
-        assert excinfo.value.reason == "signature-conflict"
+        assert invalid(signature_conflict).reason == "signature-conflict"
 
     def test_not_an_expression(self):
-        system = ConstraintSystem()
-        (v,) = system.fresh_vars(1)
-        smuggle(system, v, "not an expression")
-        with pytest.raises(InvalidSystemError) as excinfo:
-            system.validate()
-        assert excinfo.value.reason == "not-an-expression"
+        assert invalid(not_an_expression).reason == "not-an-expression"
 
     def test_nested_fault_found(self):
-        system = ConstraintSystem()
-        (v,) = system.fresh_vars(1)
-        pair = system.constructor("pair", (COV, COV))
-        nested = Term(pair, (Term(pair, (v, Var(7, "stale"))), v))
-        smuggle(system, nested, v)
-        with pytest.raises(InvalidSystemError) as excinfo:
-            system.validate()
-        assert excinfo.value.reason == "var-out-of-range"
+        assert invalid(nested_fault).reason == "var-out-of-range"
 
     def test_constraint_index_points_at_offender(self):
-        system = ConstraintSystem()
-        a, b = system.fresh_vars(2)
-        system.add(a, b)
-        system.add(b, a)
-        smuggle(system, a, Var(50, "stale"))
-        with pytest.raises(InvalidSystemError) as excinfo:
-            system.validate()
-        assert excinfo.value.constraint_index == 2
+        assert invalid(offender_at_index_two).constraint_index == 2
 
     def test_valid_system_passes(self):
-        system = ConstraintSystem()
-        a, b = system.fresh_vars(2)
-        system.add(a, b)
-        system.validate()  # must not raise
+        valid_system().validate()  # must not raise
 
 
 class TestSolveIntegration:

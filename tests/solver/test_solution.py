@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ConstraintSystem, Variance
+from repro.constraints.errors import MalformedExpressionError
 from repro.solver import CyclePolicy, GraphForm, SolverOptions, solve
 
 
@@ -25,6 +26,14 @@ class TestSolutionQueries:
     def test_least_solution_by_index(self):
         _, (x, _, _), src, solution = solved_cycle()
         assert solution.least_solution_by_index(x.index) == frozenset({src})
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_least_solution_by_index_rejects_other_indices(self, index):
+        # -1 would read the last variable's set, 3 (num_vars) past the
+        # end of the graph's lists.
+        _, _, _, solution = solved_cycle()
+        with pytest.raises(MalformedExpressionError, match="outside"):
+            solution.least_solution_by_index(index)
 
     def test_unconstrained_var_is_empty(self):
         system = ConstraintSystem()
