@@ -75,7 +75,8 @@ class DepthLimitError(ConstraintError):
 
 
 class InconsistentConstraintError(ConstraintError):
-    """Raised when the caller asked for strict handling of clashes."""
+    """Raised by :meth:`Solution.raise_on_errors
+    <repro.solver.Solution.raise_on_errors>` when a solve found clashes."""
 
     def __init__(self, diagnostic: "ConstraintDiagnostic") -> None:
         super().__init__(str(diagnostic))

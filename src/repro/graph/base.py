@@ -18,6 +18,13 @@ insertion.  Propagation never mutates the graph directly — it *emits*
 atomic operations onto the engine's worklist (cycle collapse included),
 which keeps the closure incremental and makes the Work metric (one unit
 per processed operation) well defined.
+
+A checkpointable graph also keeps one insertion log, ``journal``: three
+items per stored edge, the bucket number (:data:`SUCC_BUCKET` ...
+:data:`SINKS_BUCKET`), the variable and the item.  A set's iteration
+order, which Work counts depend on, is a function of its insertion
+sequence, so replaying the log into fresh sets rebuilds every bucket
+exactly (:mod:`repro.resilience.checkpoint`).
 """
 
 from __future__ import annotations
@@ -40,14 +47,32 @@ from .stats import SolverStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace ← graph)
     from ..trace.sinks import TraceSink
 
-#: Operation tags understood by the solver engine's worklist.
+#: Kinds of atomic edge: ``decompose``'s atoms and trace-sink events.
 OP_VAR_VAR = "vv"
 OP_SOURCE = "sv"
+#: Worklist tags: unit sink insertions and resolutions ...
 OP_SINK = "vs"
 OP_RESOLVE = "rr"
+#: ... and fan-outs, ``(tag, fixed, members)``, one insertion per member
+#: in tuple order (see :mod:`repro.solver.kernel`).
+#: ``(OP_SOURCE_FAN, term, vars)``: ``term`` flows into every var
+OP_SOURCE_FAN = "sv*"
+#: ``(OP_SOURCES_FAN, var, terms)``: every term flows into ``var``
+OP_SOURCES_FAN = "*sv"
+#: ``(OP_SUCC_FAN, left, rights)``: ``left <= r`` for every r
+OP_SUCC_FAN = "vv*"
+#: ``(OP_PRED_FAN, right, lefts)``: ``l <= right`` for every l
+OP_PRED_FAN = "*vv"
 
 #: A worklist operation: (tag, payload, payload).
 Op = Tuple[str, object, object]
+
+#: Bucket numbers of the insertion log's records, in the order of
+#: :meth:`ConstraintGraphBase.buckets`.
+SUCC_BUCKET = 0
+PRED_BUCKET = 1
+SOURCES_BUCKET = 2
+SINKS_BUCKET = 3
 
 
 def empty_sets(count: int) -> List[Set]:
@@ -97,37 +122,28 @@ class ConstraintGraphBase:
         self.pred_vars: List[Set[int]] = empty_sets(num_vars)
         self.sources: List[Set[Term]] = empty_sets(num_vars)
         self.sinks: List[Set[Term]] = empty_sets(num_vars)
-        # Insertion journals (checkpoint support): parallel per-variable
-        # lists recording each bucket's successful insertions in order.
-        # A set's iteration order — which the solver's Work counts depend
-        # on — is a function of its insertion sequence, so reproducing a
-        # set exactly after a checkpoint requires replaying that
-        # sequence, not just the final contents.  ``None`` (the default)
-        # disables journaling; the cost when enabled is one list append
-        # per *stored* edge, nothing per redundant attempt.
-        self._journal_succ: Optional[List[List[int]]] = None
-        self._journal_pred: Optional[List[List[int]]] = None
-        self._journal_sources: Optional[List[List[Term]]] = None
-        self._journal_sinks: Optional[List[List[Term]]] = None
+        #: the insertion log (``bucket, var, item`` per stored edge),
+        #: or ``None`` when not journaling; the cost when enabled is
+        #: three appends per *stored* edge, nothing per redundant one
+        self.journal: Optional[List[object]] = None
+
+    def buckets(self) -> Tuple[List[Set], ...]:
+        """The four bucket lists, indexed by the log's bucket numbers."""
+        return (self.succ_vars, self.pred_vars, self.sources, self.sinks)
 
     def enable_journal(self) -> None:
-        """Start recording bucket insertion order (for checkpoints).
+        """Start logging bucket insertions (for checkpoints).
 
-        Must be called before any constraint is processed — journals
-        begun mid-run would miss earlier insertions.
+        Must be called before any constraint is processed — a log begun
+        mid-run would miss earlier insertions.
         """
-        if self._journal_succ is not None:
+        if self.journal is not None:
             return
-        if any(self.succ_vars) or any(self.pred_vars) \
-                or any(self.sources) or any(self.sinks):
+        if any(any(buckets) for buckets in self.buckets()):
             raise ValueError(
                 "enable_journal must be called on a pristine graph"
             )
-        count = self.num_vars
-        self._journal_succ = [[] for _ in range(count)]
-        self._journal_pred = [[] for _ in range(count)]
-        self._journal_sources = [[] for _ in range(count)]
-        self._journal_sinks = [[] for _ in range(count)]
+        self.journal = []
 
     # ------------------------------------------------------------------
     # Forwarding and growth
@@ -155,23 +171,9 @@ class ConstraintGraphBase:
             return
         self.parent.extend(range(len(self.parent), num_vars))
         self.ranks.extend(range(len(self.ranks), num_vars))
-        for collection in (
-            self.succ_vars,
-            self.pred_vars,
-            self.sources,
-            self.sinks,
-        ):
+        for collection in self.buckets():
             while len(collection) < num_vars:
                 collection.append(set())
-        for journal in (
-            self._journal_succ,
-            self._journal_pred,
-            self._journal_sources,
-            self._journal_sinks,
-        ):
-            if journal is not None:
-                while len(journal) < num_vars:
-                    journal.append([])
         self.num_vars = num_vars
 
     def alias(self, var_index: int, witness_index: int) -> bool:
@@ -221,27 +223,28 @@ class ConstraintGraphBase:
         """Forward ``absorbed`` into ``witness`` and re-emit its edges.
 
         Both are representatives (``collapse_path`` resolves the path).
+        Sources, successors and predecessors go out as fan-outs, sinks as
+        unit operations.  The log keeps ``absorbed``'s records: a
+        capture drops those of every non-representative.
         """
         self.parent[absorbed] = witness
         self.stats.vars_eliminated += 1
         emit = self.emit
-        for term in self.sources[absorbed]:
-            emit((OP_SOURCE, term, witness))
+        terms = self.sources[absorbed]
+        if terms:
+            emit((OP_SOURCES_FAN, witness, tuple(terms)))
         for term in self.sinks[absorbed]:
             emit((OP_SINK, witness, term))
-        for succ in self.succ_vars[absorbed]:
-            emit((OP_VAR_VAR, witness, succ))
-        for pred in self.pred_vars[absorbed]:
-            emit((OP_VAR_VAR, pred, witness))
+        succs = self.succ_vars[absorbed]
+        if succs:
+            emit((OP_SUCC_FAN, witness, tuple(succs)))
+        preds = self.pred_vars[absorbed]
+        if preds:
+            emit((OP_PRED_FAN, witness, tuple(preds)))
         self.sources[absorbed] = set()
         self.sinks[absorbed] = set()
         self.succ_vars[absorbed] = set()
         self.pred_vars[absorbed] = set()
-        if self._journal_succ is not None:
-            self._journal_succ[absorbed] = []
-            self._journal_pred[absorbed] = []
-            self._journal_sources[absorbed] = []
-            self._journal_sinks[absorbed] = []
 
     def collapse_all_sccs(self) -> int:
         """Collapse every non-trivial SCC of the current var-var graph.

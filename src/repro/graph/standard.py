@@ -56,7 +56,7 @@ class StandardGraph(ConstraintGraphBase):
         The source bucket of each representative, frozen: absorbed
         buckets are empty (see :meth:`least_solution_of`), so the
         component's terms are all at its representative.  Pure read —
-        no counters or journals are touched.
+        no counters or log entries are touched.
         """
         parent = self.parent
         sources = self.sources

@@ -13,9 +13,9 @@ the repo depends on:
   any hash seed.
 * **Crash isolation.**  Each in-flight task runs in its own process;
   a worker dying (segfault, OOM-kill) cannot poison a shared pool.
-  Crashes and per-task timeouts are retried up to ``retries`` times
-  and then reported as a failed :class:`TaskResult` *with a cause* —
-  the pool never hangs on a dead child.
+  Crashes are retried up to ``retries`` times and then reported as a
+  failed :class:`TaskResult` *with a cause* — the pool never hangs on
+  a dead child.
 * **Deterministic failures fail fast.**  A worker that raises a Python
   exception reports the traceback and is *not* retried: the same
   inputs would raise again, so retrying only burns CPU.
@@ -68,12 +68,10 @@ def _default_start_method() -> str:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One unit of work: a key (for reporting), a picklable payload,
-    and an optional per-task wall-clock timeout in seconds."""
+    """One unit of work: a key (for reporting) and a picklable payload."""
 
     key: str
     payload: Any = None
-    timeout: Optional[float] = None
 
 
 @dataclass
@@ -82,9 +80,9 @@ class TaskResult:
 
     ``kind`` is ``None`` on success, else one of ``"exception"`` (the
     worker raised — deterministic, not retried), ``"crash"`` (the
-    worker process died without reporting), or ``"timeout"`` (the task
-    or the whole run exceeded its deadline); crash and timeout failures
-    are only reported after ``retries`` re-runs.
+    worker process died without reporting; reported only after
+    ``retries`` re-runs), or ``"timeout"`` (the whole run exceeded its
+    deadline).
     """
 
     key: str
@@ -119,16 +117,14 @@ def _child_main(worker, payload, conn) -> None:
 class _Running:
     """Book-keeping for one in-flight task."""
 
-    __slots__ = ("index", "attempt", "process", "conn", "started",
-                 "deadline")
+    __slots__ = ("index", "attempt", "process", "conn", "started")
 
-    def __init__(self, index, attempt, process, conn, started, deadline):
+    def __init__(self, index, attempt, process, conn, started):
         self.index = index
         self.attempt = attempt
         self.process = process
         self.conn = conn
         self.started = started
-        self.deadline = deadline
 
 
 def run_tasks(
@@ -147,9 +143,9 @@ def run_tasks(
     once per *final* task outcome, in completion order.
 
     Failure semantics: worker exceptions fail immediately (kind
-    ``"exception"``); crashes and per-task timeouts are re-run up to
-    ``retries`` times before failing (kinds ``"crash"`` /
-    ``"timeout"``).  ``overall_timeout`` bounds the whole call; on
+    ``"exception"``); crashes are re-run up to ``retries`` times before
+    failing (kind ``"crash"``).  ``overall_timeout`` bounds the whole
+    call; on
     expiry all running children are killed and every unfinished task
     fails with kind ``"timeout"``.  The call itself never raises for
     task failures — callers inspect the results.
@@ -182,10 +178,8 @@ def run_tasks(
         )
         process.start()
         child_conn.close()
-        now = time.monotonic()
-        deadline = None if spec.timeout is None else now + spec.timeout
         running[index] = _Running(
-            index, attempt, process, parent_conn, now, deadline
+            index, attempt, process, parent_conn, time.monotonic()
         )
 
     def reap(entry: _Running) -> None:
@@ -196,13 +190,12 @@ def run_tasks(
         entry.conn.close()
         del running[entry.index]
 
-    def settle(entry: _Running, *, error=None, kind=None, value=None,
-               retry_allowed: bool = True) -> None:
+    def settle(entry: _Running, *, error=None, kind=None,
+               value=None) -> None:
         spec = tasks[entry.index]
         elapsed = time.monotonic() - entry.started
-        retryable = retry_allowed and kind in ("crash", "timeout")
         reap(entry)
-        if error is not None and retryable and entry.attempt <= retries:
+        if kind == "crash" and entry.attempt <= retries:
             queue.append((entry.index, entry.attempt + 1))
             return
         finish(entry.index, TaskResult(
@@ -213,8 +206,7 @@ def run_tasks(
     def kill_everything(reason: str) -> None:
         for entry in list(running.values()):
             entry.process.terminate()
-            settle(entry, error=reason, kind="timeout",
-                   retry_allowed=False)
+            settle(entry, error=reason, kind="timeout")
         while queue:
             index, attempt = queue.popleft()
             finish(index, TaskResult(
@@ -245,7 +237,6 @@ def run_tasks(
                 wait_for, max(0.0, overall_deadline - time.monotonic())
             )
         multiprocessing.connection.wait(waitables, timeout=wait_for)
-        now = time.monotonic()
         for entry in list(running.values()):
             message = None
             if entry.conn.poll(0):
@@ -263,17 +254,6 @@ def run_tasks(
                         error=f"worker raised:\n{body}",
                         kind="exception",
                     )
-            elif entry.deadline is not None and now > entry.deadline:
-                entry.process.terminate()
-                settle(
-                    entry,
-                    error=(
-                        f"timeout: task exceeded its "
-                        f"{tasks[entry.index].timeout:.0f}s deadline "
-                        f"(attempt {entry.attempt})"
-                    ),
-                    kind="timeout",
-                )
             elif not entry.process.is_alive():
                 settle(
                     entry,

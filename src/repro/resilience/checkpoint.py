@@ -9,8 +9,10 @@ finish the closure.
 
 What a checkpoint holds (format :data:`CHECKPOINT_VERSION`):
 
-* the pending worklist, in deque order, as unit operations;
-* every adjacency / source / sink set, saved in iteration order;
+* the pending worklist, in deque order, fan-out entries included, as
+  the engine holds it;
+* the graph's insertion log, less the records of variables that are no
+  longer representatives (their buckets were emptied by a collapse);
 * the graph's ``parent`` (forwarding pointer) list;
 * the full :class:`~repro.graph.stats.SolverStats` counter snapshot,
   periodic-sweep position, diagnostics, and the engine's
@@ -26,13 +28,13 @@ an uninterrupted run (the regression tests enforce this against the
 committed benchmark baseline).  Counters depend on set iteration order,
 and a set's iteration order is a function of its *insertion sequence*
 (rebuilding from iteration order is not a fixpoint under hash
-collisions), so checkpointable engines journal every bucket insertion
+collisions), so checkpointable engines log every bucket insertion
 (:meth:`~repro.graph.base.ConstraintGraphBase.enable_journal`, enabled
 by ``SolverOptions(checkpointable=True)`` or implied by a budget /
-cancellation token) and :func:`restore` replays each bucket's journal
-into a fresh set — byte-for-byte the same layout the interrupted run
-had.  :func:`capture` refuses engines that ran without journaling.
-Replaying a journal reproduces a layout only under the same hash
+cancellation token) and :func:`restore` replays the log into fresh
+sets — byte-for-byte the same layout the interrupted run had.
+:func:`capture` refuses engines that ran without the log.
+Replaying the log reproduces a layout only under the same hash
 function, and expression hashes are seed-free
 (:mod:`repro.constraints.hashing`), so a checkpoint resumes in any
 process under any hash seed.
@@ -75,7 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..solver.options import SolverOptions
 
 #: Format version; bump on any breaking change to the payload shape.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Leading magic in the byte encoding, so stray pickles are rejected.
 _MAGIC = b"repro-ckpt\x00"
@@ -240,28 +242,29 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
     (budget / cancellation stop), after an exception, or between
     :class:`~repro.solver.IncrementalSolver` batches.
     """
-    from ..solver.kernel import unit_operations
-
     graph = engine.graph
     stats = engine.stats
-    if graph._journal_succ is None:
+    journal = graph.journal
+    if journal is None:
         raise CheckpointError(
             "engine state cannot be captured exactly: the run did not "
             "journal bucket insertions; solve with "
             "SolverOptions(checkpointable=True) (or a budget / "
             "cancellation token, which imply it)"
         )
+    parent = graph.parent
+    # The log, not set contents: insertion order is what lets restore
+    # rebuild each set with its exact original layout.  An absorbed
+    # variable's buckets are empty, so its records are dropped.
+    log: List[object] = []
+    records = iter(journal)
+    for bucket, var, item in zip(records, records, records):
+        if parent[var] == var:
+            log += (bucket, var, item)
     state: Dict[str, Any] = {
-        "parent": list(graph.parent),
-        # Journals, not set contents: insertion order is what lets
-        # restore rebuild each set with its exact original layout.
-        "succ": [list(journal) for journal in graph._journal_succ],
-        "pred": [list(journal) for journal in graph._journal_pred],
-        "sources": [list(journal) for journal in graph._journal_sources],
-        "sinks": [list(journal) for journal in graph._journal_sinks],
-        # Unit operations only: fan-out entries are an in-memory form
-        # of the same operations, in the same order.
-        "pending": list(unit_operations(engine.pending)),
+        "parent": list(parent),
+        "log": log,
+        "pending": list(engine.pending),
         "since_sweep": engine._since_sweep,
         "stats": {
             f.name: getattr(stats, f.name) for f in fields(SolverStats)
@@ -367,17 +370,15 @@ def restore(
     num_vars = graph.num_vars
     graph.parent = state["parent"] + list(range(saved_graph_vars, num_vars))
     graph.ranks = saved_ranks + list(range(len(saved_ranks), num_vars))
-    # The restored engine must itself be checkpointable again.
-    graph.enable_journal()
-    for index in range(saved_graph_vars):
-        graph.succ_vars[index] = _rebuild_set(state["succ"][index])
-        graph.pred_vars[index] = _rebuild_set(state["pred"][index])
-        graph.sources[index] = _rebuild_set(state["sources"][index])
-        graph.sinks[index] = _rebuild_set(state["sinks"][index])
-        graph._journal_succ[index] = list(state["succ"][index])
-        graph._journal_pred[index] = list(state["pred"][index])
-        graph._journal_sources[index] = list(state["sources"][index])
-        graph._journal_sinks[index] = list(state["sinks"][index])
+    # Replay the log one ``add`` at a time (never ``set(items)``): each
+    # bucket grew that way, so the fresh sets get its exact layout.
+    # The restored engine keeps the log, so it can be captured again.
+    log = state["log"]
+    buckets = graph.buckets()
+    records = iter(log)
+    for bucket, var, item in zip(records, records, records):
+        buckets[bucket][var].add(item)
+    graph.journal = log
     stats = engine.stats
     for name, value in state["stats"].items():
         setattr(stats, name, value)
@@ -387,18 +388,3 @@ def restore(
     engine.diagnostics[:] = state["diagnostics"]
     engine.status = SolveStatus(state["status"])
     return engine
-
-
-def _rebuild_set(items) -> set:
-    """Rebuild a set by replaying the journaled insertion sequence.
-
-    Element-by-element (never ``set(items)``): the bucket being restored
-    grew one ``add`` at a time, and replaying the same sequence from a
-    fresh set reproduces its internal layout — hence iteration order —
-    exactly.
-    """
-    rebuilt = set()
-    add = rebuilt.add
-    for item in items:
-        add(item)
-    return rebuilt

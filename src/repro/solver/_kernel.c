@@ -3,14 +3,16 @@
    A transliteration of repro.solver.kernel.run_kernel and of
    repro.graph.cycles.find_chain_path.  It executes the same worklist
    operations in the same order over the same state: the engine's
-   `pending` deque, the graph's `parent` and `ranks` lists and its four
-   lists of `set` buckets.  Buckets stay real sets holding the same
-   objects, inserted in the same sequence, and are iterated in CPython's
-   own order, so cycle detection and every counter equal the Python
-   kernel's.  Python is called back only for the cycle collapse
-   (graph.collapse_path), pairs that need decompose (_resolve_generic),
-   flat plans (flat_plan), periodic sweeps (engine._sweep) and the trace
-   sink's methods.
+   `pending` deque, the graph's `parent` and `ranks` lists, its four
+   lists of `set` buckets and its insertion log (`journal`, three items
+   per stored edge: bucket number, variable, item).  Buckets stay real
+   sets holding the same objects, inserted in the same sequence, and are
+   iterated in CPython's own order, so cycle detection and every counter
+   equal the Python kernel's.  The worklist holds unit sink and
+   resolution entries and fan-outs for everything else.  Python is
+   called back only for the cycle collapse (graph.collapse_path), pairs
+   that need decompose (_resolve_generic), flat plans (flat_plan),
+   periodic sweeps (engine._sweep) and the trace sink's methods.
 
    Every index read from a worklist entry, a bucket or `parent` is
    bounds-checked as Python's list indexing checks it (negative indices
@@ -22,8 +24,9 @@
    envelope" below).
 
    repro.solver.native compiles this file on first import and calls
-   bind() with the Python kernel module; the worklist tags, the Term and
-   Var classes and the constructors 0 and 1 come from there. */
+   bind() with the Python kernel module; the worklist tags, the log's
+   bucket numbers, the Term and Var classes and the constructors 0 and 1
+   come from there. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -54,6 +57,7 @@ static PyObject *TermType, *VarType;
 static PyObject *OP_SOURCE_FAN, *OP_SOURCES_FAN, *OP_SUCC_FAN, *OP_PRED_FAN;
 static PyObject *OP_RESOLVE, *OP_SINK, *OP_VAR_VAR, *OP_SOURCE;
 static PyObject *ONE_CONSTRUCTOR, *ZERO_CONSTRUCTOR, *DECREASING;
+static PyObject *SUCC_BUCKET, *PRED_BUCKET, *SOURCES_BUCKET, *SINKS_BUCKET;
 
 static struct {
     PyObject **slot;
@@ -72,6 +76,10 @@ static struct {
     {&ONE_CONSTRUCTOR, "ONE_CONSTRUCTOR"},
     {&ZERO_CONSTRUCTOR, "ZERO_CONSTRUCTOR"},
     {&DECREASING, "_DECREASING"},
+    {&SUCC_BUCKET, "SUCC_BUCKET"},
+    {&PRED_BUCKET, "PRED_BUCKET"},
+    {&SOURCES_BUCKET, "SOURCES_BUCKET"},
+    {&SINKS_BUCKET, "SINKS_BUCKET"},
     {NULL, NULL},
 };
 
@@ -79,8 +87,7 @@ static struct {
 static PyObject *S_pending, *S_popleft, *S_appendleft, *S_append, *S_pop;
 static PyObject *S_graph, *S_sink, *S_stats, *S_parent, *S_ranks;
 static PyObject *S_succ_vars, *S_pred_vars, *S_sources, *S_sinks;
-static PyObject *S_journal_succ, *S_journal_pred, *S_journal_sources;
-static PyObject *S_journal_sinks, *S_inductive, *S_online_cycles;
+static PyObject *S_journal, *S_inductive, *S_online_cycles;
 static PyObject *S_collapse_path, *S_search_mode, *S_periodic;
 static PyObject *S_since_sweep, *S_periodic_interval, *S_sweep;
 static PyObject *S_work, *S_redundant, *S_self_edges, *S_resolutions;
@@ -111,10 +118,7 @@ static struct {
     {&S_pred_vars, "pred_vars"},
     {&S_sources, "sources"},
     {&S_sinks, "sinks"},
-    {&S_journal_succ, "_journal_succ"},
-    {&S_journal_pred, "_journal_pred"},
-    {&S_journal_sources, "_journal_sources"},
-    {&S_journal_sinks, "_journal_sinks"},
+    {&S_journal, "journal"},
     {&S_inductive, "inductive"},
     {&S_online_cycles, "online_cycles"},
     {&S_collapse_path, "collapse_path"},
@@ -165,8 +169,7 @@ typedef struct {
     PyObject *sink; /* NULL: no sink */
     PyObject *stats;
     PyObject *parent, *ranks, *succ_vars, *pred_vars, *sources, *sinks;
-    /* NULL: not journaling */
-    PyObject *journal_succ, *journal_pred, *journal_sources, *journal_sinks;
+    PyObject *journal; /* NULL: not journaling */
     PyObject *collapse_path;
     int inductive, online, periodic, sf_decreasing;
     Py_ssize_t since_sweep, interval;
@@ -255,20 +258,17 @@ bucket_at(PyObject *buckets, Py_ssize_t i)
     return Py_NewRef(bucket);
 }
 
-/* journal[i].append(value) */
+/* journal += (bucket, var, item), when journaling */
 static int
-journal_append(PyObject *journal, Py_ssize_t i, PyObject *value)
+log_insertion(PyObject *journal, PyObject *bucket, PyObject *var,
+              PyObject *item)
 {
-    PyObject *record = item_at(journal, i), *result;
-    if (record == NULL) {
-        return -1;
+    if (journal == NULL) {
+        return 0;
     }
-    if (PyList_CheckExact(record)) {
-        return PyList_Append(record, value);
-    }
-    result = PyObject_CallMethodOneArg(record, S_append, value);
-    Py_XDECREF(result);
-    return result == NULL ? -1 : 0;
+    return PyList_Append(journal, bucket) < 0
+        || PyList_Append(journal, var) < 0
+        || PyList_Append(journal, item) < 0 ? -1 : 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -812,8 +812,7 @@ source_member(Kernel *k, PyObject *term, PyObject *var_object)
         rc = 0;
         goto done;
     }
-    if (k->journal_sources != NULL
-            && journal_append(k->journal_sources, v, term) < 0) {
+    if (log_insertion(k->journal, SOURCES_BUCKET, var, term) < 0) {
         goto done;
     }
     if (k->sink != NULL && edge_event(k, OP_SOURCE, term, var, S_added) < 0) {
@@ -903,8 +902,7 @@ successor_edge(Kernel *k, Py_ssize_t l, Py_ssize_t r, PyObject **left,
         }
     }
     if (PySet_Add(bucket, *right) < 0
-            || (k->journal_succ != NULL
-                && journal_append(k->journal_succ, l, *right) < 0)
+            || log_insertion(k->journal, SUCC_BUCKET, *left, *right) < 0
             || (k->sink != NULL
                 && edge_event(k, OP_VAR_VAR, *left, *right, S_added) < 0)
             || (k->inductive
@@ -952,8 +950,7 @@ predecessor_edge(Kernel *k, Py_ssize_t l, Py_ssize_t r, PyObject **left,
         }
     }
     if (PySet_Add(bucket, *left) < 0
-            || (k->journal_pred != NULL
-                && journal_append(k->journal_pred, r, *left) < 0)
+            || log_insertion(k->journal, PRED_BUCKET, *right, *left) < 0
             || (k->sink != NULL
                 && edge_event(k, OP_VAR_VAR, *left, *right, S_added) < 0)
             || emit_bucket(k, OP_SUCC_FAN, *left, k->succ_vars, r) < 0) {
@@ -1055,8 +1052,7 @@ sink_entry(Kernel *k, PyObject *var_object, PyObject *term)
                                               S_redundant_outcome);
         goto done;
     }
-    if ((k->journal_sinks != NULL
-            && journal_append(k->journal_sinks, v, term) < 0)
+    if (log_insertion(k->journal, SINKS_BUCKET, var, term) < 0
             || (k->sink != NULL
                 && edge_event(k, OP_SINK, var, term, S_added) < 0)) {
         goto done;
@@ -1343,7 +1339,7 @@ done:
 
 enum {
     K_SOURCE_FAN, K_SOURCES_FAN, K_RESOLVE, K_SUCC_FAN, K_PRED_FAN,
-    K_SINK, K_VAR_VAR, K_SOURCE, K_UNKNOWN
+    K_SINK, K_UNKNOWN
 };
 
 /* The handler of a tag, compared by value as the Python kernel does;
@@ -1353,7 +1349,7 @@ tag_kind(PyObject *tag)
 {
     PyObject *tags[K_UNKNOWN] = {
         OP_SOURCE_FAN, OP_SOURCES_FAN, OP_RESOLVE, OP_SUCC_FAN,
-        OP_PRED_FAN, OP_SINK, OP_VAR_VAR, OP_SOURCE,
+        OP_PRED_FAN, OP_SINK,
     };
     int kind, equal;
     for (kind = 0; kind < K_UNKNOWN; kind++) {
@@ -1447,14 +1443,7 @@ kernel_load(Kernel *k, PyObject *engine)
             || (k->pred_vars = list_attribute(graph, S_pred_vars)) == NULL
             || (k->sources = list_attribute(graph, S_sources)) == NULL
             || (k->sinks = list_attribute(graph, S_sinks)) == NULL
-            || optional_list_attribute(graph, S_journal_succ,
-                                       &k->journal_succ) < 0
-            || optional_list_attribute(graph, S_journal_pred,
-                                       &k->journal_pred) < 0
-            || optional_list_attribute(graph, S_journal_sources,
-                                       &k->journal_sources) < 0
-            || optional_list_attribute(graph, S_journal_sinks,
-                                       &k->journal_sinks) < 0
+            || optional_list_attribute(graph, S_journal, &k->journal) < 0
             || truth_attribute(graph, S_inductive, &k->inductive) < 0
             || truth_attribute(graph, S_online_cycles, &k->online) < 0
             || (k->collapse_path = PyObject_GetAttr(graph,
@@ -1492,10 +1481,7 @@ kernel_release(Kernel *k)
     Py_XDECREF(k->pred_vars);
     Py_XDECREF(k->sources);
     Py_XDECREF(k->sinks);
-    Py_XDECREF(k->journal_succ);
-    Py_XDECREF(k->journal_pred);
-    Py_XDECREF(k->journal_sources);
-    Py_XDECREF(k->journal_sinks);
+    Py_XDECREF(k->journal);
     Py_XDECREF(k->collapse_path);
     PyMem_Free(k->marks);
     PyMem_Free(k->came_from);
@@ -1718,18 +1704,6 @@ run_kernel(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             /* `X <= c(...)` */
             room--;
             if (sink_entry(&k, first, second) < 0) {
-                goto error;
-            }
-            break;
-        case K_VAR_VAR:
-            /* Unit vv/sv from outside the kernel (cycle collapse, a
-               restored checkpoint): run as a fan-out of one. */
-            if (emit_one(k.appendleft, OP_SUCC_FAN, first, second) < 0) {
-                goto error;
-            }
-            break;
-        case K_SOURCE:
-            if (emit_one(k.appendleft, OP_SOURCE_FAN, first, second) < 0) {
                 goto error;
             }
             break;

@@ -95,8 +95,14 @@ class SolverEngine:
             search_mode=options.search_mode,
             sink=self.sink,
         )
+        for name in ("periodic_interval", "check_stride"):
+            value = getattr(options, name)
+            if value < 1:
+                raise ValueError(
+                    f"SolverOptions.{name} must be at least 1, got {value!r}"
+                )
         self._periodic = options.cycles is CyclePolicy.PERIODIC
-        self._periodic_interval = max(1, options.periodic_interval)
+        self._periodic_interval = options.periodic_interval
         self._since_sweep = 0
         # --- resilience layer -----------------------------------------
         # Inert unless a budget, cancellation token, or stride audit is
@@ -114,7 +120,7 @@ class SolverEngine:
         self._on_budget_partial = options.on_budget == "partial"
         #: operations between budget/cancellation checks; None = no checks
         self._check_stride = (
-            max(1, options.check_stride)
+            options.check_stride
             if self._budget is not None or self._cancellation is not None
             else None
         )
@@ -164,9 +170,6 @@ class SolverEngine:
         finalize_statistics(self.graph)
         if sink is not None:
             sink.phase_end("finalize")
-        if self.options.strict and self.diagnostics:
-            solution = self._make_solution({})
-            solution.raise_on_errors()
         started = time.perf_counter()
         if sink is not None:
             sink.phase_begin("least-solution")

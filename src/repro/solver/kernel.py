@@ -4,84 +4,66 @@
 supervises the closure (budget and cancellation checks, stride audits)
 and hands each stretch between two checks to :func:`run_kernel`.  The
 kernel executes atomic operations in worklist order with every handler
-inlined: source insertion (``sv``), sink insertion (``vs``), the
-var-var insertion of either graph form (``vv``, with online cycle
-search and periodic sweeps) and the resolution rules (``rr``).  The
-kernel reads and writes the graph's plain state lists (``parent``,
-``ranks`` and the four buckets).  Standard versus inductive form is a
-local boolean, and tracing and journals are local ``is not None``
-checks, so there is one code path for every configuration.
+inlined: source insertion, sink insertion (``vs``), the var-var
+insertion of either graph form (with online cycle search and periodic
+sweeps) and the resolution rules (``rr``).  The kernel reads and writes
+the graph's plain state lists (``parent``, ``ranks`` and the four
+buckets) and appends to its insertion log.  Standard versus inductive
+form is a local boolean, and tracing and the log are local
+``is not None`` checks, so there is one code path for every
+configuration.
 
-Worklist entries are 3-tuples ``(tag, first, second)``.  Besides the
-four unit operations of :mod:`repro.graph.base` the kernel emits
-*fan-out* entries: when an insertion propagates to every member of a
-bucket it appends one entry carrying a ``tuple`` snapshot of the bucket
-instead of one unit operation per member.  The fixed operand is
-``first`` and the snapshot is ``second``:
+Worklist entries are 3-tuples ``(tag, first, second)``.  Sinks and
+resolutions are unit operations; every source and var-var insertion
+travels in a *fan-out* entry, which carries a ``tuple`` of members
+(:mod:`repro.graph.base` defines the tags).  The fixed operand is
+``first`` and the members are ``second``:
 
 ======================  ==========================  ==================
-tag                     entry                       unit operations
+tag                     entry                       one insertion each
 ======================  ==========================  ==================
-:data:`OP_SOURCE_FAN`   ``(tag, term, vars)``       ``sv term v``
-:data:`OP_SOURCES_FAN`  ``(tag, var, terms)``       ``sv t var``
-:data:`OP_SUCC_FAN`     ``(tag, left, rights)``     ``vv left r``
-:data:`OP_PRED_FAN`     ``(tag, right, lefts)``     ``vv l right``
+:data:`OP_SOURCE_FAN`   ``(tag, term, vars)``       ``term <= v``
+:data:`OP_SOURCES_FAN`  ``(tag, var, terms)``       ``t <= var``
+:data:`OP_SUCC_FAN`     ``(tag, left, rights)``     ``left <= r``
+:data:`OP_PRED_FAN`     ``(tag, right, lefts)``     ``l <= right``
 ======================  ==========================  ==================
 
-A fan-out stands for exactly the unit operations the handler would have
-appended one by one, in bucket iteration order, and those were
-consecutive in the FIFO: nothing ran between them, and whatever they
-emit goes to the tail either way.  Every member still pays its own
-``find``, redundancy check and unit of Work, so order and counters are
-those of the unit-operation worklist.  The kernel emits every var-var
-and source operation as a fan-out (of one member for a single
-operation); unit ``vv``/``sv`` entries come only from cycle collapse
-and restored checkpoints.  :func:`unit_operations` expands entries back
-into unit operations (checkpoints store only those).
+When an insertion propagates to every member of a bucket, the kernel
+appends one entry carrying a snapshot of the bucket; a single operation
+(from the resolution rules) is a fan-out of one, and a cycle collapse
+re-emits an absorbed variable's buckets as fan-outs too.  Every member
+pays its own ``find``, redundancy check and unit of Work, in tuple
+order, so order and counters are those of one unit operation per
+member.  Checkpoints store the worklist as it is.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from ..constraints.constructors import ONE_CONSTRUCTOR, ZERO_CONSTRUCTOR
 from ..constraints.expressions import Term, Var
 from ..constraints.resolution import decompose, flat_plan
-from ..graph.base import OP_RESOLVE, OP_SINK, OP_SOURCE, OP_VAR_VAR, Op
+from ..graph.base import (
+    OP_PRED_FAN,
+    OP_RESOLVE,
+    OP_SINK,
+    OP_SOURCE,
+    OP_SOURCE_FAN,
+    OP_SOURCES_FAN,
+    OP_SUCC_FAN,
+    OP_VAR_VAR,
+    PRED_BUCKET,
+    SINKS_BUCKET,
+    SOURCES_BUCKET,
+    SUCC_BUCKET,
+)
 from ..graph.cycles import SearchMode, find_chain_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import SolverEngine
 
-#: ``(OP_SOURCE_FAN, term, vars)``: ``term`` flows into every var
-OP_SOURCE_FAN = "sv*"
-#: ``(OP_SOURCES_FAN, var, terms)``: every term flows into ``var``
-OP_SOURCES_FAN = "*sv"
-#: ``(OP_SUCC_FAN, left, rights)``: ``left <= r`` for every r
-OP_SUCC_FAN = "vv*"
-#: ``(OP_PRED_FAN, right, lefts)``: ``l <= right`` for every l
-OP_PRED_FAN = "*vv"
-
 _DECREASING = SearchMode.DECREASING
-
-
-def unit_operations(entries: Iterable[Op]) -> Iterator[Op]:
-    """Expand fan-out entries into the unit operations they stand for."""
-    for tag, first, second in entries:
-        if tag == OP_SOURCE_FAN:
-            for var in second:
-                yield (OP_SOURCE, first, var)
-        elif tag == OP_SOURCES_FAN:
-            for term in second:
-                yield (OP_SOURCE, term, first)
-        elif tag == OP_SUCC_FAN:
-            for right in second:
-                yield (OP_VAR_VAR, first, right)
-        elif tag == OP_PRED_FAN:
-            for left in second:
-                yield (OP_VAR_VAR, left, first)
-        else:
-            yield (tag, first, second)
 
 
 def run_kernel(engine: "SolverEngine", limit: int) -> int:
@@ -112,10 +94,7 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
     pred_vars = graph.pred_vars
     sources = graph.sources
     sinks = graph.sinks
-    journal_succ = graph._journal_succ
-    journal_pred = graph._journal_pred
-    journal_sources = graph._journal_sources
-    journal_sinks = graph._journal_sinks
+    journal = graph.journal
     inductive = graph.inductive
     online = graph.online_cycles
     collapse_path = graph.collapse_path
@@ -163,8 +142,8 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                         if sink is not None:
                             sink.edge(OP_SOURCE, term, var, "redundant")
                         continue
-                    if journal_sources is not None:
-                        journal_sources[var].append(term)
+                    if journal is not None:
+                        journal += (SOURCES_BUCKET, var, term)
                     if sink is not None:
                         sink.edge(OP_SOURCE, term, var, "added")
                     succs = succ_vars[var]
@@ -305,8 +284,8 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                                               "cycle")
                             else:
                                 bucket.add(right)
-                                if journal_succ is not None:
-                                    journal_succ[left].append(right)
+                                if journal is not None:
+                                    journal += (SUCC_BUCKET, left, right)
                                 if sink is not None:
                                     sink.edge(OP_VAR_VAR, left, right,
                                               "added")
@@ -340,8 +319,8 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                                               "cycle")
                             else:
                                 bucket.add(left)
-                                if journal_pred is not None:
-                                    journal_pred[right].append(left)
+                                if journal is not None:
+                                    journal += (PRED_BUCKET, right, left)
                                 if sink is not None:
                                     sink.edge(OP_VAR_VAR, left, right,
                                               "added")
@@ -374,8 +353,8 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                     if sink is not None:
                         sink.edge(OP_SINK, var, term, "redundant")
                     continue
-                if journal_sinks is not None:
-                    journal_sinks[var].append(term)
+                if journal is not None:
+                    journal += (SINKS_BUCKET, var, term)
                 if sink is not None:
                     sink.edge(OP_SINK, var, term, "added")
                 # Passed back to the variable predecessors (IF only:
@@ -385,13 +364,6 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                 for source in sources[var]:
                     append((OP_RESOLVE, source, term))
 
-            # ---- unit vv/sv from outside the kernel -----------------
-            # (cycle collapse, a restored checkpoint): run as a
-            # fan-out of one.
-            elif tag == OP_VAR_VAR:
-                appendleft((OP_SUCC_FAN, first, (second,)))
-            elif tag == OP_SOURCE:
-                appendleft((OP_SOURCE_FAN, first, (second,)))
             else:
                 raise ValueError(f"unknown worklist operation {tag!r}")
     except BaseException:

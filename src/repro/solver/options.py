@@ -69,8 +69,6 @@ class SolverOptions:
     #: for CyclePolicy.PERIODIC: run a full SCC sweep every this many
     #: processed variable-variable edge additions
     periodic_interval: int = 1000
-    #: raise InconsistentConstraintError on the first clash
-    strict: bool = False
     #: full-fidelity event sink (see :mod:`repro.trace`): edge
     #: insertions, resolutions, partial cycle searches, collapses,
     #: phase spans.  None (the default) disables tracing at the cost of

@@ -16,8 +16,12 @@ from repro.resilience import (
     restore,
 )
 from repro.solver import SolverEngine, SolverOptions
+from repro.solver import engine as engine_module
+from repro.solver import kernel as python_kernel
+from repro.solver import native
 from repro.experiments.config import options_for
 from repro.workloads.generator import RandomSystemConfig, random_system
+from tests.solver.test_native_kernel import random_systems
 
 #: The four directly-engine-drivable configurations (oracle runs go
 #: through the two-phase driver, not a single SolverEngine).
@@ -98,16 +102,18 @@ def test_bytes_rejects_garbage_and_bad_versions():
 def test_version_one_payload_refused():
     """Format 2 dropped v1's union-find count, recorded var-edge keys
     and form name; format 3 added a string-hash probe, which format 4
-    dropped with seed-free expression hashes.  Older checkpoints are
-    refused, not half-read."""
+    dropped with seed-free expression hashes; format 5 stores one
+    insertion log instead of per-variable journals, and the worklist
+    with its fan-out entries.  Older checkpoints are refused, not
+    half-read."""
     system = make_system()
     engine = SolverEngine(system, SolverOptions(checkpointable=True))
     engine.run()
     checkpoint = capture(engine)
-    assert checkpoint.version == 4
+    assert checkpoint.version == 5
     assert "form" not in checkpoint.payload["meta"]
     assert "hash_probe" not in checkpoint.payload["meta"]
-    for old_version in (1, 2, 3):
+    for old_version in (1, 2, 3, 4):
         checkpoint.version = old_version
         with pytest.raises(CheckpointError, match="version"):
             EngineCheckpoint.from_bytes(checkpoint.to_bytes())
@@ -229,6 +235,65 @@ def test_resume_under_another_hash_seed(tmp_path, baseline_counters):
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert json.loads(outputs[1]) == want
+
+
+# ----------------------------------------------------------------------
+# Every budget stop of random systems, on each kernel
+# ----------------------------------------------------------------------
+
+def buckets_in_order(graph):
+    return [[list(bucket) for bucket in buckets]
+            for buckets in graph.buckets()]
+
+
+class TestRandomSystemStops:
+    """Capture -> bytes -> restore at every budget stop reproduces the
+    engine: its worklist, every bucket in iteration order, and the
+    counters and least solution it finishes with.  Runs on the Python
+    kernel; the ``...Native`` subclass runs it on the native one."""
+
+    run_kernel = staticmethod(python_kernel.run_kernel)
+
+    @pytest.fixture(autouse=True)
+    def _engine_kernel(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "run_kernel", self.run_kernel)
+
+    @pytest.mark.parametrize("label", ("SF-Online", "IF-Online"))
+    def test_every_stop_round_trips(self, label):
+        stops = 0
+        for seed, system in random_systems():
+            order = seed % 2
+            full = SolverEngine(system, options_for(label, seed=order)).run()
+            expected = counters_of(full)
+            least = [full.least_solution(var) for var in system.variables]
+            engine = SolverEngine(system, options_for(
+                label, seed=order, on_budget="partial", check_stride=7,
+                budget=SolveBudget(max_work=max(1, expected["work"] // 3))))
+            solution = engine.run()
+            while solution.is_partial:
+                stops += 1
+                restored = restore(
+                    system,
+                    options_for(label, seed=order, checkpointable=True),
+                    EngineCheckpoint.from_bytes(capture(engine).to_bytes()))
+                where = (seed, stops)
+                assert list(restored.pending) == list(engine.pending), where
+                assert buckets_in_order(restored.graph) \
+                    == buckets_in_order(engine.graph), where
+                resumed = restored.resume()
+                assert counters_of(resumed) == expected, where
+                assert [resumed.least_solution(var)
+                        for var in system.variables] == least, where
+                solution = engine.resume()
+            assert counters_of(solution) == expected, seed
+        assert stops >= 400
+
+
+@pytest.mark.skipif(native.kernel is None,
+                    reason=f"native kernel unavailable: {native.build_error}")
+class TestRandomSystemStopsNative(TestRandomSystemStops):
+    run_kernel = staticmethod(native.kernel.run_kernel if native.kernel
+                              else None)
 
 
 # ----------------------------------------------------------------------

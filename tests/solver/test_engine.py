@@ -4,6 +4,7 @@ import pytest
 
 from repro import ConstraintSystem, Variance
 from repro.constraints import InconsistentConstraintError
+from repro.resilience import CancellationToken
 from repro.solver import (
     CyclePolicy,
     GraphForm,
@@ -71,10 +72,6 @@ class TestDiagnostics:
         assert solution.stats.clashes == 1
         assert solution.diagnostics[0].kind == "constructor-clash"
 
-    def test_strict_mode_raises(self):
-        with pytest.raises(InconsistentConstraintError):
-            solve(self.build_clashing(), SolverOptions(strict=True))
-
     def test_raise_on_errors(self):
         solution = solve(self.build_clashing(), SolverOptions())
         with pytest.raises(InconsistentConstraintError):
@@ -107,6 +104,32 @@ class TestEngineGuards:
         system, _, _ = chain_system()
         solution = solve(system, SolverOptions())
         assert solution.var_edges is None
+
+    @pytest.mark.parametrize("value", (0, -1))
+    def test_periodic_interval_below_one_rejected(self, value):
+        system, _, _ = chain_system()
+        options = SolverOptions(cycles=CyclePolicy.PERIODIC,
+                                periodic_interval=value)
+        with pytest.raises(ValueError, match="periodic_interval"):
+            SolverEngine(system, options)
+        with pytest.raises(ValueError, match="periodic_interval"):
+            solve(system, options)
+
+    @pytest.mark.parametrize("value", (0, -1))
+    def test_check_stride_below_one_rejected(self, value):
+        system, _, _ = chain_system()
+        with pytest.raises(ValueError, match="check_stride"):
+            SolverEngine(system, SolverOptions(check_stride=value))
+        with pytest.raises(ValueError, match="check_stride"):
+            solve(system, SolverOptions(
+                cancellation=CancellationToken(), check_stride=value))
+
+    def test_interval_and_stride_of_one_accepted(self):
+        system, variables, src = chain_system()
+        solution = solve(system, SolverOptions(
+            cycles=CyclePolicy.PERIODIC, periodic_interval=1,
+            cancellation=CancellationToken(), check_stride=1))
+        assert solution.least_solution(variables[-1]) == frozenset({src})
 
 
 class TestDeterminism:

@@ -20,7 +20,16 @@ from repro.constraints import DepthLimitError
 from repro.constraints.resolution import decompose
 from repro.experiments.config import options_for
 from repro.graph import CreationOrder
-from repro.graph.base import OP_RESOLVE, OP_SINK, OP_SOURCE, OP_VAR_VAR
+from repro.graph.base import (
+    OP_PRED_FAN,
+    OP_RESOLVE,
+    OP_SINK,
+    OP_SOURCE,
+    OP_SOURCE_FAN,
+    OP_SOURCES_FAN,
+    OP_SUCC_FAN,
+    OP_VAR_VAR,
+)
 from repro.resilience import (
     CancellationToken,
     EngineCheckpoint,
@@ -33,17 +42,10 @@ from repro.solver import SolverEngine, SolverOptions, SolveStatus
 from repro.solver import engine as engine_module
 from repro.solver import kernel as python_kernel
 from repro.solver import native
-from repro.solver.kernel import (
-    OP_PRED_FAN,
-    OP_SOURCE_FAN,
-    OP_SOURCES_FAN,
-    OP_SUCC_FAN,
-    unit_operations,
-)
 from repro.workloads.generator import RandomSystemConfig, random_system
 
 FAN_TAGS = (OP_SOURCE_FAN, OP_SOURCES_FAN, OP_SUCC_FAN, OP_PRED_FAN)
-UNIT_TAGS = (OP_VAR_VAR, OP_SOURCE, OP_SINK, OP_RESOLVE)
+WORKLIST_TAGS = FAN_TAGS + (OP_SINK, OP_RESOLVE)
 ONLINE_LABELS = ("SF-Online", "IF-Online")
 
 native_only = pytest.mark.skipif(
@@ -191,19 +193,21 @@ def stop_with_fan_out_pending(system, label):
     pytest.fail("no cut left a multi-member fan-out pending")
 
 
-class TestCheckpointFlattening(KernelCase):
+class TestCheckpointWorklist(KernelCase):
     @pytest.mark.parametrize("label", ONLINE_LABELS)
-    def test_capture_stores_unit_operations(self, label):
+    def test_worklist_round_trips(self, label):
+        """A checkpoint stores the worklist as the engine holds it,
+        multi-member fan-outs included."""
         system = make_system()
         engine = stop_with_fan_out_pending(system, label)
         checkpoint = capture(engine)
-        assert checkpoint.version == CHECKPOINT_VERSION == 4
+        assert checkpoint.version == CHECKPOINT_VERSION == 5
         restored = restore(
             system, options_for(label, checkpointable=True),
             EngineCheckpoint.from_bytes(checkpoint.to_bytes()))
         pending = list(restored.pending)
-        assert all(tag in UNIT_TAGS for tag, _, _ in pending)
-        assert pending == list(unit_operations(engine.pending))
+        assert all(tag in WORKLIST_TAGS for tag, _, _ in pending)
+        assert pending == list(engine.pending)
         assert counters_of(restored.resume()) == uninterrupted(system, label)
 
 
@@ -227,14 +231,15 @@ class TestTagValues(KernelCase):
         assert counters_of(solution) == uninterrupted(system, label)
 
 
-def as_unit_operations(atoms):
-    """decompose's atoms as the worklist's unit operations."""
+def as_worklist_entries(atoms):
+    """decompose's atoms as the kernel appends them: var-var and source
+    insertions as fan-outs of one."""
     out = []
     for tag, left, right in atoms:
         if tag == OP_VAR_VAR:
-            out.append((OP_VAR_VAR, left.index, right.index))
+            out.append((OP_SUCC_FAN, left.index, (right.index,)))
         elif tag == OP_SOURCE:
-            out.append((OP_SOURCE, left, right.index))
+            out.append((OP_SOURCE_FAN, left, (right.index,)))
         else:
             out.append((OP_SINK, left.index, right))
     return out
@@ -263,8 +268,8 @@ class TestResolution(KernelCase):
             engine.pending.clear()
             engine.pending.append((OP_RESOLVE, left, right))
             assert self.run_kernel(engine, 1) == 1
-            assert list(unit_operations(engine.pending)) == \
-                as_unit_operations(atoms), (left, right)
+            assert list(engine.pending) == \
+                as_worklist_entries(atoms), (left, right)
             assert engine.diagnostics[before:] == expected_diagnostics
             checked += 1
         assert engine.stats.clashes == len(engine.diagnostics) > 0
@@ -349,7 +354,7 @@ class TestChunkSplittingNative(TestChunkSplitting):
 
 
 @native_only
-class TestCheckpointFlatteningNative(TestCheckpointFlattening):
+class TestCheckpointWorklistNative(TestCheckpointWorklist):
     run_kernel = staticmethod(NATIVE_KERNEL)
 
 

@@ -20,7 +20,6 @@ from repro.solver import CyclePolicy, SolverEngine
 from repro.solver import engine as engine_module
 from repro.solver import kernel as python_kernel
 from repro.solver import native
-from repro.solver.kernel import unit_operations
 from repro.trace import CollectorSink
 from repro.workloads import suite
 from repro.workloads.generator import RandomSystemConfig, random_system
@@ -95,8 +94,7 @@ def stops(system, label, seed, max_work):
         # Wall-clock fields are the only ones allowed to differ.
         engine.stats.closure_seconds = 0.0
         engine.stats.least_solution_seconds = 0.0
-        seen.append((list(unit_operations(engine.pending)),
-                     capture(engine).payload))
+        seen.append((list(engine.pending), capture(engine).payload))
         solution = engine.resume()
     seen.append(counters_of(solution))
     return seen
