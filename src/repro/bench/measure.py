@@ -12,10 +12,14 @@ The deterministic counters — ``work``, ``redundant``,
 ``cycle_search_visits``, ... — must be identical across repeats; a
 mismatch means the solver lost reproducibility and raises
 :class:`NondeterministicRunError` rather than silently recording noise.
+Cyclic garbage collection is paused during each timed solve: a
+collection pause landing in one solve would stretch that one time and
+could reorder the configurations' totals (Figure 8).
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Dict
 
@@ -71,7 +75,9 @@ def measure_system(
     on every deterministic counter, so which solution is kept only
     affects the attached wall-clock stats).  An attached
     ``options.sink`` observes the first repeat only, so its telemetry
-    describes one solve; later repeats run without it.
+    describes one solve; later repeats run without it.  Cyclic garbage
+    collection is off during each solve and back in its previous state
+    after it.
     """
     repeats = max(1, repeats)
     best: Solution = None  # type: ignore[assignment]
@@ -80,7 +86,13 @@ def measure_system(
     for attempt in range(repeats):
         if attempt == 1:
             options = options.replace(sink=None)
-        solution = solve(system, options)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            solution = solve(system, options)
+        finally:
+            if collecting:
+                gc.enable()
         elapsed = solution.stats.total_seconds
         counters = counters_of(solution)
         if attempt == 0:

@@ -25,6 +25,23 @@ items per stored edge, the bucket number (:data:`SUCC_BUCKET` ...
 order, which Work counts depend on, is a function of its insertion
 sequence, so replaying the log into fresh sets rebuilds every bucket
 exactly (:mod:`repro.resilience.checkpoint`).
+
+Buckets are made on first insert.  A bucket that was never written is
+the one shared :data:`EMPTY_BUCKET`, an empty ``frozenset``: it
+iterates, tests false and has length 0, so readers take it as any empty
+set, and a writer that forgets to replace it raises on ``add``.  Every
+writer (both closure kernels, :meth:`ConstraintGraphBase.grow` and
+checkpoint restore) swaps it for a new ``set`` before its first insert,
+and ``_absorb`` puts it back into the four buckets of the variable it
+absorbs.  A set's iteration order depends only on its insertion
+sequence, so a set made on first insert iterates as one made up front
+would, and every counter is unchanged.  Most variables keep most
+buckets empty (SF never writes ``pred_vars``), so the graph's memory is
+mostly the sets that hold something.
+
+The log keeps an absorbed variable's records; ``dead_records`` counts
+them, and :meth:`ConstraintGraphBase.compact_journal` drops them once
+they are more than half of the log.
 """
 
 from __future__ import annotations
@@ -32,6 +49,7 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Callable,
+    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -75,14 +93,21 @@ SOURCES_BUCKET = 2
 SINKS_BUCKET = 3
 
 
-def empty_sets(count: int) -> List[Set]:
-    """``count`` new empty sets: natively when the kernel built."""
-    # Imported late: repro.solver imports this module.
-    from ..solver.native import kernel
+#: The bucket of every variable that holds nothing: replaced by a new
+#: ``set`` on the first insert (see the module docstring).
+EMPTY_BUCKET: FrozenSet = frozenset()
 
-    if kernel is None:
-        return [set() for _ in range(count)]
-    return kernel.empty_sets(count)
+
+def live_records(journal: List[object], parent: List[int]) -> List[object]:
+    """The records of an insertion log whose variable is a
+    representative, in log order: the ones that still describe a bucket
+    (an absorbed variable's buckets were emptied by ``_absorb``)."""
+    live: List[object] = []
+    records = iter(journal)
+    for bucket, var, item in zip(records, records, records):
+        if parent[var] == var:
+            live += (bucket, var, item)
+    return live
 
 
 class ConstraintGraphBase:
@@ -90,9 +115,10 @@ class ConstraintGraphBase:
 
     The graph owns all per-variable solver state as plain lists indexed
     by variable id: the forwarding pointers ``parent`` (a representative
-    is its own parent), the order ``ranks``, and the four buckets.  The
-    closure kernel, the least-solution code, the auditor and checkpoints
-    read these lists directly.
+    is its own parent), the order ``ranks``, and the four buckets, each
+    a ``set`` or :data:`EMPTY_BUCKET`.  The closure kernel, the
+    least-solution code, the auditor and checkpoints read these lists
+    directly.
     """
 
     #: which solved form the graph keeps: ``True`` for inductive form
@@ -118,14 +144,16 @@ class ConstraintGraphBase:
         self.parent: List[int] = list(range(num_vars))
         #: the order o(.): ``ranks[i] = o(X_i)``, a permutation
         self.ranks: List[int] = order.ranks(num_vars)
-        self.succ_vars: List[Set[int]] = empty_sets(num_vars)
-        self.pred_vars: List[Set[int]] = empty_sets(num_vars)
-        self.sources: List[Set[Term]] = empty_sets(num_vars)
-        self.sinks: List[Set[Term]] = empty_sets(num_vars)
+        self.succ_vars: List[Set[int]] = [EMPTY_BUCKET] * num_vars
+        self.pred_vars: List[Set[int]] = [EMPTY_BUCKET] * num_vars
+        self.sources: List[Set[Term]] = [EMPTY_BUCKET] * num_vars
+        self.sinks: List[Set[Term]] = [EMPTY_BUCKET] * num_vars
         #: the insertion log (``bucket, var, item`` per stored edge),
         #: or ``None`` when not journaling; the cost when enabled is
         #: three appends per *stored* edge, nothing per redundant one
         self.journal: Optional[List[object]] = None
+        #: records of absorbed variables: the log's dead weight
+        self.dead_records = 0
 
     def buckets(self) -> Tuple[List[Set], ...]:
         """The four bucket lists, indexed by the log's bucket numbers."""
@@ -144,6 +172,22 @@ class ConstraintGraphBase:
                 "enable_journal must be called on a pristine graph"
             )
         self.journal = []
+
+    def compact_journal(self) -> None:
+        """Drop the absorbed variables' records from the log once they
+        are more than half of it.
+
+        Called at the end of each drain.  Keeps the live records in log
+        order (:func:`live_records`, the filter a checkpoint capture
+        applies), so the log stays at most twice its live records
+        between drains, and a capture holds the same records either
+        way.
+        """
+        journal = self.journal
+        if journal is None or 6 * self.dead_records <= len(journal):
+            return
+        self.journal = live_records(journal, self.parent)
+        self.dead_records = 0
 
     # ------------------------------------------------------------------
     # Forwarding and growth
@@ -172,8 +216,7 @@ class ConstraintGraphBase:
         self.parent.extend(range(len(self.parent), num_vars))
         self.ranks.extend(range(len(self.ranks), num_vars))
         for collection in self.buckets():
-            while len(collection) < num_vars:
-                collection.append(set())
+            collection.extend([EMPTY_BUCKET] * (num_vars - len(collection)))
         self.num_vars = num_vars
 
     def alias(self, var_index: int, witness_index: int) -> bool:
@@ -202,6 +245,11 @@ class ConstraintGraphBase:
         constraints are re-emitted against the witness through the normal
         insertion path, so the closure remains correct without a special
         cross-product step.  Returns the witness id.
+
+        The native kernel runs a C transliteration of this method and
+        :meth:`_absorb` for the collapses of an online search, as long
+        as neither is replaced; periodic sweeps and the Python kernel
+        call them here.
         """
         nodes = []
         seen = set()
@@ -224,27 +272,33 @@ class ConstraintGraphBase:
 
         Both are representatives (``collapse_path`` resolves the path).
         Sources, successors and predecessors go out as fan-outs, sinks as
-        unit operations.  The log keeps ``absorbed``'s records: a
-        capture drops those of every non-representative.
+        unit operations, and the four buckets become
+        :data:`EMPTY_BUCKET`.  The log keeps ``absorbed``'s records, one
+        per bucket member, and ``dead_records`` counts them: a capture
+        or :meth:`compact_journal` drops those of every
+        non-representative.
         """
         self.parent[absorbed] = witness
         self.stats.vars_eliminated += 1
         emit = self.emit
         terms = self.sources[absorbed]
+        sink_terms = self.sinks[absorbed]
+        succs = self.succ_vars[absorbed]
+        preds = self.pred_vars[absorbed]
+        self.dead_records += (
+            len(terms) + len(sink_terms) + len(succs) + len(preds))
         if terms:
             emit((OP_SOURCES_FAN, witness, tuple(terms)))
-        for term in self.sinks[absorbed]:
+        for term in sink_terms:
             emit((OP_SINK, witness, term))
-        succs = self.succ_vars[absorbed]
         if succs:
             emit((OP_SUCC_FAN, witness, tuple(succs)))
-        preds = self.pred_vars[absorbed]
         if preds:
             emit((OP_PRED_FAN, witness, tuple(preds)))
-        self.sources[absorbed] = set()
-        self.sinks[absorbed] = set()
-        self.succ_vars[absorbed] = set()
-        self.pred_vars[absorbed] = set()
+        self.sources[absorbed] = EMPTY_BUCKET
+        self.sinks[absorbed] = EMPTY_BUCKET
+        self.succ_vars[absorbed] = EMPTY_BUCKET
+        self.pred_vars[absorbed] = EMPTY_BUCKET
 
     def collapse_all_sccs(self) -> int:
         """Collapse every non-trivial SCC of the current var-var graph.

@@ -67,6 +67,7 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..constraints.expressions import ONE, Term, ZERO
+from ..graph.base import EMPTY_BUCKET, live_records
 from ..graph.stats import SolverStats
 from .budget import SolveStatus
 from .errors import CheckpointError
@@ -256,11 +257,7 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
     # The log, not set contents: insertion order is what lets restore
     # rebuild each set with its exact original layout.  An absorbed
     # variable's buckets are empty, so its records are dropped.
-    log: List[object] = []
-    records = iter(journal)
-    for bucket, var, item in zip(records, records, records):
-        if parent[var] == var:
-            log += (bucket, var, item)
+    log = live_records(journal, parent)
     state: Dict[str, Any] = {
         "parent": list(parent),
         "log": log,
@@ -371,13 +368,19 @@ def restore(
     graph.parent = state["parent"] + list(range(saved_graph_vars, num_vars))
     graph.ranks = saved_ranks + list(range(len(saved_ranks), num_vars))
     # Replay the log one ``add`` at a time (never ``set(items)``): each
-    # bucket grew that way, so the fresh sets get its exact layout.
-    # The restored engine keeps the log, so it can be captured again.
+    # bucket grew that way, so the fresh sets get its exact layout.  A
+    # bucket's first record makes its set, as the kernel's first insert
+    # did.  The restored engine keeps the log, so it can be captured
+    # again.
     log = state["log"]
     buckets = graph.buckets()
     records = iter(log)
     for bucket, var, item in zip(records, records, records):
-        buckets[bucket][var].add(item)
+        collection = buckets[bucket]
+        members = collection[var]
+        if members is EMPTY_BUCKET:
+            members = collection[var] = set()
+        members.add(item)
     graph.journal = log
     stats = engine.stats
     for name, value in state["stats"].items():

@@ -1,32 +1,41 @@
 /* The native closure kernel and the solve envelope around it.
 
-   A transliteration of repro.solver.kernel.run_kernel and of
-   repro.graph.cycles.find_chain_path.  It executes the same worklist
-   operations in the same order over the same state: the engine's
-   `pending` deque, the graph's `parent` and `ranks` lists, its four
-   lists of `set` buckets and its insertion log (`journal`, three items
-   per stored edge: bucket number, variable, item).  Buckets stay real
-   sets holding the same objects, inserted in the same sequence, and are
-   iterated in CPython's own order, so cycle detection and every counter
-   equal the Python kernel's.  The worklist holds unit sink and
-   resolution entries and fan-outs for everything else.  Python is
-   called back only for the cycle collapse (graph.collapse_path), pairs
+   A transliteration of repro.solver.kernel.run_kernel, of
+   repro.graph.cycles.find_chain_path and of the cycle collapse
+   (ConstraintGraphBase.collapse_path and _absorb).  It executes the
+   same worklist operations in the same order over the same state: the
+   engine's `pending` deque, the graph's `parent` and `ranks` lists, its
+   four lists of buckets and its insertion log (`journal`, three items
+   per stored edge: bucket number, variable, item).  A bucket is a real
+   set holding the same objects, inserted in the same sequence, or the
+   shared empty frozenset EMPTY_BUCKET until its first insert, which
+   stores a new set in its place; sets are iterated in CPython's own
+   order, so cycle detection and every counter equal the Python
+   kernel's.  The worklist holds unit sink and resolution entries and
+   fan-outs for everything else.  Python is called back only for pairs
    that need decompose (_resolve_generic), flat plans (flat_plan),
-   periodic sweeps (engine._sweep) and the trace sink's methods.
+   periodic sweeps (engine._sweep) and the trace sink's methods.  A
+   graph whose class (or a patch) replaces collapse_path or _absorb has
+   its own method called for each collapse instead.
+
+   Term and Var hash through the `_hash` slot each instance caches:
+   bind() gives both classes a C tp_hash that reads it, so the sets
+   hash terms without entering their Python __hash__, which stays the
+   reference and the fallback.
 
    Every index read from a worklist entry, a bucket or `parent` is
    bounds-checked as Python's list indexing checks it (negative indices
    count from the end), so a stale index raises IndexError here too.
 
    The envelope transliterates the rest of a batch solve: the system's
-   validation, the random order's ranks and the graph's empty buckets,
-   the final edge counts and both forms' least solutions (see "The solve
-   envelope" below).
+   validation, the random order's ranks, the final edge counts and both
+   forms' least solutions (see "The solve envelope" below).
 
    repro.solver.native compiles this file on first import and calls
-   bind() with the Python kernel module; the worklist tags, the log's
-   bucket numbers, the Term and Var classes and the constructors 0 and 1
-   come from there. */
+   bind() with the Python kernel module and the graphs' base class; the
+   worklist tags, the log's bucket numbers, the empty bucket, the Term
+   and Var classes and the constructors 0 and 1 come from the module,
+   the reference collapse methods from the class. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -58,6 +67,9 @@ static PyObject *OP_SOURCE_FAN, *OP_SOURCES_FAN, *OP_SUCC_FAN, *OP_PRED_FAN;
 static PyObject *OP_RESOLVE, *OP_SINK, *OP_VAR_VAR, *OP_SOURCE;
 static PyObject *ONE_CONSTRUCTOR, *ZERO_CONSTRUCTOR, *DECREASING;
 static PyObject *SUCC_BUCKET, *PRED_BUCKET, *SOURCES_BUCKET, *SINKS_BUCKET;
+static PyObject *EMPTY_BUCKET;
+/* ConstraintGraphBase.collapse_path and ._absorb as bound */
+static PyObject *base_collapse_path, *base_absorb;
 
 static struct {
     PyObject **slot;
@@ -80,6 +92,7 @@ static struct {
     {&PRED_BUCKET, "PRED_BUCKET"},
     {&SOURCES_BUCKET, "SOURCES_BUCKET"},
     {&SINKS_BUCKET, "SINKS_BUCKET"},
+    {&EMPTY_BUCKET, "EMPTY_BUCKET"},
     {NULL, NULL},
 };
 
@@ -99,6 +112,8 @@ static PyObject *S_added, *S_redundant_outcome, *S_self, *S_cycle;
 static PyObject *S__vars, *S__constructors, *S__constraints, *S_validate;
 static PyObject *S_name, *S_signature, *S_num_vars, *S_finalize_statistics;
 static PyObject *S_compute_least_solution;
+static PyObject *S_emit, *S_absorb, *S_dead_records, *S_cycles_found;
+static PyObject *S_vars_eliminated, *S_collapse;
 
 static struct {
     PyObject **slot;
@@ -156,6 +171,12 @@ static struct {
     {&S_num_vars, "num_vars"},
     {&S_finalize_statistics, "finalize_statistics"},
     {&S_compute_least_solution, "compute_least_solution"},
+    {&S_emit, "emit"},
+    {&S_absorb, "_absorb"},
+    {&S_dead_records, "dead_records"},
+    {&S_cycles_found, "cycles_found"},
+    {&S_vars_eliminated, "vars_eliminated"},
+    {&S_collapse, "collapse"},
     {NULL, NULL},
 };
 
@@ -168,21 +189,28 @@ typedef struct {
     PyObject *pending, *popleft, *appendleft, *append, *pop;
     PyObject *sink; /* NULL: no sink */
     PyObject *stats;
+    PyObject *graph, *emit;
     PyObject *parent, *ranks, *succ_vars, *pred_vars, *sources, *sinks;
     PyObject *journal; /* NULL: not journaling */
     PyObject *collapse_path;
+    /* 1 when the graph's collapse_path and _absorb are the base class's
+       own, which collapse() then runs natively */
+    int native_collapse;
     int inductive, online, periodic, sf_decreasing;
     Py_ssize_t since_sweep, interval;
-    Py_ssize_t work, redundant, self_edges, resolutions;
+    Py_ssize_t work, redundant, self_edges, resolutions, dead_records;
     /* Chain-search scratch, allocated by the first search: marks[v] ==
        search means v was visited by the current search, came_from[v]
-       is the vertex it was reached from. */
+       is the vertex it was reached from.  A found chain is put in
+       path[0 .. path_length), start first. */
     Py_ssize_t capacity;
     size_t search;
     size_t *marks;
     Py_ssize_t *came_from;
     Py_ssize_t *stack;
     Py_ssize_t stack_capacity;
+    Py_ssize_t *path;
+    Py_ssize_t path_length, path_capacity;
 } Kernel;
 
 /* ------------------------------------------------------------------ */
@@ -242,7 +270,7 @@ index_at(PyObject *list, Py_ssize_t i, Py_ssize_t *out)
     return item == NULL ? -1 : as_index(item, out);
 }
 
-/* buckets[i], which must be a set; a new reference. */
+/* buckets[i], which must be a set or EMPTY_BUCKET; a new reference. */
 static PyObject *
 bucket_at(PyObject *buckets, Py_ssize_t i)
 {
@@ -250,12 +278,43 @@ bucket_at(PyObject *buckets, Py_ssize_t i)
     if (bucket == NULL) {
         return NULL;
     }
-    if (!PySet_Check(bucket)) {
+    if (!PySet_Check(bucket) && bucket != EMPTY_BUCKET) {
         PyErr_Format(PyExc_TypeError, "solver bucket must be a set, not %.200s",
                      Py_TYPE(bucket)->tp_name);
         return NULL;
     }
     return Py_NewRef(bucket);
+}
+
+/* `bucket = buckets[i] = set()`: a bucket's first insert replaces
+   EMPTY_BUCKET with a new set; a new reference. */
+static PyObject *
+new_bucket(PyObject *buckets, Py_ssize_t i)
+{
+    PyObject *bucket = PySet_New(NULL);
+    if (bucket == NULL) {
+        return NULL;
+    }
+    if (i < 0) {
+        i += PyList_GET_SIZE(buckets);
+    }
+    if (PyList_SetItem(buckets, i, Py_NewRef(bucket)) < 0) {
+        Py_DECREF(bucket);
+        return NULL;
+    }
+    return bucket;
+}
+
+/* bucket_at for an insert: a set, made by new_bucket when the bucket
+   is EMPTY_BUCKET. */
+static PyObject *
+bucket_for_insert(PyObject *buckets, Py_ssize_t i)
+{
+    PyObject *bucket = bucket_at(buckets, i);
+    if (bucket == EMPTY_BUCKET) {
+        Py_SETREF(bucket, new_bucket(buckets, i));
+    }
+    return bucket;
 }
 
 /* journal += (bucket, var, item), when journaling */
@@ -390,21 +449,37 @@ emit_one(PyObject *method, PyObject *tag, PyObject *first, PyObject *member)
     return rc;
 }
 
-/* append((tag, first, tuple(bucket))) when the bucket is not empty */
+/* method((tag, first, tuple(bucket))) when the bucket is not empty */
+static int
+emit_members(PyObject *method, PyObject *tag, PyObject *first,
+             PyObject *bucket)
+{
+    PyObject *members;
+    int rc;
+    if (PySet_GET_SIZE(bucket) == 0) {
+        return 0;
+    }
+    members = set_tuple(bucket);
+    if (members == NULL) {
+        return -1;
+    }
+    rc = emit(method, tag, first, members);
+    Py_DECREF(members);
+    return rc;
+}
+
+/* append((tag, first, tuple(buckets[i]))) when the bucket is not
+   empty */
 static int
 emit_bucket(Kernel *k, PyObject *tag, PyObject *first, PyObject *buckets,
             Py_ssize_t i)
 {
-    PyObject *bucket = bucket_at(buckets, i), *members;
-    int rc = 0;
+    PyObject *bucket = bucket_at(buckets, i);
+    int rc;
     if (bucket == NULL) {
         return -1;
     }
-    if (PySet_GET_SIZE(bucket) > 0) {
-        members = set_tuple(bucket);
-        rc = members == NULL ? -1 : emit(k->append, tag, first, members);
-        Py_XDECREF(members);
-    }
+    rc = emit_members(k->append, tag, first, bucket);
     Py_DECREF(bucket);
     return rc;
 }
@@ -630,101 +705,102 @@ push(Kernel *k, Py_ssize_t *depth, Py_ssize_t v)
     return 0;
 }
 
-/* The path [start, ..., target] through came_from, as a new list. */
-static PyObject *
+/* The path [start, ..., target] through came_from, into k->path. */
+static int
 reconstruct(Kernel *k, Py_ssize_t start, Py_ssize_t target)
 {
     Py_ssize_t length = 1, node = target, i;
-    PyObject *path, *item;
     while (node != start) {
         node = k->came_from[node];
         length++;
     }
-    path = PyList_New(length);
-    if (path == NULL) {
-        return NULL;
+    if (length > k->path_capacity) {
+        Py_ssize_t *path = PyMem_Realloc(k->path,
+                                         (size_t)length * sizeof *path);
+        if (path == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        k->path = path;
+        k->path_capacity = length;
     }
     node = target;
     for (i = length - 1; i >= 0; i--) {
-        item = PyLong_FromSsize_t(node);
-        if (item == NULL) {
-            Py_DECREF(path);
-            return NULL;
-        }
-        PyList_SET_ITEM(path, i, item);
+        k->path[i] = node;
         if (i > 0) {
             node = k->came_from[node];
         }
     }
-    return path;
+    k->path_length = length;
+    return 0;
 }
 
 /* find_chain_path(adjacency, graph.find, graph.ranks.__getitem__, start,
-   target, mode, stats, sink): the path as a new list, Py_None (a new
-   reference) when the restricted search finds no chain, NULL on error. */
-static PyObject *
+   target, mode, stats, sink): 1 with the path in k->path, 0 when the
+   restricted search finds no chain, -1 on error. */
+static int
 chain_path(Kernel *k, PyObject *adjacency, Py_ssize_t start,
            Py_ssize_t target, int decreasing)
 {
-    PyObject *bucket, *raw, *path;
+    PyObject *bucket, *raw;
     Py_ssize_t depth = 0, visits = 0, current, current_rank, node;
     Py_ssize_t neighbour, neighbour_rank;
     int found = 0, more, empty;
     SetIter it;
 
     if (add_count(k->stats, S_cycle_searches, 1) < 0) {
-        return NULL;
+        return -1;
     }
     if (k->sink != NULL
             && sink_ints(k, S_search_start, 2, start, target, 0, 0) < 0) {
-        return NULL;
+        return -1;
     }
     if (start == target) {
         if (k->sink != NULL
                 && sink_ints(k, S_search_end, 3, 1, 0, 1, 1) < 0) {
-            return NULL;
+            return -1;
         }
-        return reconstruct(k, start, start);
+        return reconstruct(k, start, start) < 0 ? -1 : 1;
     }
     bucket = bucket_at(adjacency, start);
     if (bucket == NULL) {
-        return NULL;
+        return -1;
     }
     empty = PySet_GET_SIZE(bucket) == 0;
     Py_DECREF(bucket);
     if (empty) {
         if (add_count(k->stats, S_cycle_search_visits, 1) < 0) {
-            return NULL;
+            return -1;
         }
         if (k->sink != NULL
                 && (sink_ints(k, S_search_visit, 1, start, 0, 0, 0) < 0
                     || sink_ints(k, S_search_end, 3, 0, 1, 0, 1) < 0)) {
-            return NULL;
+            return -1;
         }
-        Py_RETURN_NONE;
+        return 0;
     }
     if (reserve(k, start) < 0) {
-        return NULL;
+        return -1;
     }
     k->search++;
     k->marks[start] = k->search;
     if (push(k, &depth, start) < 0) {
-        return NULL;
+        return -1;
     }
     while (depth > 0 && !found) {
         current = k->stack[--depth];
         visits++;
         if (k->sink != NULL
                 && sink_ints(k, S_search_visit, 1, current, 0, 0, 0) < 0) {
-            return NULL;
+            return -1;
         }
         if (index_at(k->ranks, current, &current_rank) < 0) {
-            return NULL;
+            return -1;
         }
         bucket = bucket_at(adjacency, current);
         if (bucket == NULL || set_iter_start(&it, bucket) < 0) {
             Py_XDECREF(bucket);
-            return NULL;
+            return -1;
         }
         while ((more = set_iter_next(&it, &raw)) == 1) {
             if (as_index(raw, &node) < 0 || find(k, node, &neighbour) < 0
@@ -757,26 +833,26 @@ chain_path(Kernel *k, PyObject *adjacency, Py_ssize_t start,
         set_iter_stop(&it);
         Py_DECREF(bucket);
         if (more < 0) {
-            return NULL;
+            return -1;
         }
     }
     if (add_count(k->stats, S_cycle_search_visits, visits) < 0) {
-        return NULL;
+        return -1;
     }
     if (!found) {
         if (k->sink != NULL
                 && sink_ints(k, S_search_end, 3, 0, visits, 0, 1) < 0) {
-            return NULL;
+            return -1;
         }
-        Py_RETURN_NONE;
+        return 0;
     }
-    path = reconstruct(k, start, target);
-    if (path != NULL && k->sink != NULL
-            && sink_ints(k, S_search_end, 3, 1, visits,
-                         PyList_GET_SIZE(path), 1) < 0) {
-        Py_CLEAR(path);
+    if (reconstruct(k, start, target) < 0
+            || (k->sink != NULL
+                && sink_ints(k, S_search_end, 3, 1, visits, k->path_length,
+                             1) < 0)) {
+        return -1;
     }
-    return path;
+    return 1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -794,7 +870,7 @@ source_member(Kernel *k, PyObject *term, PyObject *var_object)
 
     k->work++;
     var = representative(k, var_object, &v);
-    if (var == NULL || (bucket = bucket_at(k->sources, v)) == NULL) {
+    if (var == NULL || (bucket = bucket_for_insert(k->sources, v)) == NULL) {
         goto done;
     }
     /* Single-probe redundancy check: `add` reports a duplicate through
@@ -840,15 +916,162 @@ done:
     return rc;
 }
 
-/* graph.collapse_path(path), then the sink's "cycle" event. */
+/* ConstraintGraphBase._absorb(absorbed, witness): forward `absorbed`
+   into `witness`, count its log records as dead, re-emit its buckets
+   (sources, successors and predecessors as fan-outs, sinks as unit
+   operations) and reset them to EMPTY_BUCKET. */
 static int
-collapse(Kernel *k, PyObject *path, PyObject **left, PyObject **right,
-         Py_ssize_t l, int refind)
+absorb(Kernel *k, Py_ssize_t absorbed, PyObject *witness)
+{
+    /* in _absorb's order: sources, sinks, successors, predecessors */
+    PyObject *lists[4] = {k->sources, k->sinks, k->succ_vars, k->pred_vars};
+    PyObject *buckets[4] = {NULL, NULL, NULL, NULL}, *term;
+    SetIter it;
+    int i, rc = -1, more;
+
+    if (PyList_SetItem(k->parent, absorbed, Py_NewRef(witness)) < 0
+            || add_count(k->stats, S_vars_eliminated, 1) < 0) {
+        return -1;
+    }
+    for (i = 0; i < 4; i++) {
+        if ((buckets[i] = bucket_at(lists[i], absorbed)) == NULL) {
+            goto done;
+        }
+        k->dead_records += PySet_GET_SIZE(buckets[i]);
+    }
+    if (emit_members(k->emit, OP_SOURCES_FAN, witness, buckets[0]) < 0
+            || set_iter_start(&it, buckets[1]) < 0) {
+        goto done;
+    }
+    while ((more = set_iter_next(&it, &term)) == 1) {
+        if (emit(k->emit, OP_SINK, witness, term) < 0) {
+            more = -1;
+            break;
+        }
+    }
+    set_iter_stop(&it);
+    if (more < 0
+            || emit_members(k->emit, OP_SUCC_FAN, witness, buckets[2]) < 0
+            || emit_members(k->emit, OP_PRED_FAN, witness, buckets[3]) < 0) {
+        goto done;
+    }
+    for (i = 0; i < 4; i++) {
+        if (PyList_SetItem(lists[i], absorbed, Py_NewRef(EMPTY_BUCKET)) < 0) {
+            goto done;
+        }
+    }
+    rc = 0;
+done:
+    for (i = 0; i < 4; i++) {
+        Py_XDECREF(buckets[i]);
+    }
+    return rc;
+}
+
+/* ConstraintGraphBase.collapse_path(k->path): collapse the distinct
+   representatives on the path onto the lowest-ranked one. */
+static int
+collapse_path(Kernel *k)
+{
+    Py_ssize_t count = 0, i, node, rank, witness = 0, witness_rank = 0;
+    PyObject *witness_object = NULL, *nodes = NULL, *item;
+    int rc = -1;
+
+    /* The path's representatives, first occurrences only, in order;
+       they overwrite the path. */
+    k->search++;
+    for (i = 0; i < k->path_length; i++) {
+        if (find(k, k->path[i], &node) < 0 || reserve(k, node) < 0) {
+            return -1;
+        }
+        if (k->marks[node] != k->search) {
+            k->marks[node] = k->search;
+            k->path[count++] = node;
+        }
+    }
+    /* witness = min(nodes, key=ranks.__getitem__) */
+    for (i = 0; i < count; i++) {
+        if (index_at(k->ranks, k->path[i], &rank) < 0) {
+            return -1;
+        }
+        if (i == 0 || rank < witness_rank) {
+            witness = k->path[i];
+            witness_rank = rank;
+        }
+    }
+    if (add_count(k->stats, S_cycles_found, 1) < 0
+            || (witness_object = PyLong_FromSsize_t(witness)) == NULL) {
+        return -1;
+    }
+    if (k->sink != NULL && count > 1) {
+        PyObject *args[2];
+        if ((nodes = PyTuple_New(count)) == NULL) {
+            goto done;
+        }
+        for (i = 0; i < count; i++) {
+            if ((item = PyLong_FromSsize_t(k->path[i])) == NULL) {
+                goto done;
+            }
+            PyTuple_SET_ITEM(nodes, i, item);
+        }
+        args[0] = witness_object;
+        args[1] = nodes;
+        if (sink_call(k, S_collapse, args, 2) < 0) {
+            goto done;
+        }
+    }
+    for (i = 0; i < count; i++) {
+        if (k->path[i] != witness
+                && absorb(k, k->path[i], witness_object) < 0) {
+            goto done;
+        }
+    }
+    rc = 0;
+done:
+    Py_XDECREF(nodes);
+    Py_DECREF(witness_object);
+    return rc;
+}
+
+/* k->path as a new list */
+static PyObject *
+path_list(Kernel *k)
+{
+    PyObject *path = PyList_New(k->path_length), *item;
+    Py_ssize_t i;
+    if (path == NULL) {
+        return NULL;
+    }
+    for (i = 0; i < k->path_length; i++) {
+        if ((item = PyLong_FromSsize_t(k->path[i])) == NULL) {
+            Py_DECREF(path);
+            return NULL;
+        }
+        PyList_SET_ITEM(path, i, item);
+    }
+    return path;
+}
+
+/* Collapse the chain in k->path (natively, or through the graph's own
+   collapse_path), then the sink's "cycle" event. */
+static int
+collapse(Kernel *k, PyObject **left, PyObject **right, Py_ssize_t l,
+         int refind)
 {
     Py_ssize_t witness;
-    PyObject *item;
-    if (call_discard(k->collapse_path, path) < 0) {
-        return -1;
+    PyObject *item, *path;
+    if (k->native_collapse) {
+        if (collapse_path(k) < 0) {
+            return -1;
+        }
+    }
+    else {
+        path = path_list(k);
+        if (path == NULL || call_discard(k->collapse_path, path) < 0) {
+            Py_XDECREF(path);
+            return -1;
+        }
+        Py_DECREF(path);
     }
     if (k->sink == NULL) {
         return 0;
@@ -870,8 +1093,8 @@ static int
 successor_edge(Kernel *k, Py_ssize_t l, Py_ssize_t r, PyObject **left,
                PyObject **right)
 {
-    PyObject *bucket, *path = NULL;
-    int rc = -1, present;
+    PyObject *bucket;
+    int rc = -1, present, found;
 
     if ((bucket = bucket_at(k->succ_vars, l)) == NULL) {
         return -1;
@@ -890,18 +1113,19 @@ successor_edge(Kernel *k, Py_ssize_t l, Py_ssize_t r, PyObject **left,
         /* IF searches predecessor chains left -> right, SF successor
            chains right -> left; either closes a cycle with the new
            edge. */
-        path = k->inductive
+        found = k->inductive
             ? chain_path(k, k->pred_vars, l, r, 1)
             : chain_path(k, k->succ_vars, r, l, k->sf_decreasing);
-        if (path == NULL) {
-            goto done;
-        }
-        if (path != Py_None) {
-            rc = collapse(k, path, left, right, l, !k->inductive);
+        if (found != 0) {
+            rc = found < 0 ? -1 : collapse(k, left, right, l, !k->inductive);
             goto done;
         }
     }
-    if (PySet_Add(bucket, *right) < 0
+    if (bucket == EMPTY_BUCKET) {
+        Py_SETREF(bucket, new_bucket(k->succ_vars, l));
+    }
+    if (bucket == NULL
+            || PySet_Add(bucket, *right) < 0
             || log_insertion(k->journal, SUCC_BUCKET, *left, *right) < 0
             || (k->sink != NULL
                 && edge_event(k, OP_VAR_VAR, *left, *right, S_added) < 0)
@@ -912,8 +1136,7 @@ successor_edge(Kernel *k, Py_ssize_t l, Py_ssize_t r, PyObject **left,
     }
     rc = 0;
 done:
-    Py_XDECREF(path);
-    Py_DECREF(bucket);
+    Py_XDECREF(bucket);
     return rc;
 }
 
@@ -922,9 +1145,9 @@ static int
 predecessor_edge(Kernel *k, Py_ssize_t l, Py_ssize_t r, PyObject **left,
                  PyObject **right)
 {
-    PyObject *bucket, *path = NULL, *term;
+    PyObject *bucket, *term;
     SetIter it;
-    int rc = -1, present, more;
+    int rc = -1, present, more, found;
 
     if ((bucket = bucket_at(k->pred_vars, r)) == NULL) {
         return -1;
@@ -940,16 +1163,17 @@ predecessor_edge(Kernel *k, Py_ssize_t l, Py_ssize_t r, PyObject **left,
         goto done;
     }
     if (k->online) {
-        path = chain_path(k, k->succ_vars, r, l, 1);
-        if (path == NULL) {
-            goto done;
-        }
-        if (path != Py_None) {
-            rc = collapse(k, path, left, right, l, 0);
+        found = chain_path(k, k->succ_vars, r, l, 1);
+        if (found != 0) {
+            rc = found < 0 ? -1 : collapse(k, left, right, l, 0);
             goto done;
         }
     }
-    if (PySet_Add(bucket, *left) < 0
+    if (bucket == EMPTY_BUCKET) {
+        Py_SETREF(bucket, new_bucket(k->pred_vars, r));
+    }
+    if (bucket == NULL
+            || PySet_Add(bucket, *left) < 0
             || log_insertion(k->journal, PRED_BUCKET, *right, *left) < 0
             || (k->sink != NULL
                 && edge_event(k, OP_VAR_VAR, *left, *right, S_added) < 0)
@@ -969,7 +1193,6 @@ predecessor_edge(Kernel *k, Py_ssize_t l, Py_ssize_t r, PyObject **left,
     set_iter_stop(&it);
     rc = more;
 done:
-    Py_XDECREF(path);
     Py_XDECREF(bucket);
     return rc;
 }
@@ -1039,7 +1262,7 @@ sink_entry(Kernel *k, PyObject *var_object, PyObject *term)
 
     k->work++;
     var = representative(k, var_object, &v);
-    if (var == NULL || (bucket = bucket_at(k->sinks, v)) == NULL) {
+    if (var == NULL || (bucket = bucket_for_insert(k->sinks, v)) == NULL) {
         goto done;
     }
     size = PySet_GET_SIZE(bucket);
@@ -1421,11 +1644,20 @@ size_attribute(PyObject *object, PyObject *name, Py_ssize_t *out)
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
+/* Whether `method` is `function` bound to `self`. */
+static int
+bound_to(PyObject *method, PyObject *self, PyObject *function)
+{
+    return function != NULL && PyMethod_Check(method)
+        && PyMethod_GET_FUNCTION(method) == function
+        && PyMethod_GET_SELF(method) == self;
+}
+
 /* Bind the engine's and the graph's state, as run_kernel's locals. */
 static int
 kernel_load(Kernel *k, PyObject *engine)
 {
-    PyObject *graph = NULL, *mode = NULL;
+    PyObject *graph = NULL, *mode = NULL, *absorb_method = NULL;
     int rc = -1;
     k->engine = engine;
     if ((k->pending = PyObject_GetAttr(engine, S_pending)) == NULL
@@ -1434,7 +1666,7 @@ kernel_load(Kernel *k, PyObject *engine)
                                                  S_appendleft)) == NULL
             || (k->append = PyObject_GetAttr(k->pending, S_append)) == NULL
             || (k->pop = PyObject_GetAttr(k->pending, S_pop)) == NULL
-            || (graph = PyObject_GetAttr(engine, S_graph)) == NULL
+            || (k->graph = graph = PyObject_GetAttr(engine, S_graph)) == NULL
             || (k->sink = PyObject_GetAttr(engine, S_sink)) == NULL
             || (k->stats = PyObject_GetAttr(engine, S_stats)) == NULL
             || (k->parent = list_attribute(graph, S_parent)) == NULL
@@ -1448,6 +1680,8 @@ kernel_load(Kernel *k, PyObject *engine)
             || truth_attribute(graph, S_online_cycles, &k->online) < 0
             || (k->collapse_path = PyObject_GetAttr(graph,
                                                     S_collapse_path)) == NULL
+            || (absorb_method = PyObject_GetAttr(graph, S_absorb)) == NULL
+            || (k->emit = PyObject_GetAttr(graph, S_emit)) == NULL
             || (mode = PyObject_GetAttr(graph, S_search_mode)) == NULL
             || truth_attribute(engine, S_periodic, &k->periodic) < 0
             || size_attribute(engine, S_since_sweep, &k->since_sweep) < 0
@@ -1458,10 +1692,12 @@ kernel_load(Kernel *k, PyObject *engine)
         Py_CLEAR(k->sink);
     }
     k->sf_decreasing = mode == DECREASING;
+    k->native_collapse = bound_to(k->collapse_path, graph, base_collapse_path)
+        && bound_to(absorb_method, graph, base_absorb);
     rc = 0;
 done:
-    Py_XDECREF(graph);
     Py_XDECREF(mode);
+    Py_XDECREF(absorb_method);
     return rc;
 }
 
@@ -1475,6 +1711,8 @@ kernel_release(Kernel *k)
     Py_XDECREF(k->pop);
     Py_XDECREF(k->sink);
     Py_XDECREF(k->stats);
+    Py_XDECREF(k->graph);
+    Py_XDECREF(k->emit);
     Py_XDECREF(k->parent);
     Py_XDECREF(k->ranks);
     Py_XDECREF(k->succ_vars);
@@ -1486,9 +1724,11 @@ kernel_release(Kernel *k)
     PyMem_Free(k->marks);
     PyMem_Free(k->came_from);
     PyMem_Free(k->stack);
+    PyMem_Free(k->path);
 }
 
-/* Add the counters to engine.stats and store the sweep countdown. */
+/* Add the counters to engine.stats and the dead records to the
+   graph's, and store the sweep countdown. */
 static int
 kernel_flush(Kernel *k)
 {
@@ -1497,7 +1737,10 @@ kernel_flush(Kernel *k)
     if (add_count(k->stats, S_work, k->work) < 0
             || add_count(k->stats, S_redundant, k->redundant) < 0
             || add_count(k->stats, S_self_edges, k->self_edges) < 0
-            || add_count(k->stats, S_resolutions, k->resolutions) < 0) {
+            || add_count(k->stats, S_resolutions, k->resolutions) < 0
+            || (k->dead_records > 0
+                && add_count(k->graph, S_dead_records,
+                             k->dead_records) < 0)) {
         return -1;
     }
     since_sweep = PyLong_FromSsize_t(k->since_sweep);
@@ -1748,8 +1991,7 @@ finally:
 /* ------------------------------------------------------------------ */
 
 /* What SolverEngine.run does around run_kernel: validation, the random
-   order and the buckets of a new graph, the final edge counts and the
-   least solution.  Each function produces exactly the state its Python
+   order, the final edge counts and the least solution.  Each function produces exactly the state its Python
    reference produces.  Where the state holds anything the reference
    handles by its generic Python semantics (a subclass, an index out of
    range, an attribute that is not set), the function stops and calls
@@ -2125,35 +2367,6 @@ error:
     return NULL;
 }
 
-PyDoc_STRVAR(empty_sets_doc,
-"empty_sets(count)\n--\n\n"
-"``[set() for _ in range(count)]``.");
-
-static PyObject *
-empty_sets(PyObject *module, PyObject *count_object)
-{
-    Py_ssize_t count = PyNumber_AsSsize_t(count_object, PyExc_OverflowError);
-    Py_ssize_t i;
-    PyObject *sets, *set;
-    (void)module;
-    if (count == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    sets = PyList_New(count > 0 ? count : 0);
-    if (sets == NULL) {
-        return NULL;
-    }
-    for (i = 0; i < count; i++) {
-        set = PySet_New(NULL);
-        if (set == NULL) {
-            Py_DECREF(sets);
-            return NULL;
-        }
-        PyList_SET_ITEM(sets, i, set);
-    }
-    return sets;
-}
-
 /* A graph's forwarding pointers, read into C: `up` holds the values of
    the `parent` list, which find updates alongside. */
 typedef struct {
@@ -2285,12 +2498,22 @@ forest_buckets(Forest *f, PyObject *name, int *rc)
     return buckets;
 }
 
-/* buckets[rep] when it is a set (borrowed), else NULL. */
+/* buckets[rep] when it is a set or EMPTY_BUCKET (borrowed), else
+   NULL. */
 static PyObject *
 set_at(PyObject *buckets, Py_ssize_t rep)
 {
     PyObject *bucket = PyList_GET_ITEM(buckets, rep);
-    return PySet_CheckExact(bucket) ? bucket : NULL;
+    return PySet_CheckExact(bucket) || bucket == EMPTY_BUCKET ? bucket : NULL;
+}
+
+/* frozenset(bucket), which is the bucket itself when it is
+   EMPTY_BUCKET (a frozenset); a new reference. */
+static PyObject *
+freeze(PyObject *bucket)
+{
+    return PyFrozenSet_CheckExact(bucket) ? Py_NewRef(bucket)
+                                          : PyFrozenSet_New(bucket);
 }
 
 /* ConstraintGraphBase.finalize_statistics' counts: 0, HAND_OVER or
@@ -2422,7 +2645,7 @@ least_standard(Forest *f, PyObject *solution)
         if ((own = set_at(sources, rep)) == NULL) {
             rc = HAND_OVER;
         }
-        else if ((value = PyFrozenSet_New(own)) == NULL) {
+        else if ((value = freeze(own)) == NULL) {
             rc = -1;
         }
         else {
@@ -2558,7 +2781,7 @@ least_of(Forest *f, Py_ssize_t rep, PyObject *raw_preds, PyObject *own,
         }
     }
     if (preds == NULL || PySet_GET_SIZE(preds) == 0) {
-        value = PyFrozenSet_New(own);
+        value = freeze(own);
         *rc = value == NULL ? -1 : 0;
         goto done;
     }
@@ -2694,21 +2917,161 @@ compute_least_solution(PyObject *module, PyObject *graph)
 }
 
 /* ------------------------------------------------------------------ */
+/* Expression hashes                                                    */
+/* ------------------------------------------------------------------ */
+
+/* Term and Var cache their hash in a `_hash` slot, which their Python
+   __hash__ returns.  These tp_hash functions read the slot instead;
+   an instance whose slot is unset or not an int in hash range goes to
+   the class's previous tp_hash, the one that calls __hash__.  Term also
+   gets a C `==` for equal-hash terms, which sets compare when a
+   structurally equal copy of a stored term arrives. */
+static Py_ssize_t term_hash_offset = -1, var_hash_offset = -1;
+static Py_ssize_t term_label_offset = -1;
+static hashfunc term_python_hash, var_python_hash;
+static richcmpfunc term_python_richcompare;
+
+static Py_hash_t
+cached_hash(PyObject *self, Py_ssize_t offset, hashfunc fallback)
+{
+    PyObject *value = slot_value(self, offset);
+    Py_hash_t hash;
+    if (value != NULL && PyLong_CheckExact(value)) {
+        hash = PyLong_AsSsize_t(value);
+        if (hash != -1) {
+            return hash;
+        }
+        PyErr_Clear();
+    }
+    return fallback(self);
+}
+
+static Py_hash_t
+term_hash(PyObject *self)
+{
+    return cached_hash(self, term_hash_offset, term_python_hash);
+}
+
+static Py_hash_t
+var_hash(PyObject *self)
+{
+    return cached_hash(self, var_hash_offset, var_python_hash);
+}
+
+/* Term.__eq__, `other._hash == self._hash and other.constructor ==
+   self.constructor and other.label == self.label and other.args ==
+   self.args`, for two plain terms whose constructors are the same
+   plain Constructor and whose labels are the same None, str or int
+   (each equal to itself, as `==` finds without running code).  Any
+   other comparison goes to the class's previous tp_richcompare, the
+   one that calls __eq__. */
+static PyObject *
+term_richcompare(PyObject *self, PyObject *other, int op)
+{
+    Py_ssize_t offsets[4] = {term_hash_offset, term_ctor_offset,
+                             term_label_offset, term_args_offset};
+    PyObject *mine[4], *theirs[4], *label;
+    int i, equal;
+    if (op != Py_EQ || Py_TYPE(self) != (PyTypeObject *)TermType
+            || Py_TYPE(other) != (PyTypeObject *)TermType) {
+        return term_python_richcompare(self, other, op);
+    }
+    for (i = 0; i < 4; i++) {
+        mine[i] = slot_value(self, offsets[i]);
+        theirs[i] = slot_value(other, offsets[i]);
+        if (mine[i] == NULL || theirs[i] == NULL) {
+            return term_python_richcompare(self, other, op);
+        }
+    }
+    if (!PyLong_CheckExact(mine[0]) || !PyLong_CheckExact(theirs[0])) {
+        return term_python_richcompare(self, other, op);
+    }
+    equal = PyObject_RichCompareBool(theirs[0], mine[0], Py_EQ);
+    if (equal <= 0) {
+        return equal < 0 ? NULL : Py_NewRef(Py_False);
+    }
+    label = mine[2];
+    if (theirs[1] != mine[1]
+            || Py_TYPE(mine[1]) != (PyTypeObject *)ConstructorType
+            || theirs[2] != label
+            || !(label == Py_None || PyUnicode_CheckExact(label)
+                 || PyLong_CheckExact(label))
+            || !PyTuple_CheckExact(mine[3]) || !PyTuple_CheckExact(theirs[3])) {
+        return term_python_richcompare(self, other, op);
+    }
+    equal = PyObject_RichCompareBool(theirs[3], mine[3], Py_EQ);
+    return equal < 0 ? NULL : PyBool_FromLong(equal);
+}
+
+/* Give a class the tp_hash `native`, keeping its own as *fallback;
+   nothing when the class has no `_hash` slot. */
+static void
+install_hash(PyObject *type, Py_ssize_t offset, hashfunc native,
+             hashfunc *fallback)
+{
+    PyTypeObject *cls = (PyTypeObject *)type;
+    if (offset < 0 || cls->tp_hash == native) {
+        return;
+    }
+    *fallback = cls->tp_hash;
+    cls->tp_hash = native;
+}
+
+PyDoc_STRVAR(has_native_hash_doc,
+"has_native_hash(cls)\n--\n\n"
+"Whether ``cls`` hashes through the kernel's C ``tp_hash``, which\n"
+"reads the ``_hash`` slot (``bind`` gives it to ``Term`` and ``Var``).");
+
+static PyObject *
+has_native_hash(PyObject *module, PyObject *cls)
+{
+    hashfunc hash;
+    (void)module;
+    if (!PyType_Check(cls)) {
+        PyErr_Format(PyExc_TypeError, "expected a class, not %.200s",
+                     Py_TYPE(cls)->tp_name);
+        return NULL;
+    }
+    hash = ((PyTypeObject *)cls)->tp_hash;
+    return PyBool_FromLong(hash == term_hash || hash == var_hash);
+}
+
+/* ------------------------------------------------------------------ */
 /* Module                                                               */
 /* ------------------------------------------------------------------ */
 
 PyDoc_STRVAR(bind_doc,
-"bind(kernel)\n--\n\n"
-"Take the worklist tags, ``Term``, ``Var``, the constructors 0 and 1\n"
-"and the decreasing search mode from the Python kernel module, which\n"
-"also serves ``flat_plan`` and ``_resolve_generic`` at each call.");
+"bind(kernel, graph_base)\n--\n\n"
+"Take the worklist tags, the empty bucket, ``Term``, ``Var``, the\n"
+"constructors 0 and 1 and the decreasing search mode from the Python\n"
+"kernel module, which also serves ``flat_plan`` and\n"
+"``_resolve_generic`` at each call, and the reference\n"
+"``collapse_path`` and ``_absorb`` from the graphs' base class.  Give\n"
+"``Term`` and ``Var`` the C hash.");
 
 static PyObject *
-bind(PyObject *module, PyObject *kernel)
+bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *value;
+    PyObject *value, *kernel, *collapse_method, *absorb_method;
     int i;
     (void)module;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "bind expected 2 arguments, got %zd",
+                     nargs);
+        return NULL;
+    }
+    kernel = args[0];
+    collapse_method = PyObject_GetAttr(args[1], S_collapse_path);
+    if (collapse_method == NULL) {
+        return NULL;
+    }
+    absorb_method = PyObject_GetAttr(args[1], S_absorb);
+    if (absorb_method == NULL) {
+        Py_DECREF(collapse_method);
+        return NULL;
+    }
+    Py_XSETREF(base_collapse_path, collapse_method);
+    Py_XSETREF(base_absorb, absorb_method);
     for (i = 0; bound_names[i].slot != NULL; i++) {
         value = PyObject_GetAttrString(kernel, bound_names[i].name);
         if (value == NULL) {
@@ -2724,6 +3087,17 @@ bind(PyObject *module, PyObject *kernel)
     var_index_offset = slot_offset(VarType, "index");
     term_args_offset = slot_offset(TermType, "args");
     term_ctor_offset = slot_offset(TermType, "constructor");
+    term_hash_offset = slot_offset(TermType, "_hash");
+    var_hash_offset = slot_offset(VarType, "_hash");
+    install_hash(TermType, term_hash_offset, term_hash, &term_python_hash);
+    install_hash(VarType, var_hash_offset, var_hash, &var_python_hash);
+    term_label_offset = slot_offset(TermType, "label");
+    if (term_hash_offset >= 0 && term_ctor_offset >= 0
+            && term_label_offset >= 0 && term_args_offset >= 0
+            && ((PyTypeObject *)TermType)->tp_richcompare != term_richcompare) {
+        term_python_richcompare = ((PyTypeObject *)TermType)->tp_richcompare;
+        ((PyTypeObject *)TermType)->tp_richcompare = term_richcompare;
+    }
     Py_XSETREF(python_kernel, Py_NewRef(kernel));
     Py_RETURN_NONE;
 }
@@ -2731,11 +3105,11 @@ bind(PyObject *module, PyObject *kernel)
 static PyMethodDef kernel_methods[] = {
     {"run_kernel", (PyCFunction)(void (*)(void))run_kernel, METH_FASTCALL,
      run_kernel_doc},
-    {"bind", bind, METH_O, bind_doc},
+    {"bind", (PyCFunction)(void (*)(void))bind, METH_FASTCALL, bind_doc},
+    {"has_native_hash", has_native_hash, METH_O, has_native_hash_doc},
     {"validate", validate, METH_O, validate_doc},
     {"random_ranks", (PyCFunction)(void (*)(void))random_ranks,
      METH_FASTCALL, random_ranks_doc},
-    {"empty_sets", empty_sets, METH_O, empty_sets_doc},
     {"finalize_statistics", finalize_statistics, METH_O,
      finalize_statistics_doc},
     {"compute_least_solution", compute_least_solution, METH_O,

@@ -197,7 +197,9 @@ class SolverEngine:
         (``on_budget="raise"``) or sets a partial :attr:`status` and
         returns with the remaining worklist intact, ready for
         :func:`repro.resilience.checkpoint.capture`, another drain, or
-        :meth:`resume`.
+        :meth:`resume`.  A drain that returns ends by compacting the
+        graph's insertion log (:meth:`~repro.graph.base.
+        ConstraintGraphBase.compact_journal`).
         """
         sink = self.sink
         stats = self.stats
@@ -209,6 +211,7 @@ class SolverEngine:
             sink.phase_begin("closure")
         try:
             self.status = self._dispatch()
+            self.graph.compact_journal()
         finally:
             # += so interrupted closure time survives checkpoint/resume
             # and accumulates across incremental batches.

@@ -8,7 +8,9 @@ inlined: source insertion, sink insertion (``vs``), the var-var
 insertion of either graph form (with online cycle search and periodic
 sweeps) and the resolution rules (``rr``).  The kernel reads and writes
 the graph's plain state lists (``parent``, ``ranks`` and the four
-buckets) and appends to its insertion log.  Standard versus inductive
+buckets) and appends to its insertion log; a bucket's first insert
+replaces the shared :data:`~repro.graph.base.EMPTY_BUCKET` with a new
+``set``.  Standard versus inductive
 form is a local boolean, and tracing and the log are local
 ``is not None`` checks, so there is one code path for every
 configuration.
@@ -45,6 +47,7 @@ from ..constraints.constructors import ONE_CONSTRUCTOR, ZERO_CONSTRUCTOR
 from ..constraints.expressions import Term, Var
 from ..constraints.resolution import decompose, flat_plan
 from ..graph.base import (
+    EMPTY_BUCKET,
     OP_PRED_FAN,
     OP_RESOLVE,
     OP_SINK,
@@ -133,6 +136,8 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                     if parent[var] != var:
                         var = find(var)
                     bucket = sources[var]
+                    if bucket is EMPTY_BUCKET:
+                        bucket = sources[var] = set()
                     # Single-probe redundancy check: `add` reports a
                     # duplicate through an unchanged size.
                     size = len(bucket)
@@ -283,6 +288,8 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                                     sink.edge(OP_VAR_VAR, left, right,
                                               "cycle")
                             else:
+                                if bucket is EMPTY_BUCKET:
+                                    bucket = succ_vars[left] = set()
                                 bucket.add(right)
                                 if journal is not None:
                                     journal += (SUCC_BUCKET, left, right)
@@ -318,6 +325,8 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                                     sink.edge(OP_VAR_VAR, left, right,
                                               "cycle")
                             else:
+                                if bucket is EMPTY_BUCKET:
+                                    bucket = pred_vars[right] = set()
                                 bucket.add(left)
                                 if journal is not None:
                                     journal += (PRED_BUCKET, right, left)
@@ -346,6 +355,8 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
                 if parent[var] != var:
                     var = find(var)
                 bucket = sinks[var]
+                if bucket is EMPTY_BUCKET:
+                    bucket = sinks[var] = set()
                 size = len(bucket)
                 bucket.add(term)
                 if len(bucket) == size:

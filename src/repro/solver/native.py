@@ -1,12 +1,20 @@
 """The native solver: built on first import, else the fallback.
 
-``_kernel.c`` transliterates :func:`repro.solver.kernel.run_kernel` and
-the chain search it calls into C, and with them the steps of a batch
-solve around the closure: :meth:`ConstraintSystem.validate
-<repro.constraints.ConstraintSystem.validate>`, the random order's ranks
-and the graph's empty buckets, :meth:`finalize_statistics
+``_kernel.c`` transliterates :func:`repro.solver.kernel.run_kernel`,
+the chain search and the cycle collapse it calls
+(:meth:`~repro.graph.base.ConstraintGraphBase.collapse_path` and
+``_absorb``) into C, and with them the steps of a batch solve around
+the closure: :meth:`ConstraintSystem.validate
+<repro.constraints.ConstraintSystem.validate>`, the random order's
+ranks, :meth:`finalize_statistics
 <repro.graph.base.ConstraintGraphBase.finalize_statistics>` and both
-forms' ``compute_least_solution``.  Importing this module compiles it
+forms' ``compute_least_solution``.  Loading it also gives
+:class:`~repro.constraints.expressions.Term` and ``Var`` a C hash that
+reads their cached ``_hash`` slot, so sets hash expressions without a
+Python call; their ``__hash__`` methods stay the reference.  A native
+solve without a trace sink enters Python only for ``flat_plan`` and
+``decompose`` on nested terms and for periodic sweeps.  Importing this
+module compiles it
 with the running Python's C compiler and headers (``sysconfig``'s
 ``CC`` and include path) into a cache file named by the source's
 SHA-256 and the interpreter's extension suffix (``EXT_SUFFIX``), then
@@ -17,8 +25,8 @@ importing at once (``repro.parallel`` workers) never load a
 half-written file, and a cached build of other source is never loaded.
 
 :data:`kernel` is the loaded extension module, whose functions the
-engine (and :class:`~repro.graph.order.RandomOrder` and the graph's
-constructor) call, or ``None`` when the build failed: :data:`build_error`
+engine (and :class:`~repro.graph.order.RandomOrder`) call, or ``None``
+when the build failed: :data:`build_error`
 then says why, one :class:`RuntimeWarning` says so, and the Python
 versions run.  They stay the reference the tests compare against.
 """
@@ -34,6 +42,7 @@ import warnings
 from types import ModuleType
 from typing import List, Optional, Tuple
 
+from ..graph.base import ConstraintGraphBase
 from . import kernel as python_kernel
 
 #: the C source of the native kernel
@@ -111,13 +120,14 @@ def build(source: str, target: str) -> None:
 
 
 def load_module(path: str) -> ModuleType:
-    """Load a built kernel and bind it to the Python kernel's names."""
+    """Load a built kernel and bind it to the Python kernel's names and
+    the graphs' collapse methods."""
     name = f"{__package__}._kernel"
     loader = importlib.machinery.ExtensionFileLoader(name, path)
     spec = importlib.util.spec_from_file_location(name, path, loader=loader)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
-    module.bind(python_kernel)
+    module.bind(python_kernel, ConstraintGraphBase)
     return module
 
 

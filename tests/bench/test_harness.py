@@ -172,3 +172,53 @@ class TestCompare:
         other.seed = 7
         with pytest.raises(IncomparableReportsError):
             compare_reports(other, report)
+
+
+class TestMeasureSystem:
+    """Cyclic GC is paused inside each timed solve, then restored."""
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_gc_paused_during_solves_and_restored(self, monkeypatch,
+                                                  collecting):
+        import gc
+
+        from repro.bench import measure
+        from repro.experiments.config import options_for
+        from repro.workloads import suite
+
+        during = []
+        real_solve = measure.solve
+
+        def solve(system, options):
+            during.append(gc.isenabled())
+            return real_solve(system, options)
+
+        (benchmark,) = [b for b in suite("quick") if b.name == "allroots"]
+        monkeypatch.setattr(measure, "solve", solve)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            measure.measure_system(benchmark.program.system,
+                                   options_for("IF-Online"), repeats=2)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False, False]
+
+    def test_gc_restored_when_a_solve_raises(self, monkeypatch):
+        import gc
+
+        from repro.bench import measure
+        from repro.experiments.config import options_for
+        from repro.workloads import suite
+
+        def solve(system, options):
+            raise RuntimeError("solver failed")
+
+        (benchmark,) = [b for b in suite("quick") if b.name == "allroots"]
+        monkeypatch.setattr(measure, "solve", solve)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError):
+            measure.measure_system(benchmark.program.system,
+                                   options_for("IF-Online"))
+        assert gc.isenabled()

@@ -17,6 +17,7 @@ from repro.constraints.constructors import Constructor, ZERO_CONSTRUCTOR
 from repro.constraints.expressions import ZERO, Term, Var
 from repro.constraints.hashing import str_hash
 from repro.constraints.variance import CONTRAVARIANT, COVARIANT, Variance
+from repro.solver import native
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__)
@@ -109,6 +110,59 @@ def test_str_hash_is_seed_zero_hash(text):
 def test_expression_hash_is_seed_zero_hash(name):
     expression, _, expected = EXPRESSIONS[name]
     assert hash(expression) == expected
+
+
+@pytest.mark.parametrize("name", [name for name in EXPRESSIONS
+                                  if name.startswith(("var", "term"))])
+def test_hash_is_the_cached_slot(name):
+    """Term and Var hash to their ``_hash`` slot both through the
+    native kernel's C ``tp_hash`` (``hash``, when the kernel built) and
+    through the Python ``__hash__`` methods it stands in for."""
+    expression, _, expected = EXPRESSIONS[name]
+    assert expression._hash == expected
+    assert hash(expression) == expression._hash
+    assert type(expression).__hash__(expression) == expression._hash
+
+
+@pytest.mark.skipif(native.kernel is None,
+                    reason=f"native kernel unavailable: {native.build_error}")
+def test_native_hash_is_installed_with_a_python_fallback():
+    assert native.kernel.has_native_hash(Term)
+    assert native.kernel.has_native_hash(Var)
+    assert not native.kernel.has_native_hash(Constructor)
+    # An unset slot goes to the Python method, which raises for it.
+    term = Term(LOC, (), label="unset")
+    del term._hash
+    with pytest.raises(AttributeError):
+        hash(term)
+
+
+def test_term_equality():
+    """``==`` on terms (natively for plain terms over one constructor
+    and label) agrees with ``Term.__eq__``."""
+    box = Constructor("box", (COVARIANT,))
+    inner = Term(box, (ZERO,))
+    cases = [
+        (Term(box, (Var(1),)), Term(box, (Var(1),)), True),
+        (Term(box, (inner,)), Term(box, (Term(box, (ZERO,)),)), True),
+        (Term(box, (Var(1),)), Term(box, (Var(2),)), False),
+        (Term(LOC, (), "a"), Term(LOC, (), "a"), True),
+        (Term(LOC, (), "a"), Term(LOC, (), "b"), False),
+        (Term(LOC, (), 7), Term(LOC, (), 7.0), True),
+        (Term(LOC, (), float("nan")), Term(LOC, (), float("nan")), False),
+        (Term(LOC, (), LOCATION), Term(LOC, (), LOCATION), True),
+        (Term(LOC), Term(Constructor("loc")), True),
+        (Term(LOC), Term(Constructor("other")), False),
+        (Term(LOC), Var(0), False),
+    ]
+    for left, right, equal in cases:
+        assert left.__eq__(right) is equal, (left, right)
+        assert (left == right) is equal, (left, right)
+        assert (left != right) is not equal, (left, right)
+    nan = float("nan")
+    same_nan = Term(LOC, (), nan)
+    assert (same_nan == Term(LOC, (), nan)) is same_nan.__eq__(
+        Term(LOC, (), nan))
 
 
 def test_variance_hashes_are_constants():

@@ -1,8 +1,13 @@
 """Tests for shared constraint-graph machinery (collapse, accounting)."""
 
+import pytest
+
 from repro import ConstraintSystem, Variance
+from repro.experiments.config import options_for
 from repro.graph import CreationOrder
+from repro.graph.base import EMPTY_BUCKET
 from repro.solver import CyclePolicy, GraphForm, SolverOptions, solve
+from repro.workloads import suite
 
 
 def options(form=GraphForm.INDUCTIVE, cycles=CyclePolicy.ONLINE):
@@ -52,6 +57,9 @@ class TestCollapse:
         assert graph.sources[absorbed] == set()
         assert graph.succ_vars[absorbed] == set()
         assert graph.pred_vars[absorbed] == set()
+        # _absorb hands the buckets back to the shared sentinel.
+        for buckets in graph.buckets():
+            assert buckets[absorbed] is EMPTY_BUCKET
 
     def test_collapse_path_counts_once_per_cycle(self):
         system, _, _ = self.build_cycle()
@@ -101,6 +109,44 @@ class TestFinalAccounting:
         )
         stats = solution.stats
         assert stats.final_var_var_edges == 2
+
+
+class TestBucketsOnFirstInsert:
+    """A bucket is the shared EMPTY_BUCKET until its first insert."""
+
+    @pytest.mark.parametrize("label", ("SF-Online", "SF-Plain"))
+    def test_standard_form_never_writes_predecessors(self, label):
+        for benchmark in suite("quick"):
+            solution = solve(benchmark.program.system, options_for(label))
+            assert all(bucket is EMPTY_BUCKET
+                       for bucket in solution.graph.pred_vars), \
+                benchmark.name
+
+    @pytest.mark.parametrize("label", ("SF-Online", "IF-Online"))
+    def test_written_buckets_are_sets_and_the_rest_the_sentinel(
+            self, label):
+        (benchmark,) = [b for b in suite("quick") if b.name == "compress"]
+        graph = solve(benchmark.program.system, options_for(label)).graph
+        for buckets in graph.buckets():
+            for bucket in buckets:
+                assert (type(bucket) is set and bucket) \
+                    or bucket is EMPTY_BUCKET
+
+    def test_the_sentinel_refuses_writes(self):
+        with pytest.raises(AttributeError):
+            EMPTY_BUCKET.add(1)
+
+    def test_a_new_graph_allocates_no_sets(self):
+        from repro.graph import SolverStats
+        from repro.graph.inductive import InductiveGraph
+
+        graph = InductiveGraph(
+            4, CreationOrder(), SolverStats(), emit=lambda op: None,
+        )
+        graph.grow(6)
+        for buckets in graph.buckets():
+            assert len(buckets) == 6
+            assert all(bucket is EMPTY_BUCKET for bucket in buckets)
 
 
 class TestGrow:

@@ -106,8 +106,10 @@ class TestFailureSemantics:
             TaskSpec("ok-2", 2),
         ]
         results = run_tasks(mixed_worker, tasks, jobs=2, retries=0)
-        assert [r.ok for r in results] == [True, False, True]
-        assert results[0].value == 2 and results[2].value == 4
+        # The message names each result's failure, should one appear.
+        outcomes = [(r.key, r.kind, r.error) for r in results]
+        assert [r.ok for r in results] == [True, False, True], outcomes
+        assert results[0].value == 2 and results[2].value == 4, outcomes
 
 
 def mixed_worker(payload):

@@ -466,3 +466,86 @@ class TestForeignVariables:
                 solver.same_component(x, var)
             with pytest.raises(MalformedExpressionError):
                 solver.same_component(var, x)
+
+
+class TestJournalCompaction:
+    """A journaling session drops its dead log records as it goes, on
+    either kernel (each ``_absorb`` counts the records it kills)."""
+
+    @pytest.fixture(autouse=True, params=["python", "native"])
+    def _kernel(self, request, monkeypatch):
+        from repro.solver import engine as engine_module
+        from repro.solver import kernel, native
+
+        if request.param == "python":
+            monkeypatch.setattr(engine_module, "run_kernel",
+                                kernel.run_kernel)
+        elif native.kernel is None:
+            pytest.skip(f"native kernel unavailable: {native.build_error}")
+
+    def test_log_stays_within_twice_its_live_records(self, monkeypatch):
+        from repro.graph.base import live_records
+        from repro.workloads import suite
+
+        (benchmark,) = [b for b in suite("medium") if b.name == "li"]
+        seen = {"adds": 0}
+        real_add = IncrementalSolver.add
+
+        def add(self, left, right):
+            graph = self._engine.graph
+            real_add(self, left, right)
+            journal = graph.journal
+            records = len(journal) // 3
+            live = records - graph.dead_records
+            assert records <= 2 * live or records == 0, seen["adds"]
+            if seen["adds"] % 97 == 0:
+                # dead_records counts exactly what a capture would drop
+                assert 3 * live == len(live_records(journal, graph.parent))
+            seen["adds"] += 1
+
+        monkeypatch.setattr(IncrementalSolver, "add", add)
+        solver = solve_incremental(
+            benchmark.program.system,
+            options_for("IF-Online", checkpointable=True))
+        assert seen["adds"] == len(benchmark.program.system)
+        assert solver.stats.vars_eliminated > 0
+        assert solver._engine.graph.dead_records > 0
+
+    @pytest.mark.parametrize("form, descending", [
+        (GraphForm.STANDARD, True), (GraphForm.INDUCTIVE, False),
+    ])
+    def test_a_collapse_of_most_records_compacts(self, form, descending):
+        """A chain whose sources reach down it collapses into one
+        variable: most records die, and the drain drops them."""
+        from repro.graph import CreationOrder
+        from repro.graph.base import live_records
+        from repro.resilience import capture, restore
+
+        options = SolverOptions(form=form, cycles=CyclePolicy.ONLINE,
+                                order=CreationOrder(), checkpointable=True)
+        solver = IncrementalSolver(options)
+        box = solver.constructor("box", (Variance.COVARIANT,))
+        chain = [solver.fresh_var(f"x{i}") for i in range(10)]
+        for i, var in enumerate(chain):
+            solver.add(solver.term(box, (solver.zero,), label=f"s{i}"), var)
+        links = list(zip(chain, chain[1:]))
+        if descending:
+            links = [(right, left) for left, right in links]
+        for left, right in links:
+            solver.add(left, right)
+        graph = solver._engine.graph
+        before = len(graph.journal)
+        # The edge that closes the chain into a cycle.
+        if descending:
+            solver.add(chain[0], chain[-1])
+        else:
+            solver.add(chain[-1], chain[0])
+        assert solver.stats.vars_eliminated == len(chain) - 1
+        assert len(graph.journal) < before
+        assert graph.journal == live_records(graph.journal, graph.parent)
+        assert graph.dead_records == 0
+        restored = restore(solver.system, options, capture(solver._engine))
+        assert [[list(bucket) for bucket in buckets]
+                for buckets in restored.graph.buckets()] \
+            == [[list(bucket) for bucket in buckets]
+                for buckets in graph.buckets()]

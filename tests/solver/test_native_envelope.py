@@ -147,11 +147,12 @@ def chain_graph(graph_class):
     """Three variables, 2 -> 1 -> 0 in parent, with sources and edges."""
     graph = graph_class(3, CreationOrder(), SolverStats(),
                         emit=lambda op: None)
-    graph.sources[0].update({"a", "b"})
+    # A bucket is EMPTY_BUCKET until its first insert makes a set.
+    graph.sources[0] = {"a", "b"}
     graph.parent[1] = 0
     graph.parent[2] = 1
-    graph.pred_vars[0].add(2)
-    graph.succ_vars[0].add(1)
+    graph.pred_vars[0] = {2}
+    graph.succ_vars[0] = {1}
     return graph
 
 

@@ -8,7 +8,9 @@ every bucket in iteration order, the events a recording trace sink
 sees, and the pending worklist and checkpoint after every budget stop.
 """
 
+import gc
 import random
+import sys
 
 import pytest
 
@@ -175,3 +177,49 @@ def test_random_systems_budget_stops(label):
         assert_same(on_each_kernel(stops, system, label, order,
                                    max(1, total // RANDOM_STOPS)),
                     f"random system {seed}")
+
+
+#: The Python functions a native solve without a sink may enter from
+#: inside run_kernel: flat plans and decompose's pairs.
+PYTHON_CALLBACKS = {"flat_plan", "_resolve_generic", "decompose"}
+
+
+@pytest.mark.parametrize("label", ("SF-Online", "IF-Online"))
+def test_no_python_frame_inside_run_kernel(label):
+    """Hashing, set equality, the chain search and the cycle collapse
+    all stay in C: a profile of each quick-suite solve sees no Python
+    frame entered from the native kernel but the allowed callbacks."""
+    run_kernel = native.kernel.run_kernel
+    entered = set()
+    depth = {"kernel": 0, "python": 0}
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is run_kernel:
+            depth["kernel"] += 1
+        elif event in ("c_return", "c_exception") and arg is run_kernel:
+            depth["kernel"] -= 1
+        elif depth["kernel"] and event == "call":
+            if depth["python"] == 0:
+                entered.add(frame.f_code.co_name)
+            depth["python"] += 1
+        elif depth["kernel"] and event == "return":
+            depth["python"] -= 1
+
+    collapses = 0
+    for benchmark in suite("quick"):
+        for seed in ORDER_SEEDS:
+            engine = SolverEngine(benchmark.program.system,
+                                  options_for(label, seed=seed))
+            # A collection could run gc.callbacks inside the kernel.
+            collecting = gc.isenabled()
+            gc.disable()
+            sys.setprofile(profile)
+            try:
+                engine.run()
+            finally:
+                sys.setprofile(None)
+                if collecting:
+                    gc.enable()
+            collapses += engine.stats.cycles_found
+    assert collapses > 0
+    assert entered <= PYTHON_CALLBACKS, entered - PYTHON_CALLBACKS
