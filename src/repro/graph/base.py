@@ -247,9 +247,9 @@ class ConstraintGraphBase:
         cross-product step.  Returns the witness id.
 
         The native kernel runs a C transliteration of this method and
-        :meth:`_absorb` for the collapses of an online search, as long
-        as neither is replaced; periodic sweeps and the Python kernel
-        call them here.
+        :meth:`_absorb` for the collapses of an online search; the
+        engine closes a graph whose class replaces either on the Python
+        kernel, which calls them here, as periodic sweeps do.
         """
         nodes = []
         seen = set()

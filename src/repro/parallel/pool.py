@@ -238,6 +238,10 @@ def run_tasks(
             )
         multiprocessing.connection.wait(waitables, timeout=wait_for)
         for entry in list(running.values()):
+            # Liveness before the pipe: a child that sends its result
+            # and exits between the two reads is then seen alive with a
+            # message, not dead without one (a crash).
+            alive = entry.process.is_alive()
             message = None
             if entry.conn.poll(0):
                 try:
@@ -254,7 +258,7 @@ def run_tasks(
                         error=f"worker raised:\n{body}",
                         kind="exception",
                     )
-            elif not entry.process.is_alive():
+            elif not alive:
                 settle(
                     entry,
                     error=(

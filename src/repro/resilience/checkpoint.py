@@ -23,6 +23,13 @@ What a checkpoint holds (format :data:`CHECKPOINT_VERSION`):
   :class:`~repro.resilience.errors.CheckpointError`) to resume against
   a different system, configuration or variable order.
 
+Restore is where outside state enters an engine, and the native
+kernel trusts what passes it (:mod:`repro.solver.native`): it also
+refuses malformed worklist entries and unknown tags, a ``parent`` that
+does not forward every variable to a representative and log records
+outside the graph, and maps each unpickled tag to the module's own
+constant, which the native kernel dispatches on by identity.
+
 Determinism: a resumed run must reproduce the *exact* final counters of
 an uninterrupted run (the regression tests enforce this against the
 committed benchmark baseline).  Counters depend on set iteration order,
@@ -67,7 +74,17 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..constraints.expressions import ONE, Term, ZERO
-from ..graph.base import EMPTY_BUCKET, live_records
+from ..graph.base import (
+    EMPTY_BUCKET,
+    OP_PRED_FAN,
+    OP_RESOLVE,
+    OP_SINK,
+    OP_SOURCE_FAN,
+    OP_SOURCES_FAN,
+    OP_SUCC_FAN,
+    Op,
+    live_records,
+)
 from ..graph.stats import SolverStats
 from .budget import SolveStatus
 from .errors import CheckpointError
@@ -82,6 +99,12 @@ CHECKPOINT_VERSION = 5
 
 #: Leading magic in the byte encoding, so stray pickles are rejected.
 _MAGIC = b"repro-ckpt\x00"
+
+#: Fan-out tags, whose entries carry a tuple of members.
+_FAN_TAGS = (OP_SOURCE_FAN, OP_SOURCES_FAN, OP_SUCC_FAN, OP_PRED_FAN)
+#: Every worklist tag, by value: restore maps an unpickled tag to the
+#: constant itself.
+_TAGS = {tag: tag for tag in _FAN_TAGS + (OP_SINK, OP_RESOLVE)}
 
 
 def _intern_table(
@@ -235,6 +258,50 @@ class EngineCheckpoint:
             return cls.from_bytes(handle.read())
 
 
+def _worklist(entries: List[Any]) -> List[Op]:
+    """The saved worklist with every tag the module's own constant;
+    :class:`CheckpointError` for a malformed entry or unknown tag."""
+    pending = []
+    for entry in entries:
+        if type(entry) is not tuple or len(entry) != 3:
+            raise CheckpointError(f"malformed worklist entry {entry!r}")
+        tag, first, second = entry
+        constant = _TAGS.get(tag) if type(tag) is str else None
+        if constant is None:
+            raise CheckpointError(f"unknown worklist operation {tag!r}")
+        if constant in _FAN_TAGS and type(second) is not tuple:
+            raise CheckpointError(
+                f"fan-out members must be a tuple: {entry!r}")
+        pending.append((constant, first, second))
+    return pending
+
+
+def _check_parent(parent: List[Any], num_vars: int) -> None:
+    """:class:`CheckpointError` unless ``parent`` lists at most
+    ``num_vars`` variables, each forwarded along pointers among them to
+    a representative."""
+    size = len(parent)
+    if size > num_vars:
+        raise CheckpointError(
+            f"saved parent covers {size} variables, more than the "
+            f"system's {num_vars}")
+    for var, up in enumerate(parent):
+        if type(up) is not int or not 0 <= up < size:
+            raise CheckpointError(
+                f"saved parent[{var}] = {up!r} is not a variable")
+    # walked[v] is 1 + the first variable whose pointers passed v: a
+    # walk that meets its own mark went round a cycle.
+    walked = [0] * size
+    for start in range(size):
+        var = start
+        while not walked[var] and parent[var] != var:
+            walked[var] = start + 1
+            var = parent[var]
+        if walked[var] == start + 1:
+            raise CheckpointError(
+                f"saved parent has a cycle through variable {var}")
+
+
 def capture(engine: "SolverEngine") -> EngineCheckpoint:
     """Snapshot ``engine`` between worklist operations.
 
@@ -360,11 +427,13 @@ def restore(
     )
 
     graph = engine.graph
+    num_vars = graph.num_vars
+    _check_parent(state["parent"], num_vars)
+    pending = _worklist(state["pending"])
     # The captured graph may cover fewer variables than the restored
     # one (growth since capture); state lists are saved-graph-sized.
     # Late-created variables are representatives with the next ranks.
     saved_graph_vars = len(state["parent"])
-    num_vars = graph.num_vars
     graph.parent = state["parent"] + list(range(saved_graph_vars, num_vars))
     graph.ranks = saved_ranks + list(range(len(saved_ranks), num_vars))
     # Replay the log one ``add`` at a time (never ``set(items)``): each
@@ -373,9 +442,16 @@ def restore(
     # did.  The restored engine keeps the log, so it can be captured
     # again.
     log = state["log"]
+    if len(log) % 3:
+        raise CheckpointError("the saved log is not whole records")
     buckets = graph.buckets()
     records = iter(log)
     for bucket, var, item in zip(records, records, records):
+        if (type(bucket) is not int or not 0 <= bucket < len(buckets)
+                or type(var) is not int or not 0 <= var < saved_graph_vars):
+            raise CheckpointError(
+                f"saved log record ({bucket!r}, {var!r}, ...) names no "
+                f"bucket of the graph")
         collection = buckets[bucket]
         members = collection[var]
         if members is EMPTY_BUCKET:
@@ -386,7 +462,7 @@ def restore(
     for name, value in state["stats"].items():
         setattr(stats, name, value)
     engine.pending.clear()
-    engine.pending.extend(state["pending"])
+    engine.pending.extend(pending)
     engine._since_sweep = state["since_sweep"]
     engine.diagnostics[:] = state["diagnostics"]
     engine.status = SolveStatus(state["status"])

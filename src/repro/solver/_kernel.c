@@ -14,28 +14,34 @@
    kernel's.  The worklist holds unit sink and resolution entries and
    fan-outs for everything else.  Python is called back only for pairs
    that need decompose (_resolve_generic), flat plans (flat_plan),
-   periodic sweeps (engine._sweep) and the trace sink's methods.  A
-   graph whose class (or a patch) replaces collapse_path or _absorb has
-   its own method called for each collapse instead.
+   periodic sweeps (engine._sweep) and the trace sink's methods.
+
+   The contract with repro.solver.engine: the engine decides which
+   kernel closes a graph (a graph class whose collapse_path or _absorb
+   is not the reference's runs on the Python kernel), and every state
+   this code sees was built by the engine or checked by
+   repro.resilience.checkpoint.restore.  On that state it equals its
+   Python reference.  On anything else it raises TypeError, IndexError
+   or KeyError, and never calls back into a reference: worklist entries
+   and fan-outs are exact tuples, tags the module's own constants,
+   indices exact ints within their list (a negative index is out of
+   range), buckets sets or EMPTY_BUCKET.  Only validate() hands an
+   invalid system to ConstraintSystem.validate, for its structured
+   InvalidSystemError.
 
    Term and Var hash through the `_hash` slot each instance caches:
    bind() gives both classes a C tp_hash that reads it, so the sets
    hash terms without entering their Python __hash__, which stays the
    reference and the fallback.
 
-   Every index read from a worklist entry, a bucket or `parent` is
-   bounds-checked as Python's list indexing checks it (negative indices
-   count from the end), so a stale index raises IndexError here too.
-
    The envelope transliterates the rest of a batch solve: the system's
    validation, the random order's ranks, the final edge counts and both
    forms' least solutions (see "The solve envelope" below).
 
    repro.solver.native compiles this file on first import and calls
-   bind() with the Python kernel module and the graphs' base class; the
-   worklist tags, the log's bucket numbers, the empty bucket, the Term
-   and Var classes and the constructors 0 and 1 come from the module,
-   the reference collapse methods from the class. */
+   bind() with the Python kernel module; the worklist tags, the log's
+   bucket numbers, the empty bucket, the Term and Var classes and the
+   constructors 0 and 1 come from it. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -68,8 +74,6 @@ static PyObject *OP_RESOLVE, *OP_SINK, *OP_VAR_VAR, *OP_SOURCE;
 static PyObject *ONE_CONSTRUCTOR, *ZERO_CONSTRUCTOR, *DECREASING;
 static PyObject *SUCC_BUCKET, *PRED_BUCKET, *SOURCES_BUCKET, *SINKS_BUCKET;
 static PyObject *EMPTY_BUCKET;
-/* ConstraintGraphBase.collapse_path and ._absorb as bound */
-static PyObject *base_collapse_path, *base_absorb;
 
 static struct {
     PyObject **slot;
@@ -101,7 +105,7 @@ static PyObject *S_pending, *S_popleft, *S_appendleft, *S_append, *S_pop;
 static PyObject *S_graph, *S_sink, *S_stats, *S_parent, *S_ranks;
 static PyObject *S_succ_vars, *S_pred_vars, *S_sources, *S_sinks;
 static PyObject *S_journal, *S_inductive, *S_online_cycles;
-static PyObject *S_collapse_path, *S_search_mode, *S_periodic;
+static PyObject *S_search_mode, *S_periodic;
 static PyObject *S_since_sweep, *S_periodic_interval, *S_sweep;
 static PyObject *S_work, *S_redundant, *S_self_edges, *S_resolutions;
 static PyObject *S_cycle_searches, *S_cycle_search_visits;
@@ -110,9 +114,8 @@ static PyObject *S_resolve_generic, *S_edge, *S_resolve, *S_search_start;
 static PyObject *S_search_visit, *S_search_end;
 static PyObject *S_added, *S_redundant_outcome, *S_self, *S_cycle;
 static PyObject *S__vars, *S__constructors, *S__constraints, *S_validate;
-static PyObject *S_name, *S_signature, *S_num_vars, *S_finalize_statistics;
-static PyObject *S_compute_least_solution;
-static PyObject *S_emit, *S_absorb, *S_dead_records, *S_cycles_found;
+static PyObject *S_name, *S_signature, *S_num_vars;
+static PyObject *S_emit, *S_dead_records, *S_cycles_found;
 static PyObject *S_vars_eliminated, *S_collapse;
 
 static struct {
@@ -136,7 +139,6 @@ static struct {
     {&S_journal, "journal"},
     {&S_inductive, "inductive"},
     {&S_online_cycles, "online_cycles"},
-    {&S_collapse_path, "collapse_path"},
     {&S_search_mode, "search_mode"},
     {&S_periodic, "_periodic"},
     {&S_since_sweep, "_since_sweep"},
@@ -169,10 +171,7 @@ static struct {
     {&S_name, "name"},
     {&S_signature, "signature"},
     {&S_num_vars, "num_vars"},
-    {&S_finalize_statistics, "finalize_statistics"},
-    {&S_compute_least_solution, "compute_least_solution"},
     {&S_emit, "emit"},
-    {&S_absorb, "_absorb"},
     {&S_dead_records, "dead_records"},
     {&S_cycles_found, "cycles_found"},
     {&S_vars_eliminated, "vars_eliminated"},
@@ -192,10 +191,6 @@ typedef struct {
     PyObject *graph, *emit;
     PyObject *parent, *ranks, *succ_vars, *pred_vars, *sources, *sinks;
     PyObject *journal; /* NULL: not journaling */
-    PyObject *collapse_path;
-    /* 1 when the graph's collapse_path and _absorb are the base class's
-       own, which collapse() then runs natively */
-    int native_collapse;
     int inductive, online, periodic, sf_decreasing;
     Py_ssize_t since_sweep, interval;
     Py_ssize_t work, redundant, self_edges, resolutions, dead_records;
@@ -214,49 +209,33 @@ typedef struct {
 } Kernel;
 
 /* ------------------------------------------------------------------ */
-/* Indexing as Python's lists index                                     */
+/* Indexing                                                             */
 /* ------------------------------------------------------------------ */
 
-/* An index value as list indexing takes it. */
+/* An index: an exact int. */
 static int
 as_index(PyObject *object, Py_ssize_t *out)
 {
-    Py_ssize_t value;
-    if (PyLong_CheckExact(object)) {
-        value = PyLong_AsSsize_t(object);
-        if (value == -1 && PyErr_Occurred()) {
-            if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
-                PyErr_Format(PyExc_IndexError,
-                             "cannot fit 'int' into an index-sized integer");
-            }
-            return -1;
-        }
-    }
-    else if (PyIndex_Check(object)) {
-        value = PyNumber_AsSsize_t(object, PyExc_IndexError);
-        if (value == -1 && PyErr_Occurred()) {
-            return -1;
-        }
-    }
-    else {
-        PyErr_Format(PyExc_TypeError,
-                     "list indices must be integers or slices, not %.200s",
+    if (!PyLong_CheckExact(object)) {
+        PyErr_Format(PyExc_TypeError, "an index must be an int, not %.200s",
                      Py_TYPE(object)->tp_name);
         return -1;
     }
-    *out = value;
+    *out = PyLong_AsSsize_t(object);
+    if (*out == -1 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
+            PyErr_SetString(PyExc_IndexError, "list index out of range");
+        }
+        return -1;
+    }
     return 0;
 }
 
-/* list[i], borrowed; a negative i counts from the end. */
+/* list[i], borrowed; a negative i is out of range. */
 static PyObject *
 item_at(PyObject *list, Py_ssize_t i)
 {
-    Py_ssize_t size = PyList_GET_SIZE(list);
-    if (i < 0) {
-        i += size;
-    }
-    if (i < 0 || i >= size) {
+    if (i < 0 || i >= PyList_GET_SIZE(list)) {
         PyErr_SetString(PyExc_IndexError, "list index out of range");
         return NULL;
     }
@@ -270,17 +249,38 @@ index_at(PyObject *list, Py_ssize_t i, Py_ssize_t *out)
     return item == NULL ? -1 : as_index(item, out);
 }
 
-/* buckets[i], which must be a set or EMPTY_BUCKET; a new reference. */
+/* An index into a list of `size` items. */
+static int
+index_within(PyObject *object, Py_ssize_t size, Py_ssize_t *out)
+{
+    if (as_index(object, out) < 0) {
+        return -1;
+    }
+    if (*out < 0 || *out >= size) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return -1;
+    }
+    return 0;
+}
+
+/* 0 when `bucket` is a set or EMPTY_BUCKET, else -1 with a TypeError. */
+static int
+check_bucket(PyObject *bucket)
+{
+    if (PySet_CheckExact(bucket) || bucket == EMPTY_BUCKET) {
+        return 0;
+    }
+    PyErr_Format(PyExc_TypeError, "a solver bucket must be a set, not %.200s",
+                 Py_TYPE(bucket)->tp_name);
+    return -1;
+}
+
+/* buckets[i], a set or EMPTY_BUCKET; a new reference. */
 static PyObject *
 bucket_at(PyObject *buckets, Py_ssize_t i)
 {
     PyObject *bucket = item_at(buckets, i);
-    if (bucket == NULL) {
-        return NULL;
-    }
-    if (!PySet_Check(bucket) && bucket != EMPTY_BUCKET) {
-        PyErr_Format(PyExc_TypeError, "solver bucket must be a set, not %.200s",
-                     Py_TYPE(bucket)->tp_name);
+    if (bucket == NULL || check_bucket(bucket) < 0) {
         return NULL;
     }
     return Py_NewRef(bucket);
@@ -294,9 +294,6 @@ new_bucket(PyObject *buckets, Py_ssize_t i)
     PyObject *bucket = PySet_New(NULL);
     if (bucket == NULL) {
         return NULL;
-    }
-    if (i < 0) {
-        i += PyList_GET_SIZE(buckets);
     }
     if (PyList_SetItem(buckets, i, Py_NewRef(bucket)) < 0) {
         Py_DECREF(bucket);
@@ -591,7 +588,7 @@ static int
 find(Kernel *k, Py_ssize_t var, Py_ssize_t *out)
 {
     PyObject *parent = k->parent, *root_object;
-    Py_ssize_t root, next, size;
+    Py_ssize_t root, next;
     if (index_at(parent, var, &root) < 0) {
         return -1;
     }
@@ -609,7 +606,6 @@ find(Kernel *k, Py_ssize_t var, Py_ssize_t *out)
         root = next;
     }
     root_object = item_at(parent, root);
-    size = PyList_GET_SIZE(parent);
     for (;;) {
         if (index_at(parent, var, &next) < 0) {
             return -1;
@@ -618,8 +614,7 @@ find(Kernel *k, Py_ssize_t var, Py_ssize_t *out)
             break;
         }
         /* parent[var], var = root, parent[var] */
-        if (PyList_SetItem(parent, var < 0 ? var + size : var,
-                           Py_NewRef(root_object)) < 0) {
+        if (PyList_SetItem(parent, var, Py_NewRef(root_object)) < 0) {
             return -1;
         }
         var = next;
@@ -656,12 +651,8 @@ reserve(Kernel *k, Py_ssize_t v)
     Py_ssize_t capacity, i;
     size_t *marks;
     Py_ssize_t *came_from;
-    if (v >= 0 && v < k->capacity) {
+    if (v < k->capacity) {
         return 0;
-    }
-    if (v < 0) {
-        PyErr_SetString(PyExc_IndexError, "negative variable in chain search");
-        return -1;
     }
     capacity = PyList_GET_SIZE(k->parent);
     if (capacity <= v) {
@@ -1033,45 +1024,15 @@ done:
     return rc;
 }
 
-/* k->path as a new list */
-static PyObject *
-path_list(Kernel *k)
-{
-    PyObject *path = PyList_New(k->path_length), *item;
-    Py_ssize_t i;
-    if (path == NULL) {
-        return NULL;
-    }
-    for (i = 0; i < k->path_length; i++) {
-        if ((item = PyLong_FromSsize_t(k->path[i])) == NULL) {
-            Py_DECREF(path);
-            return NULL;
-        }
-        PyList_SET_ITEM(path, i, item);
-    }
-    return path;
-}
-
-/* Collapse the chain in k->path (natively, or through the graph's own
-   collapse_path), then the sink's "cycle" event. */
+/* Collapse the chain in k->path, then the sink's "cycle" event. */
 static int
 collapse(Kernel *k, PyObject **left, PyObject **right, Py_ssize_t l,
          int refind)
 {
     Py_ssize_t witness;
-    PyObject *item, *path;
-    if (k->native_collapse) {
-        if (collapse_path(k) < 0) {
-            return -1;
-        }
-    }
-    else {
-        path = path_list(k);
-        if (path == NULL || call_discard(k->collapse_path, path) < 0) {
-            Py_XDECREF(path);
-            return -1;
-        }
-        Py_DECREF(path);
+    PyObject *item;
+    if (collapse_path(k) < 0) {
+        return -1;
     }
     if (k->sink == NULL) {
         return 0;
@@ -1348,29 +1309,37 @@ constructor_is(PyObject *value, PyObject *constant)
     return constructor == constant;
 }
 
+/* Whether `plan` has flat_plan's shape: a pair of tuples. */
+static int
+check_plan(PyObject *plan)
+{
+    if (PyTuple_CheckExact(plan) && PyTuple_GET_SIZE(plan) == 2
+            && PyTuple_CheckExact(PyTuple_GET_ITEM(plan, 0))
+            && PyTuple_CheckExact(PyTuple_GET_ITEM(plan, 1))) {
+        return 0;
+    }
+    PyErr_SetString(PyExc_TypeError,
+                    "a flat plan must be a pair of tuples");
+    return -1;
+}
+
 /* The operations of two flat plans, as decompose emits them.  1 when
    the pair resolved; 0 on a clash, after taking back what the pair
    emitted; -1 on error. */
 static int
 resolve_plans(Kernel *k, PyObject *left_plan, PyObject *right_plan)
 {
-    PyObject *parts[3] = {NULL, NULL, NULL}, *low, *high, *low_ctor = NULL;
-    PyObject *high_ctor;
+    PyObject *parts[3], *low, *high, *low_ctor = NULL, *high_ctor;
     Py_ssize_t count, i, emitted = 0;
-    int rc = -1, covariant, is, clash = 0, equal;
+    int covariant, is, clash = 0, equal;
 
-    parts[0] = PySequence_GetItem(left_plan, 0);
-    parts[1] = PySequence_GetItem(left_plan, 1);
-    parts[2] = PySequence_GetItem(right_plan, 1);
-    for (i = 0; i < 3; i++) {
-        if (parts[i] == NULL) {
-            goto done;
-        }
-        Py_SETREF(parts[i], PySequence_Tuple(parts[i]));
-        if (parts[i] == NULL) {
-            goto done;
-        }
+    if (check_plan(left_plan) < 0 || check_plan(right_plan) < 0) {
+        return -1;
     }
+    /* Borrowed from the plans, which the caller holds. */
+    parts[0] = PyTuple_GET_ITEM(left_plan, 0);
+    parts[1] = PyTuple_GET_ITEM(left_plan, 1);
+    parts[2] = PyTuple_GET_ITEM(right_plan, 1);
     count = PyTuple_GET_SIZE(parts[0]);
     for (i = 1; i < 3; i++) {
         if (PyTuple_GET_SIZE(parts[i]) < count) {
@@ -1380,43 +1349,43 @@ resolve_plans(Kernel *k, PyObject *left_plan, PyObject *right_plan)
     for (i = 0; i < count && !clash; i++) {
         covariant = PyObject_IsTrue(PyTuple_GET_ITEM(parts[0], i));
         if (covariant < 0) {
-            goto done;
+            return -1;
         }
         low = PyTuple_GET_ITEM(parts[covariant ? 1 : 2], i);
         high = PyTuple_GET_ITEM(parts[covariant ? 2 : 1], i);
         if (PyLong_CheckExact(low)) {
             if (PyLong_CheckExact(high)) {
                 if (emit_one(k->append, OP_SUCC_FAN, low, high) < 0) {
-                    goto done;
+                    return -1;
                 }
             }
             else {
                 if ((is = constructor_is(high, ONE_CONSTRUCTOR)) < 0) {
-                    goto done;
+                    return -1;
                 }
                 if (is) {
                     continue;
                 }
                 if (emit(k->append, OP_SINK, low, high) < 0) {
-                    goto done;
+                    return -1;
                 }
             }
         }
         else {
             if ((is = constructor_is(low, ZERO_CONSTRUCTOR)) < 0) {
-                goto done;
+                return -1;
             }
             if (is) {
                 continue;
             }
             if (PyLong_CheckExact(high)) {
                 if (emit_one(k->append, OP_SOURCE_FAN, low, high) < 0) {
-                    goto done;
+                    return -1;
                 }
             }
             else {
                 if ((is = constructor_is(high, ONE_CONSTRUCTOR)) < 0) {
-                    goto done;
+                    return -1;
                 }
                 if (is) {
                     continue;
@@ -1430,7 +1399,7 @@ resolve_plans(Kernel *k, PyObject *left_plan, PyObject *right_plan)
                 Py_CLEAR(low_ctor);
                 Py_XDECREF(high_ctor);
                 if (equal < 0) {
-                    goto done;
+                    return -1;
                 }
                 /* Different constructors clash; the same nullary
                    constructor resolves to nothing. */
@@ -1446,17 +1415,12 @@ resolve_plans(Kernel *k, PyObject *left_plan, PyObject *right_plan)
         for (i = 0; i < emitted; i++) {
             PyObject *taken = PyObject_CallNoArgs(k->pop);
             if (taken == NULL) {
-                goto done;
+                return -1;
             }
             Py_DECREF(taken);
         }
     }
-    rc = !clash;
-done:
-    for (i = 0; i < 3; i++) {
-        Py_XDECREF(parts[i]);
-    }
-    return rc;
+    return !clash;
 }
 
 /* `var.index` */
@@ -1565,8 +1529,8 @@ enum {
     K_SINK, K_UNKNOWN
 };
 
-/* The handler of a tag, compared by value as the Python kernel does;
-   -1 on error. */
+/* The handler of a tag: one of the module's own constants, which
+   checkpoint restore maps unpickled tags back to. */
 static int
 tag_kind(PyObject *tag)
 {
@@ -1574,17 +1538,10 @@ tag_kind(PyObject *tag)
         OP_SOURCE_FAN, OP_SOURCES_FAN, OP_RESOLVE, OP_SUCC_FAN,
         OP_PRED_FAN, OP_SINK,
     };
-    int kind, equal;
+    int kind;
     for (kind = 0; kind < K_UNKNOWN; kind++) {
         if (tag == tags[kind]) {
             return kind;
-        }
-    }
-    /* Equal but not identical tags, as from an unpickled worklist. */
-    for (kind = 0; kind < K_UNKNOWN; kind++) {
-        equal = PyObject_RichCompareBool(tag, tags[kind], Py_EQ);
-        if (equal != 0) {
-            return equal < 0 ? -1 : kind;
         }
     }
     return K_UNKNOWN;
@@ -1644,20 +1601,11 @@ size_attribute(PyObject *object, PyObject *name, Py_ssize_t *out)
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* Whether `method` is `function` bound to `self`. */
-static int
-bound_to(PyObject *method, PyObject *self, PyObject *function)
-{
-    return function != NULL && PyMethod_Check(method)
-        && PyMethod_GET_FUNCTION(method) == function
-        && PyMethod_GET_SELF(method) == self;
-}
-
 /* Bind the engine's and the graph's state, as run_kernel's locals. */
 static int
 kernel_load(Kernel *k, PyObject *engine)
 {
-    PyObject *graph = NULL, *mode = NULL, *absorb_method = NULL;
+    PyObject *graph = NULL, *mode = NULL;
     int rc = -1;
     k->engine = engine;
     if ((k->pending = PyObject_GetAttr(engine, S_pending)) == NULL
@@ -1678,9 +1626,6 @@ kernel_load(Kernel *k, PyObject *engine)
             || optional_list_attribute(graph, S_journal, &k->journal) < 0
             || truth_attribute(graph, S_inductive, &k->inductive) < 0
             || truth_attribute(graph, S_online_cycles, &k->online) < 0
-            || (k->collapse_path = PyObject_GetAttr(graph,
-                                                    S_collapse_path)) == NULL
-            || (absorb_method = PyObject_GetAttr(graph, S_absorb)) == NULL
             || (k->emit = PyObject_GetAttr(graph, S_emit)) == NULL
             || (mode = PyObject_GetAttr(graph, S_search_mode)) == NULL
             || truth_attribute(engine, S_periodic, &k->periodic) < 0
@@ -1692,12 +1637,9 @@ kernel_load(Kernel *k, PyObject *engine)
         Py_CLEAR(k->sink);
     }
     k->sf_decreasing = mode == DECREASING;
-    k->native_collapse = bound_to(k->collapse_path, graph, base_collapse_path)
-        && bound_to(absorb_method, graph, base_absorb);
     rc = 0;
 done:
     Py_XDECREF(mode);
-    Py_XDECREF(absorb_method);
     return rc;
 }
 
@@ -1720,7 +1662,6 @@ kernel_release(Kernel *k)
     Py_XDECREF(k->sources);
     Py_XDECREF(k->sinks);
     Py_XDECREF(k->journal);
-    Py_XDECREF(k->collapse_path);
     PyMem_Free(k->marks);
     PyMem_Free(k->came_from);
     PyMem_Free(k->stack);
@@ -1758,14 +1699,18 @@ static int
 take_fan_out(Kernel *k, PyObject *tag, PyObject *first, PyObject **members,
              Py_ssize_t *room)
 {
-    Py_ssize_t count = PyObject_Size(*members);
+    Py_ssize_t count;
     PyObject *part;
     int rc;
-    if (count < 0) {
+    if (!PyTuple_CheckExact(*members)) {
+        PyErr_Format(PyExc_TypeError,
+                     "fan-out members must be a tuple, not %.200s",
+                     Py_TYPE(*members)->tp_name);
         return -1;
     }
+    count = PyTuple_GET_SIZE(*members);
     if (count > *room) {
-        part = PySequence_GetSlice(*members, *room, PY_SSIZE_T_MAX);
+        part = PyTuple_GetSlice(*members, *room, count);
         if (part == NULL) {
             return -1;
         }
@@ -1774,7 +1719,7 @@ take_fan_out(Kernel *k, PyObject *tag, PyObject *first, PyObject **members,
         if (rc < 0) {
             return -1;
         }
-        part = PySequence_GetSlice(*members, 0, *room);
+        part = PyTuple_GetSlice(*members, 0, *room);
         if (part == NULL) {
             return -1;
         }
@@ -1790,47 +1735,35 @@ static int
 put_back(Kernel *k, PyObject *tag, PyObject *first, PyObject *members,
          Py_ssize_t done)
 {
-    PyObject *rest = PySequence_GetSlice(members, done + 1, PY_SSIZE_T_MAX);
-    int rc = 0, any;
+    Py_ssize_t count = PyTuple_GET_SIZE(members);
+    PyObject *rest;
+    int rc;
+    if (done + 1 >= count) {
+        return 0;
+    }
+    rest = PyTuple_GetSlice(members, done + 1, count);
     if (rest == NULL) {
         return -1;
     }
-    any = PyObject_IsTrue(rest);
-    if (any < 0) {
-        rc = -1;
-    }
-    else if (any) {
-        rc = emit(k->appendleft, tag, first, rest);
-    }
+    rc = emit(k->appendleft, tag, first, rest);
     Py_DECREF(rest);
     return rc;
 }
 
-/* Unpack a worklist entry `(tag, first, second)` into new references. */
+/* Unpack a worklist entry, a 3-tuple `(tag, first, second)`, into new
+   references. */
 static int
 unpack(PyObject *entry, PyObject **tag, PyObject **first, PyObject **second)
 {
-    PyObject *items = PySequence_Tuple(entry);
-    if (items == NULL) {
+    if (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a worklist entry must be a (tag, first, second) "
+                        "tuple");
         return -1;
     }
-    if (PyTuple_GET_SIZE(items) != 3) {
-        if (PyTuple_GET_SIZE(items) < 3) {
-            PyErr_Format(PyExc_ValueError,
-                         "not enough values to unpack (expected 3, got %zd)",
-                         PyTuple_GET_SIZE(items));
-        }
-        else {
-            PyErr_SetString(PyExc_ValueError,
-                            "too many values to unpack (expected 3)");
-        }
-        Py_DECREF(items);
-        return -1;
-    }
-    *tag = Py_NewRef(PyTuple_GET_ITEM(items, 0));
-    *first = Py_NewRef(PyTuple_GET_ITEM(items, 1));
-    *second = Py_NewRef(PyTuple_GET_ITEM(items, 2));
-    Py_DECREF(items);
+    *tag = Py_NewRef(PyTuple_GET_ITEM(entry, 0));
+    *first = Py_NewRef(PyTuple_GET_ITEM(entry, 1));
+    *second = Py_NewRef(PyTuple_GET_ITEM(entry, 2));
     return 0;
 }
 
@@ -1908,10 +1841,7 @@ run_kernel(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             if (take_fan_out(&k, tag, first, &second, &room) < 0) {
                 goto error;
             }
-            members = PySequence_Tuple(second);
-            if (members == NULL) {
-                goto error;
-            }
+            members = Py_NewRef(second);
             count = PyTuple_GET_SIZE(members);
             for (member = 0; member < count; member++) {
                 PyObject *x = PyTuple_GET_ITEM(members, member);
@@ -1950,11 +1880,9 @@ run_kernel(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 goto error;
             }
             break;
-        case K_UNKNOWN:
-            PyErr_Format(PyExc_ValueError, "unknown worklist operation %R",
-                         tag);
-            goto error;
         default:
+            PyErr_Format(PyExc_KeyError, "unknown worklist operation %R",
+                         tag);
             goto error;
         }
     }
@@ -1966,7 +1894,7 @@ error:
         /* The current member raised; the members after it have not
            started. */
         save_error(&saved);
-        put_back(&k, tag, first, second, member);
+        put_back(&k, tag, first, members, member);
         restore_error(&saved);
     }
 finally:
@@ -1991,15 +1919,15 @@ finally:
 /* ------------------------------------------------------------------ */
 
 /* What SolverEngine.run does around run_kernel: validation, the random
-   order, the final edge counts and the least solution.  Each function produces exactly the state its Python
-   reference produces.  Where the state holds anything the reference
-   handles by its generic Python semantics (a subclass, an index out of
-   range, an attribute that is not set), the function stops and calls
-   the reference, which then raises or does what it always did; the
-   native work done before that point (find's path compression) is a
-   prefix of the reference's own, so calling it is safe. */
+   order, the final edge counts and the least solution.  Each function
+   produces exactly the state its Python reference produces.  validate
+   hands a system it does not pass to ConstraintSystem.validate, which
+   raises the structured InvalidSystemError for it; the other steps
+   raise TypeError, IndexError or KeyError on a graph the engine does
+   not build, where the reference would raise, loop or read it by
+   Python's generic semantics. */
 
-/* The result a step returns when it hands over to its reference. */
+/* What validate_walk returns to hand the system to its reference. */
 #define HAND_OVER 1
 
 /* The offset of a __slots__ member of a class, or -1. */
@@ -2377,32 +2305,36 @@ typedef struct {
     Py_ssize_t *up;
 } Forest;
 
-/* 0, HAND_OVER unless `parent` is a list of indices into itself and
-   `num_vars` an int within it, or -1 on error. */
+/* Read `parent`, a list of indices into itself, and `num_vars`, an int
+   within it: 0, or -1 with an exception. */
 static int
 forest_load(Forest *f, PyObject *graph)
 {
-    PyObject *num_vars, *item;
+    PyObject *num_vars;
     Py_ssize_t i;
+    int rc;
     memset(f, 0, sizeof *f);
     f->graph = graph;
     if ((f->parent = PyObject_GetAttr(graph, S_parent)) == NULL
             || (num_vars = PyObject_GetAttr(graph, S_num_vars)) == NULL) {
         return -1;
     }
-    if (!PyList_CheckExact(f->parent) || !PyLong_CheckExact(num_vars)) {
+    if (!PyList_CheckExact(f->parent)) {
         Py_DECREF(num_vars);
-        return HAND_OVER;
-    }
-    f->num_vars = PyLong_AsSsize_t(num_vars);
-    Py_DECREF(num_vars);
-    if (f->num_vars == -1 && PyErr_Occurred()) {
-        PyErr_Clear();
-        return HAND_OVER;
+        PyErr_Format(PyExc_TypeError, "parent must be a list, not %.200s",
+                     Py_TYPE(f->parent)->tp_name);
+        return -1;
     }
     f->size = PyList_GET_SIZE(f->parent);
+    rc = as_index(num_vars, &f->num_vars);
+    Py_DECREF(num_vars);
+    if (rc < 0) {
+        return -1;
+    }
     if (f->num_vars < 0 || f->num_vars > f->size) {
-        return HAND_OVER;
+        PyErr_SetString(PyExc_IndexError,
+                        "num_vars is not within the parent list");
+        return -1;
     }
     f->up = PyMem_Malloc((f->size > 0 ? f->size : 1) * sizeof *f->up);
     if (f->up == NULL) {
@@ -2410,17 +2342,9 @@ forest_load(Forest *f, PyObject *graph)
         return -1;
     }
     for (i = 0; i < f->size; i++) {
-        item = PyList_GET_ITEM(f->parent, i);
-        if (!PyLong_CheckExact(item)) {
-            return HAND_OVER;
-        }
-        f->up[i] = PyLong_AsSsize_t(item);
-        if (f->up[i] == -1 && PyErr_Occurred()) {
-            PyErr_Clear();
-            return HAND_OVER;
-        }
-        if (f->up[i] < 0 || f->up[i] >= f->size) {
-            return HAND_OVER;
+        if (index_within(PyList_GET_ITEM(f->parent, i), f->size,
+                         &f->up[i]) < 0) {
+            return -1;
         }
     }
     return 0;
@@ -2434,8 +2358,8 @@ forest_release(Forest *f)
 }
 
 /* graph.find(v) for an index within parent, compressing the path as it
-   does: the representative, or -1 when the pointers from v never reach
-   one (the Python find would not return either). */
+   does: the representative, or -1 with an IndexError when the pointers
+   from v go round a cycle (on which the Python find never returns). */
 static Py_ssize_t
 forest_find(Forest *f, Py_ssize_t v)
 {
@@ -2447,6 +2371,8 @@ forest_find(Forest *f, Py_ssize_t v)
     while (up[root] != root) {
         root = up[root];
         if (++steps > f->size) {
+            PyErr_Format(PyExc_IndexError,
+                         "variable %zd reaches no representative", v);
             return -1;
         }
     }
@@ -2463,48 +2389,47 @@ forest_find(Forest *f, Py_ssize_t v)
 }
 
 /* `raw if parent[raw] == raw else find(raw)` for a bucket member: 0 with
-   the index in *out, or HAND_OVER. */
+   the index in *out, or -1. */
 static int
 forest_canonical(Forest *f, PyObject *raw, Py_ssize_t *out)
 {
     Py_ssize_t v;
-    if (!PyLong_CheckExact(raw)) {
-        return HAND_OVER;
-    }
-    v = PyLong_AsSsize_t(raw);
-    if (v == -1 && PyErr_Occurred()) {
-        PyErr_Clear();
-        return HAND_OVER;
-    }
-    if (v < 0 || v >= f->size) {
-        return HAND_OVER;
+    if (index_within(raw, f->size, &v) < 0) {
+        return -1;
     }
     *out = f->up[v] == v ? v : forest_find(f, v);
-    return *out < 0 ? HAND_OVER : 0;
+    return *out < 0 ? -1 : 0;
 }
 
-/* graph.<name>, a list with a bucket per variable: a new reference, or
-   NULL with *rc set to HAND_OVER or -1. */
+/* graph.<name>, a list with an item per variable: a new reference. */
 static PyObject *
-forest_buckets(Forest *f, PyObject *name, int *rc)
+forest_list(Forest *f, PyObject *name)
 {
-    PyObject *buckets = PyObject_GetAttr(f->graph, name);
-    *rc = -1;
-    if (buckets != NULL && (!PyList_CheckExact(buckets)
-                            || PyList_GET_SIZE(buckets) < f->num_vars)) {
-        Py_CLEAR(buckets);
-        *rc = HAND_OVER;
+    PyObject *items = PyObject_GetAttr(f->graph, name);
+    if (items == NULL) {
+        return NULL;
     }
-    return buckets;
+    if (!PyList_CheckExact(items)) {
+        PyErr_Format(PyExc_TypeError, "%U must be a list, not %.200s", name,
+                     Py_TYPE(items)->tp_name);
+        Py_DECREF(items);
+        return NULL;
+    }
+    if (PyList_GET_SIZE(items) < f->num_vars) {
+        PyErr_Format(PyExc_IndexError, "%U has fewer than num_vars items",
+                     name);
+        Py_DECREF(items);
+        return NULL;
+    }
+    return items;
 }
 
-/* buckets[rep] when it is a set or EMPTY_BUCKET (borrowed), else
-   NULL. */
+/* buckets[rep], a set or EMPTY_BUCKET (borrowed). */
 static PyObject *
 set_at(PyObject *buckets, Py_ssize_t rep)
 {
     PyObject *bucket = PyList_GET_ITEM(buckets, rep);
-    return PySet_CheckExact(bucket) || bucket == EMPTY_BUCKET ? bucket : NULL;
+    return check_bucket(bucket) < 0 ? NULL : bucket;
 }
 
 /* frozenset(bucket), which is the bucket itself when it is
@@ -2516,8 +2441,7 @@ freeze(PyObject *bucket)
                                           : PyFrozenSet_New(bucket);
 }
 
-/* ConstraintGraphBase.finalize_statistics' counts: 0, HAND_OVER or
-   -1. */
+/* ConstraintGraphBase.finalize_statistics' counts: 0 or -1. */
 static int
 final_counts(Forest *f, Py_ssize_t *var_var, Py_ssize_t *source_edges,
              Py_ssize_t *sink_edges)
@@ -2528,18 +2452,16 @@ final_counts(Forest *f, Py_ssize_t *var_var, Py_ssize_t *source_edges,
     size_t *marks = NULL, stamp = 0;
     Py_ssize_t rep, canonical;
     SetIter it;
-    int rc = 0, i, more;
+    int rc = -1, i, more;
 
     for (i = 0; i < 4; i++) {
-        if ((lists[i] = forest_buckets(f, names[i], &rc)) == NULL) {
+        if ((lists[i] = forest_list(f, names[i])) == NULL) {
             goto done;
         }
     }
-    rc = 0;
     marks = PyMem_Calloc(f->size > 0 ? f->size : 1, sizeof *marks);
     if (marks == NULL) {
         PyErr_NoMemory();
-        rc = -1;
         goto done;
     }
     *var_var = *source_edges = *sink_edges = 0;
@@ -2549,7 +2471,6 @@ final_counts(Forest *f, Py_ssize_t *var_var, Py_ssize_t *source_edges,
         }
         for (i = 0; i < 4; i++) {
             if (set_at(lists[i], rep) == NULL) {
-                rc = HAND_OVER;
                 goto done;
             }
         }
@@ -2561,11 +2482,11 @@ final_counts(Forest *f, Py_ssize_t *var_var, Py_ssize_t *source_edges,
             }
             stamp++;
             if (set_iter_start(&it, bucket) < 0) {
-                rc = -1;
                 goto done;
             }
             while ((more = set_iter_next(&it, &raw)) > 0) {
-                if ((rc = forest_canonical(f, raw, &canonical)) != 0) {
+                if (forest_canonical(f, raw, &canonical) < 0) {
+                    more = -1;
                     break;
                 }
                 if (canonical != rep && marks[canonical] != stamp) {
@@ -2575,15 +2496,13 @@ final_counts(Forest *f, Py_ssize_t *var_var, Py_ssize_t *source_edges,
             }
             set_iter_stop(&it);
             if (more < 0) {
-                rc = -1;
-            }
-            if (rc != 0) {
                 goto done;
             }
         }
         *source_edges += PySet_GET_SIZE(PyList_GET_ITEM(lists[2], rep));
         *sink_edges += PySet_GET_SIZE(PyList_GET_ITEM(lists[3], rep));
     }
+    rc = 0;
 done:
     for (i = 0; i < 4; i++) {
         Py_XDECREF(lists[i]);
@@ -2603,27 +2522,19 @@ finalize_statistics(PyObject *module, PyObject *graph)
 {
     Forest f;
     Py_ssize_t var_var = 0, source_edges = 0, sink_edges = 0;
-    PyObject *stats, *result;
+    PyObject *stats;
     int rc = forest_load(&f, graph);
     (void)module;
     if (rc == 0) {
         rc = final_counts(&f, &var_var, &source_edges, &sink_edges);
     }
     forest_release(&f);
-    if (rc < 0) {
+    if (rc < 0 || (stats = PyObject_GetAttr(graph, S_stats)) == NULL) {
         return NULL;
     }
-    if (rc == HAND_OVER) {
-        return PyObject_CallMethodNoArgs(graph, S_finalize_statistics);
-    }
-    stats = PyObject_GetAttr(graph, S_stats);
-    if (stats == NULL) {
-        return NULL;
-    }
-    result = PyObject_CallMethod(stats, "finalize_edges", "nnn", var_var,
-                                 source_edges, sink_edges);
-    Py_DECREF(stats);
-    return result;
+    Py_SETREF(stats, PyObject_CallMethod(stats, "finalize_edges", "nnn",
+                                         var_var, source_edges, sink_edges));
+    return stats;
 }
 
 /* StandardGraph.compute_least_solution: every representative's source
@@ -2633,19 +2544,16 @@ least_standard(Forest *f, PyObject *solution)
 {
     PyObject *sources, *own, *value;
     Py_ssize_t rep;
-    int rc;
-    if ((sources = forest_buckets(f, S_sources, &rc)) == NULL) {
-        return rc;
+    int rc = 0;
+    if ((sources = forest_list(f, S_sources)) == NULL) {
+        return -1;
     }
-    rc = 0;
     for (rep = 0; rep < f->num_vars && rc == 0; rep++) {
         if (f->up[rep] != rep) {
             continue;
         }
-        if ((own = set_at(sources, rep)) == NULL) {
-            rc = HAND_OVER;
-        }
-        else if ((value = freeze(own)) == NULL) {
+        if ((own = set_at(sources, rep)) == NULL
+                || (value = freeze(own)) == NULL) {
             rc = -1;
         }
         else {
@@ -2675,25 +2583,19 @@ by_rank(const void *a, const void *b)
 }
 
 /* The representatives in increasing rank: a new array of *count, or
-   NULL with *rc set to HAND_OVER or -1. */
+   NULL with an exception. */
 static Ranked *
-ranked_reps(Forest *f, Py_ssize_t *count, int *rc)
+ranked_reps(Forest *f, Py_ssize_t *count)
 {
-    PyObject *ranks = PyObject_GetAttr(f->graph, S_ranks), *item;
+    PyObject *ranks = forest_list(f, S_ranks);
     Ranked *reps = NULL;
-    Py_ssize_t rep, rank;
-    *rc = -1;
+    Py_ssize_t rep;
     if (ranks == NULL) {
         return NULL;
-    }
-    *rc = HAND_OVER;
-    if (!PyList_CheckExact(ranks) || PyList_GET_SIZE(ranks) < f->num_vars) {
-        goto fail;
     }
     reps = PyMem_Malloc((f->num_vars > 0 ? f->num_vars : 1) * sizeof *reps);
     if (reps == NULL) {
         PyErr_NoMemory();
-        *rc = -1;
         goto fail;
     }
     *count = 0;
@@ -2701,22 +2603,14 @@ ranked_reps(Forest *f, Py_ssize_t *count, int *rc)
         if (f->up[rep] != rep) {
             continue;
         }
-        item = PyList_GET_ITEM(ranks, rep);
-        if (!PyLong_CheckExact(item)) {
+        if (as_index(PyList_GET_ITEM(ranks, rep), &reps[*count].rank) < 0) {
             goto fail;
         }
-        rank = PyLong_AsSsize_t(item);
-        if (rank == -1 && PyErr_Occurred()) {
-            PyErr_Clear();
-            goto fail;
-        }
-        reps[*count].rank = rank;
         reps[*count].rep = rep;
         (*count)++;
     }
     Py_DECREF(ranks);
     qsort(reps, *count, sizeof *reps, by_rank);
-    *rc = 0;
     return reps;
 fail:
     Py_DECREF(ranks);
@@ -2726,15 +2620,14 @@ fail:
 
 /* canonical_bucket(rep, raw): a new set built as the Python set
    comprehension builds it, so that it iterates in the same order; NULL
-   with *rc set to HAND_OVER or -1. */
+   with an exception. */
 static PyObject *
-canonical_set(Forest *f, Py_ssize_t rep, PyObject *raw_bucket, int *rc)
+canonical_set(Forest *f, Py_ssize_t rep, PyObject *raw_bucket)
 {
     PyObject *out = PySet_New(NULL), *raw;
     Py_ssize_t canonical;
     SetIter it;
     int more;
-    *rc = -1;
     if (out == NULL) {
         return NULL;
     }
@@ -2742,66 +2635,59 @@ canonical_set(Forest *f, Py_ssize_t rep, PyObject *raw_bucket, int *rc)
         Py_DECREF(out);
         return NULL;
     }
-    *rc = 0;
     while ((more = set_iter_next(&it, &raw)) > 0) {
-        if ((*rc = forest_canonical(f, raw, &canonical)) != 0
-                || (*rc = PySet_Add(out, PyList_GET_ITEM(f->parent,
-                                                         canonical))) != 0) {
+        if (forest_canonical(f, raw, &canonical) < 0
+                || PySet_Add(out, PyList_GET_ITEM(f->parent,
+                                                  canonical)) < 0) {
+            more = -1;
             break;
         }
     }
     set_iter_stop(&it);
-    if (more < 0) {
-        *rc = -1;
-    }
-    if (*rc == 0 && PySet_Discard(out, PyList_GET_ITEM(f->parent, rep)) < 0) {
-        *rc = -1;
-    }
-    if (*rc != 0) {
+    if (more < 0
+            || PySet_Discard(out, PyList_GET_ITEM(f->parent, rep)) < 0) {
         Py_CLEAR(out);
     }
     return out;
 }
 
 /* LS(rep) by equation (1), as InductiveGraph.compute_least_solution
-   evaluates it: a new reference, or NULL with *rc set. */
+   evaluates it: a new reference, or NULL with an exception. */
 static PyObject *
 least_of(Forest *f, Py_ssize_t rep, PyObject *raw_preds, PyObject *own,
-         PyObject **solved, int *rc)
+         PyObject **solved)
 {
     PyObject *preds = NULL, *merged = NULL, *value = NULL, *pred, *sum;
     Py_ssize_t index;
     SetIter it;
     int more = 0;
-    *rc = 0;
     if (PySet_GET_SIZE(raw_preds) > 0) {
-        preds = canonical_set(f, rep, raw_preds, rc);
+        preds = canonical_set(f, rep, raw_preds);
         if (preds == NULL) {
             return NULL;
         }
     }
     if (preds == NULL || PySet_GET_SIZE(preds) == 0) {
         value = freeze(own);
-        *rc = value == NULL ? -1 : 0;
         goto done;
     }
-    /* The members of preds are representatives solved before rep; any
-       other is handed over (the Python sweep raises KeyError). */
     if (PySet_GET_SIZE(own) > 0 || PySet_GET_SIZE(preds) > 1) {
         merged = PySet_New(own);
         if (merged == NULL) {
-            *rc = -1;
             goto done;
         }
     }
     if (set_iter_start(&it, preds) < 0) {
-        *rc = -1;
         goto done;
     }
     while ((more = set_iter_next(&it, &pred)) > 0) {
+        /* preds holds representatives from parent, solved before rep
+           unless the graph is not in inductive form: then the Python
+           sweep's solution[pred] raises KeyError. */
         index = PyLong_AsSsize_t(pred);
         if (solved[index] == NULL) {
-            *rc = HAND_OVER;
+            PyErr_SetObject(PyExc_KeyError, pred);
+            more = -1;
             break;
         }
         if (merged == NULL) {
@@ -2812,23 +2698,19 @@ least_of(Forest *f, Py_ssize_t rep, PyObject *raw_preds, PyObject *own,
         /* merged.update(solution[pred]) */
         sum = PyNumber_InPlaceOr(merged, solved[index]);
         if (sum == NULL) {
-            *rc = -1;
+            more = -1;
             break;
         }
         Py_DECREF(sum);
     }
     set_iter_stop(&it);
-    if (more < 0) {
-        *rc = -1;
-    }
-    if (*rc == 0 && value == NULL) {
+    if (more >= 0 && value == NULL) {
         value = PyFrozenSet_New(merged);
-        *rc = value == NULL ? -1 : 0;
     }
 done:
     Py_XDECREF(preds);
     Py_XDECREF(merged);
-    if (*rc != 0) {
+    if (PyErr_Occurred()) {
         Py_CLEAR(value);
     }
     return value;
@@ -2842,35 +2724,33 @@ least_inductive(Forest *f, PyObject *solution)
     PyObject **solved = NULL;
     Ranked *reps = NULL;
     Py_ssize_t count = 0, i, rep;
-    int rc;
-    if ((pred_vars = forest_buckets(f, S_pred_vars, &rc)) == NULL
-            || (sources = forest_buckets(f, S_sources, &rc)) == NULL
-            || (reps = ranked_reps(f, &count, &rc)) == NULL) {
+    int rc = -1;
+    if ((pred_vars = forest_list(f, S_pred_vars)) == NULL
+            || (sources = forest_list(f, S_sources)) == NULL
+            || (reps = ranked_reps(f, &count)) == NULL) {
         goto done;
     }
     solved = PyMem_Calloc(f->size > 0 ? f->size : 1, sizeof *solved);
     if (solved == NULL) {
         PyErr_NoMemory();
-        rc = -1;
         goto done;
     }
-    rc = 0;
-    for (i = 0; i < count && rc == 0; i++) {
+    for (i = 0; i < count; i++) {
         rep = reps[i].rep;
-        raw_preds = set_at(pred_vars, rep);
-        own = set_at(sources, rep);
-        if (raw_preds == NULL || own == NULL) {
-            rc = HAND_OVER;
+        if ((raw_preds = set_at(pred_vars, rep)) == NULL
+                || (own = set_at(sources, rep)) == NULL
+                || (value = least_of(f, rep, raw_preds, own, solved)) == NULL) {
+            goto done;
         }
-        else if ((value = least_of(f, rep, raw_preds, own, solved,
-                                   &rc)) != NULL) {
-            rc = PyDict_SetItem(solution, PyList_GET_ITEM(f->parent, rep),
-                                value);
-            /* The dict keeps value alive. */
-            solved[rep] = value;
-            Py_DECREF(value);
+        rc = PyDict_SetItem(solution, PyList_GET_ITEM(f->parent, rep), value);
+        /* The dict keeps value alive. */
+        solved[rep] = value;
+        Py_DECREF(value);
+        if (rc < 0) {
+            goto done;
         }
     }
+    rc = 0;
 done:
     Py_XDECREF(pred_vars);
     Py_XDECREF(sources);
@@ -2907,11 +2787,8 @@ compute_least_solution(PyObject *module, PyObject *graph)
         }
     }
     forest_release(&f);
-    if (rc != 0) {
+    if (rc < 0) {
         Py_CLEAR(solution);
-    }
-    if (rc == HAND_OVER) {
-        return PyObject_CallMethodNoArgs(graph, S_compute_least_solution);
     }
     return solution;
 }
@@ -3041,37 +2918,19 @@ has_native_hash(PyObject *module, PyObject *cls)
 /* ------------------------------------------------------------------ */
 
 PyDoc_STRVAR(bind_doc,
-"bind(kernel, graph_base)\n--\n\n"
+"bind(kernel)\n--\n\n"
 "Take the worklist tags, the empty bucket, ``Term``, ``Var``, the\n"
 "constructors 0 and 1 and the decreasing search mode from the Python\n"
 "kernel module, which also serves ``flat_plan`` and\n"
-"``_resolve_generic`` at each call, and the reference\n"
-"``collapse_path`` and ``_absorb`` from the graphs' base class.  Give\n"
-"``Term`` and ``Var`` the C hash.");
+"``_resolve_generic`` at each call.  Give ``Term`` and ``Var`` the C\n"
+"hash.");
 
 static PyObject *
-bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+bind(PyObject *module, PyObject *kernel)
 {
-    PyObject *value, *kernel, *collapse_method, *absorb_method;
+    PyObject *value;
     int i;
     (void)module;
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "bind expected 2 arguments, got %zd",
-                     nargs);
-        return NULL;
-    }
-    kernel = args[0];
-    collapse_method = PyObject_GetAttr(args[1], S_collapse_path);
-    if (collapse_method == NULL) {
-        return NULL;
-    }
-    absorb_method = PyObject_GetAttr(args[1], S_absorb);
-    if (absorb_method == NULL) {
-        Py_DECREF(collapse_method);
-        return NULL;
-    }
-    Py_XSETREF(base_collapse_path, collapse_method);
-    Py_XSETREF(base_absorb, absorb_method);
     for (i = 0; bound_names[i].slot != NULL; i++) {
         value = PyObject_GetAttrString(kernel, bound_names[i].name);
         if (value == NULL) {
@@ -3105,7 +2964,7 @@ bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef kernel_methods[] = {
     {"run_kernel", (PyCFunction)(void (*)(void))run_kernel, METH_FASTCALL,
      run_kernel_doc},
-    {"bind", (PyCFunction)(void (*)(void))bind, METH_FASTCALL, bind_doc},
+    {"bind", bind, METH_O, bind_doc},
     {"has_native_hash", has_native_hash, METH_O, has_native_hash_doc},
     {"validate", validate, METH_O, validate_doc},
     {"random_ranks", (PyCFunction)(void (*)(void))random_ranks,

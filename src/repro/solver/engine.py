@@ -24,7 +24,7 @@ from typing import Deque, Dict, FrozenSet, List, Optional
 from ..constraints.errors import ConstraintDiagnostic
 from ..constraints.expressions import Term
 from ..constraints.system import ConstraintSystem
-from ..graph.base import OP_RESOLVE, Op
+from ..graph.base import OP_RESOLVE, ConstraintGraphBase, Op
 from ..graph.inductive import InductiveGraph
 from ..graph.standard import StandardGraph
 from ..graph.stats import SolverStats
@@ -56,6 +56,13 @@ else:
     finalize_statistics = methodcaller("finalize_statistics")
     compute_least_solution = methodcaller("compute_least_solution")
 
+#: The reference cycle collapse, as this module found it.  The native
+#: kernel runs its own copy of it, so a graph class that replaces
+#: either method (a test's fault injection) is closed by the Python
+#: kernel, which calls the graph's methods.
+_REFERENCE_COLLAPSE = (ConstraintGraphBase.collapse_path,
+                       ConstraintGraphBase._absorb)
+
 
 class SolverEngine:
     """Solve one constraint system under one configuration.
@@ -68,9 +75,12 @@ class SolverEngine:
     """
 
     def __init__(self, system: ConstraintSystem,
-                 options: SolverOptions) -> None:
-        if (options.cycles is CyclePolicy.ORACLE
-                and options.alias_map is None):
+                 options: SolverOptions,
+                 alias_map: Optional[Dict[int, int]] = None) -> None:
+        """``alias_map`` (variable index -> witness index) pre-collapses
+        variables before any constraint is processed: the oracle's
+        phase 2 (:func:`~repro.solver.oracle.solve_with_oracle`)."""
+        if options.cycles is CyclePolicy.ORACLE:
             raise ValueError(
                 "oracle runs must go through repro.solver.solve, which "
                 "performs the two-phase witness computation"
@@ -95,6 +105,12 @@ class SolverEngine:
             search_mode=options.search_mode,
             sink=self.sink,
         )
+        #: whether the module's ``run_kernel`` may close the graph
+        #: (see :data:`_REFERENCE_COLLAPSE`)
+        self._reference_collapse = (
+            graph_class.collapse_path,
+            graph_class._absorb,
+        ) == _REFERENCE_COLLAPSE
         for name in ("periodic_interval", "check_stride"):
             value = getattr(options, name)
             if value < 1:
@@ -136,15 +152,15 @@ class SolverEngine:
                 or self._budget is not None
                 or self._cancellation is not None):
             self.graph.enable_journal()
-        if options.alias_map:
-            for var_index, witness_index in options.alias_map.items():
+        if alias_map:
+            for var_index, witness_index in alias_map.items():
                 self.graph.alias(var_index, witness_index)
 
     # ------------------------------------------------------------------
     def run(self) -> Solution:
-        """Close the graph and compute the least solution."""
-        if self.options.validate:
-            validate_system(self.system)
+        """Validate the system, close the graph and compute the least
+        solution."""
+        validate_system(self.system)
         append = self.pending.append
         for left, right in self.system.constraints:
             append((OP_RESOLVE, left, right))
@@ -230,8 +246,13 @@ class SolverEngine:
         splits a fan-out entry at a chunk boundary).  The checks
         observe and stop — they never reorder or skip operations — so
         counters are identical to an unsupervised run.
+
+        The kernel is the module's ``run_kernel`` (the native one when
+        it built), or the Python kernel when the graph's class replaced
+        the reference collapse (:data:`_REFERENCE_COLLAPSE`).
         """
         pending = self.pending
+        run = run_kernel if self._reference_collapse else kernel.run_kernel
         check_stride = self._check_stride
         audit_stride = self._audit_policy.stride
         until_check = 0 if check_stride is not None else _UNBOUNDED
@@ -245,7 +266,7 @@ class SolverEngine:
             if until_audit == 0:
                 self._run_audit()
                 until_audit = audit_stride
-            done = run_kernel(self, min(until_check, until_audit))
+            done = run(self, min(until_check, until_audit))
             until_check -= done
             until_audit -= done
         if self._audit_policy.final:

@@ -13,8 +13,22 @@ forms' ``compute_least_solution``.  Loading it also gives
 reads their cached ``_hash`` slot, so sets hash expressions without a
 Python call; their ``__hash__`` methods stay the reference.  A native
 solve without a trace sink enters Python only for ``flat_plan`` and
-``decompose`` on nested terms and for periodic sweeps.  Importing this
-module compiles it
+``decompose`` on nested terms and for periodic sweeps.
+
+The contract with the engine: :class:`~repro.solver.engine.SolverEngine`
+decides once per engine which kernel closes its graph (the native one,
+unless the graph's class replaces ``collapse_path`` or ``_absorb``,
+which only the Python kernel calls), and every state the native code
+sees was built by the engine or checked by
+:func:`repro.resilience.checkpoint.restore`, where outside state
+enters.  On that state the native code equals its Python reference; on
+anything else it raises :class:`TypeError`, :class:`IndexError` or
+:class:`KeyError` and calls back into no reference.  Only ``validate``
+hands a system it does not pass to :meth:`ConstraintSystem.validate
+<repro.constraints.ConstraintSystem.validate>`, for its structured
+:class:`~repro.constraints.errors.InvalidSystemError`.
+
+Importing this module compiles it
 with the running Python's C compiler and headers (``sysconfig``'s
 ``CC`` and include path) into a cache file named by the source's
 SHA-256 and the interpreter's extension suffix (``EXT_SUFFIX``), then
@@ -23,6 +37,9 @@ user cache directory when that cannot be written.  A build goes to a
 temporary file that :func:`os.replace` moves into place, so processes
 importing at once (``repro.parallel`` workers) never load a
 half-written file, and a cached build of other source is never loaded.
+A build into the package's ``__pycache__`` deletes the builds of other
+source there for the same suffix; builds for other interpreters, and
+the user cache, which other checkouts share, are left alone.
 
 :data:`kernel` is the loaded extension module, whose functions the
 engine (and :class:`~repro.graph.order.RandomOrder`) call, or ``None``
@@ -37,12 +54,12 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
+import re
 import sys
 import warnings
 from types import ModuleType
 from typing import List, Optional, Tuple
 
-from ..graph.base import ConstraintGraphBase
 from . import kernel as python_kernel
 
 #: the C source of the native kernel
@@ -120,15 +137,26 @@ def build(source: str, target: str) -> None:
 
 
 def load_module(path: str) -> ModuleType:
-    """Load a built kernel and bind it to the Python kernel's names and
-    the graphs' collapse methods."""
+    """Load a built kernel and bind it to the Python kernel's names."""
     name = f"{__package__}._kernel"
     loader = importlib.machinery.ExtensionFileLoader(name, path)
     spec = importlib.util.spec_from_file_location(name, path, loader=loader)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
-    module.bind(python_kernel, ConstraintGraphBase)
+    module.bind(python_kernel)
     return module
+
+
+def prune(directory: str, keep: str, suffix: str) -> None:
+    """Delete the kernel builds for ``suffix`` in ``directory`` other
+    than ``keep``: builds of earlier sources."""
+    stale = re.compile(r"_kernel-[0-9a-f]{64}" + re.escape(suffix))
+    for entry in os.listdir(directory):
+        if entry != keep and stale.fullmatch(entry):
+            try:
+                os.unlink(os.path.join(directory, entry))
+            except OSError:
+                pass  # removed by another process, or not ours to remove
 
 
 def load(source: str = SOURCE,
@@ -138,20 +166,27 @@ def load(source: str = SOURCE,
     it is unavailable.
 
     Takes the first of ``directories`` (default :func:`cache_dirs`) that
-    holds the build or can be written to, building there if needed.
+    holds the build or can be written to, building there if needed.  A
+    build into the ``__pycache__`` beside ``source`` deletes the builds
+    of other source there (:func:`prune`).
     """
     try:
         digest = source_digest(source)
     except OSError as error:
         return None, f"cannot read the kernel source: {error}"
     # EXTENSION_SUFFIXES[0] is EXT_SUFFIX, the most specific suffix.
-    name = f"_kernel-{digest}{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    name = f"_kernel-{digest}{suffix}"
+    beside = os.path.join(os.path.dirname(os.path.abspath(source)),
+                          "__pycache__")
     failures = []
     for directory in directories or cache_dirs():
         target = os.path.join(directory, name)
         try:
             if not os.path.exists(target):
                 build(source, target)
+                if os.path.abspath(directory) == beside:
+                    prune(directory, name, suffix)
             return load_module(target), None
         except OSError as error:
             # This directory cannot be used; try the next.

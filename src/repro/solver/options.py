@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..graph.cycles import SearchMode
 from ..graph.order import OrderSpec, RandomOrder
@@ -64,8 +64,6 @@ class SolverOptions:
     #: chain-search direction (only meaningful for SF online; the paper's
     #: algorithm is DECREASING, INCREASING is the Section 4 ablation)
     search_mode: SearchMode = SearchMode.DECREASING
-    #: pre-collapse map variable-index -> witness-index (oracle phase 2)
-    alias_map: Optional[Dict[int, int]] = None
     #: for CyclePolicy.PERIODIC: run a full SCC sweep every this many
     #: processed variable-variable edge additions
     periodic_interval: int = 1000
@@ -93,10 +91,6 @@ class SolverOptions:
     #: "stride-N" (audit every N processed operations, plus final); see
     #: :mod:`repro.resilience.audit`
     audit: Optional[str] = None
-    #: validate the constraint system before closure, turning malformed
-    #: input (stale variable indices, arity mismatches) into structured
-    #: InvalidSystemError instead of IndexError deep in the graph code
-    validate: bool = True
     #: record bucket insertion order so the engine can be checkpointed
     #: with exact counter reproduction on resume (see
     #: :mod:`repro.resilience.checkpoint`); implied by setting a budget

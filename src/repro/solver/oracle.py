@@ -35,18 +35,10 @@ def solve_with_oracle(
     system: ConstraintSystem, options: SolverOptions
 ) -> Solution:
     """Run the two-phase oracle experiment for ``options.form``."""
-    phase1_options = options.replace(
-        cycles=CyclePolicy.NONE,
-        alias_map=None,
-        sink=None,
-    )
-    phase1 = SolverEngine(system, phase1_options).run()
+    plain = options.replace(cycles=CyclePolicy.NONE)
+    phase1 = SolverEngine(system, plain.replace(sink=None)).run()
     mapping = witness_map(range(system.num_vars), phase1.var_edges)
-    phase2_options = options.replace(
-        cycles=CyclePolicy.NONE,
-        alias_map=mapping,
-    )
-    solution = SolverEngine(system, phase2_options).run()
+    solution = SolverEngine(system, plain, alias_map=mapping).run()
     # Present the run under its true label (e.g. "IF-Oracle").
     solution.options = options
     solution.oracle_phase1 = phase1

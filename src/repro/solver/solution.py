@@ -126,14 +126,15 @@ class Solution:
     def var_edges(self) -> Optional[Set[Tuple[int, int]]]:
         """The final var-var constraint graph over original variable ids.
 
-        Defined for runs that collapsed nothing (``CyclePolicy.NONE``
-        without an ``alias_map``): their graph stores every processed
-        var-var constraint except self loops, at its original ids.
-        ``None`` for every other run, whose stored edges are between
+        Defined for runs that collapsed nothing (``CyclePolicy.NONE``,
+        and no variable forwarded in ``parent``, as the oracle's phase
+        2 forwards them): their graph stores every processed var-var
+        constraint except self loops, at its original ids.  ``None``
+        for every other run, whose stored edges are between
         representatives.
         """
-        options = self.options
-        if options.cycles is not CyclePolicy.NONE or options.alias_map:
+        if self.options.cycles is not CyclePolicy.NONE or any(
+                up != var for var, up in enumerate(self.graph.parent)):
             return None
         succ_vars = self.graph.succ_vars
         pred_vars = self.graph.pred_vars

@@ -111,6 +111,26 @@ class TestFailureSemantics:
         assert [r.ok for r in results] == [True, False, True], outcomes
         assert results[0].value == 2 and results[2].value == 4, outcomes
 
+    def test_result_sent_just_before_exit_is_not_a_crash(self,
+                                                         monkeypatch):
+        """A child that sends its result and exits while the parent
+        looks at it is settled ok, not as a crash with exit code 0.  An
+        ``is_alive`` that first waits for the child to exit makes that
+        interleaving happen every time."""
+        from multiprocessing.process import BaseProcess
+
+        real_is_alive = BaseProcess.is_alive
+
+        def is_alive_after_exit(process):
+            process.join()
+            return real_is_alive(process)
+
+        monkeypatch.setattr(BaseProcess, "is_alive", is_alive_after_exit)
+        results = run_tasks(sleepy, [TaskSpec("late", 0.3)], jobs=1,
+                            retries=0)
+        outcomes = [(r.kind, r.value, r.error) for r in results]
+        assert outcomes == [(None, "woke", None)], outcomes
+
 
 def mixed_worker(payload):
     if payload is None:

@@ -15,6 +15,7 @@ from repro.resilience import (
     capture,
     restore,
 )
+from repro.resilience.checkpoint import _dump_state, _load_state
 from repro.solver import SolverEngine, SolverOptions
 from repro.solver import engine as engine_module
 from repro.solver import kernel as python_kernel
@@ -135,6 +136,48 @@ def test_restore_rejects_mismatched_system():
             options_for("SF-Plain", checkpointable=True),
             checkpoint,
         )
+
+
+def forward_out_of_range(state):
+    state["parent"][3] = len(state["parent"])
+
+
+def forward_round_a_cycle(state):
+    state["parent"][3], state["parent"][4] = 4, 3
+
+
+def log_unknown_bucket(state):
+    state["log"] += (4, 0, 1)
+
+
+def log_var_out_of_range(state):
+    state["log"] += (0, len(state["parent"]), 1)
+
+
+def log_cut_record(state):
+    state["log"].append(0)
+
+
+@pytest.mark.parametrize("corrupt", [
+    forward_out_of_range, forward_round_a_cycle, log_unknown_bucket,
+    log_var_out_of_range, log_cut_record,
+])
+def test_restore_refuses_state_the_kernel_would_not_trust(corrupt):
+    """Restore is where outside state enters an engine: a ``parent``
+    that does not forward every variable to a representative, or a log
+    record outside the graph, is refused, not handed to a kernel."""
+    system = make_system()
+    engine = SolverEngine(system, SolverOptions(checkpointable=True))
+    engine.run()
+    checkpoint = capture(engine)
+    payload = checkpoint.payload
+    meta = payload["meta"]
+    state = _load_state(payload["state"], system, meta["num_constructors"],
+                        meta["num_vars"], meta["num_constraints"])
+    corrupt(state)
+    payload["state"] = _dump_state(state, system)
+    with pytest.raises(CheckpointError):
+        restore(system, SolverOptions(checkpointable=True), checkpoint)
 
 
 def test_save_load_file_round_trip(tmp_path):

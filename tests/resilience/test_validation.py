@@ -6,7 +6,7 @@ from repro import ConstraintSystem, Variance
 from repro.constraints.constructors import Constructor
 from repro.constraints.errors import InvalidSystemError
 from repro.constraints.expressions import Term, Var
-from repro.solver import SolverOptions, solve
+from repro.solver import solve
 
 COV = Variance.COVARIANT
 
@@ -120,13 +120,3 @@ class TestSolveIntegration:
         smuggle(system, v, Var(99, "stale"))
         with pytest.raises(InvalidSystemError):
             solve(system)
-
-    def test_validation_can_be_disabled(self):
-        system = ConstraintSystem()
-        (v,) = system.fresh_vars(1)
-        smuggle(system, v, Var(99, "stale"))
-        # Without validation the stale index leaks a raw low-level
-        # error from the graph code — the failure mode validation
-        # exists to prevent.
-        with pytest.raises((IndexError, KeyError)):
-            solve(system, SolverOptions(validate=False))

@@ -3,8 +3,9 @@
 The counter-identity gate (``repro.bench --baseline``) covers the
 kernel end to end; these tests pin the edge cases it would only hit by
 chance: a fan-out cut by a supervision boundary, checkpoints taken with
-fan-outs pending, tags that are equal but not identical, and the pairs
-that must still go through ``decompose``.
+fan-outs pending, unpickled tags, which restore maps back to the
+module's constants, and the pairs that must still go through
+``decompose``.
 
 Each test class runs on the Python kernel; its ``...Native`` subclass
 runs the same tests on the native kernel (:mod:`repro.solver.native`).
@@ -32,6 +33,7 @@ from repro.graph.base import (
 )
 from repro.resilience import (
     CancellationToken,
+    CheckpointError,
     EngineCheckpoint,
     SolveBudget,
     capture,
@@ -211,24 +213,41 @@ class TestCheckpointWorklist(KernelCase):
         assert counters_of(restored.resume()) == uninterrupted(system, label)
 
 
+def round_trip(system, engine, label):
+    """``engine`` captured, encoded, decoded and restored."""
+    return restore(
+        system, options_for(label, checkpointable=True),
+        EngineCheckpoint.from_bytes(capture(engine).to_bytes()))
+
+
 class TestTagValues(KernelCase):
     @pytest.mark.parametrize("label", ONLINE_LABELS)
     def test_equal_but_not_identical_tags(self, label):
         """Unpickled tags are equal strings, not the module constants;
-        the kernel must dispatch them the same way."""
+        restore maps each back to its constant, which the native kernel
+        dispatches on by identity."""
         system = make_system()
         engine = stop_with_fan_out_pending(system, label)
-        copied = []
-        for tag, first, second in engine.pending:
-            twin = "".join(list(tag))
-            assert twin == tag and twin is not tag
-            copied.append((twin, first, second))
-        engine.pending.clear()
-        engine.pending.extend(copied)
-        solution = engine.resume()
-        while solution.is_partial:
-            solution = engine.resume()
-        assert counters_of(solution) == uninterrupted(system, label)
+        restored = round_trip(system, engine, label)
+        constants = {id(tag) for tag in WORKLIST_TAGS}
+        assert restored.pending
+        assert all(id(tag) in constants for tag, _, _ in restored.pending)
+        assert list(restored.pending) == list(engine.pending)
+        assert counters_of(restored.resume()) == uninterrupted(system,
+                                                               label)
+
+    @pytest.mark.parametrize("entry", [
+        ("vv", 0, (1,)),          # an edge kind, not a worklist tag
+        (OP_SUCC_FAN, 0, [1]),    # fan-out members not a tuple
+        (OP_SINK, 0),             # not a 3-tuple
+        [OP_SUCC_FAN, 0, (1,)],   # not a tuple
+    ], ids=["unknown-tag", "list-members", "pair", "list-entry"])
+    def test_malformed_entry_is_refused(self, entry):
+        system = make_system()
+        engine = stop_with_fan_out_pending(system, "IF-Online")
+        engine.pending.append(entry)
+        with pytest.raises(CheckpointError):
+            round_trip(system, engine, "IF-Online")
 
 
 def as_worklist_entries(atoms):

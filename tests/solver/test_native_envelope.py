@@ -6,8 +6,10 @@ Each must leave exactly the state its Python reference leaves: the same
 counts, the same least-solution dict in the same order, frozensets that
 iterate in the same order and are shared between the same variables,
 the same ``parent`` list after ``find``'s path compression, and the same
-:class:`InvalidSystemError` for a faulty system.  (The random order's
-ranks are pinned in ``tests/graph/test_order.py``.)
+:class:`InvalidSystemError` for a faulty system.  On a graph the engine
+does not build, the final counts and the least solution raise instead
+of calling their reference.  (The random order's ranks are pinned in
+``tests/graph/test_order.py``.)
 """
 
 from operator import methodcaller
@@ -141,7 +143,7 @@ def test_random_systems(label):
 
 
 # ----------------------------------------------------------------------
-# Graphs the native steps hand over to the Python reference
+# Graphs the engine does not build
 # ----------------------------------------------------------------------
 def chain_graph(graph_class):
     """Three variables, 2 -> 1 -> 0 in parent, with sources and edges."""
@@ -157,13 +159,13 @@ def chain_graph(graph_class):
 
 
 def odd_bucket(graph):
-    """A bucket holding a bool, which only the Python reference reads."""
+    """A bucket holding a bool where the engine stores int indices."""
     graph.pred_vars[0].add(True)
 
 
 def stale_index(graph):
-    """A bucket member past the end of ``parent``: IndexError."""
-    graph.succ_vars[0].add(7)
+    """A bucket member past the end of ``parent``."""
+    graph.pred_vars[0].add(7)
 
 
 def set_subclass(graph):
@@ -173,27 +175,41 @@ def set_subclass(graph):
     graph.sources[0] = Bucket(graph.sources[0])
 
 
+def parent_cycle(graph):
+    """1 -> 2 -> 1 in ``parent``, on which the Python ``find`` would
+    never return."""
+    graph.parent[1] = 2
+
+
 @pytest.mark.parametrize("graph_class", [StandardGraph, InductiveGraph])
-@pytest.mark.parametrize("change", [odd_bucket, stale_index, set_subclass])
+@pytest.mark.parametrize("change",
+                         [odd_bucket, stale_index, set_subclass, parent_cycle])
 @pytest.mark.parametrize("step", ["finalize_statistics",
                                   "compute_least_solution"])
-def test_handed_over(graph_class, change, step):
-    outcomes = {}
-    for name, steps in STEPS.items():
+def test_handed_over(graph_class, change, step, monkeypatch):
+    """Nothing is handed over to the Python reference: where a native
+    step reads the changed state, it raises.  A standard-form least
+    solution reads only ``sources`` and whether each ``parent`` entry
+    points to itself, so it solves the graphs changed elsewhere as the
+    reference does."""
+    expected = None
+    if (graph_class is StandardGraph and step == "compute_least_solution"
+            and change is not set_subclass):
         graph = chain_graph(graph_class)
         change(graph)
-        try:
-            result = steps[step](graph)
-        except Exception as error:
-            result = (type(error), str(error))
-        if isinstance(result, dict):
-            result = least_state(result)
-        outcomes[name] = (
-            result,
-            list(graph.parent),
-            [getattr(graph.stats, count) for count in COUNTS],
-        )
-    assert outcomes["native"] == outcomes["python"]
+        expected = least_state(graph.compute_least_solution())
+
+    def reference(self):
+        raise AssertionError("handed over to the Python reference")
+
+    monkeypatch.setattr(graph_class, step, reference)
+    graph = chain_graph(graph_class)
+    change(graph)
+    if expected is None:
+        with pytest.raises((TypeError, IndexError, KeyError)):
+            STEPS["native"][step](graph)
+    else:
+        assert least_state(STEPS["native"][step](graph)) == expected
 
 
 # ----------------------------------------------------------------------

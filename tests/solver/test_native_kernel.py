@@ -48,8 +48,8 @@ def make_engine(system, label, seed, **overrides):
     if options.cycles is CyclePolicy.ORACLE:
         plain = label.replace("Oracle", "Plain")
         phase1 = SolverEngine(system, options_for(plain, seed=seed)).run()
-        options = options.replace(
-            cycles=CyclePolicy.NONE,
+        return SolverEngine(
+            system, options.replace(cycles=CyclePolicy.NONE),
             alias_map=witness_map(range(system.num_vars), phase1.var_edges))
     return SolverEngine(system, options)
 

@@ -1,5 +1,6 @@
 """Building, caching and falling back: :mod:`repro.solver.native`."""
 
+import importlib.machinery
 import json
 import os
 import shutil
@@ -74,28 +75,69 @@ def test_without_a_compiler_solves_on_the_python_kernel(tmp_path):
 
 
 @native_only
-def test_a_build_of_other_source_is_never_loaded(tmp_path, monkeypatch):
+def test_a_build_of_other_source_is_never_loaded(tmp_path):
+    """Run in a child: loading a second build in this process would give
+    ``Term`` and ``Var`` that build's hash, which the loaded kernel's
+    ``has_native_hash`` does not know."""
+    script = """
+        import os, sys
+        from repro.solver import native
+
+        source, cache = sys.argv[1], sys.argv[2]
+        original = open(native.SOURCE, "rb").read()
+        open(source, "wb").write(original)
+        first, error = native.load(source, [cache])
+        assert error is None, error
+        open(source, "wb").write(original + b"\\n/* edited */\\n")
+        builds = []
+        real_build = native.build
+
+        def recording_build(source_path, target):
+            builds.append(target)
+            real_build(source_path, target)
+
+        native.build = recording_build
+        second, error = native.load(source, [cache])
+        assert error is None, error
+        assert builds == [second.__file__] != [first.__file__], builds
+        assert native.source_digest(source) in second.__file__
+        # Not the __pycache__ beside the source: nothing is deleted.
+        assert sorted(os.listdir(cache)) == sorted(
+            os.path.basename(module.__file__)
+            for module in (first, second))
+    """
+    finish(run_python(script, str(tmp_path / "_kernel.c"),
+                      str(tmp_path / "cache")))
+
+
+def test_a_build_beside_the_source_deletes_older_builds(tmp_path,
+                                                        monkeypatch):
+    """A build into the ``__pycache__`` beside the source deletes the
+    builds of other source for this interpreter, and nothing else."""
     source = tmp_path / "_kernel.c"
-    cache = tmp_path / "cache"
-    original = open(native.SOURCE, "rb").read()
-    source.write_bytes(original)
-    first, error = native.load(str(source), [str(cache)])
+    source.write_bytes(b"/* the current source */\n")
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    older = f"_kernel-{'0' * 64}{suffix}"
+    kept = [
+        f"_kernel-{'0' * 64}.cpython-99-other.so",  # another interpreter
+        f".kernel-{'0' * 8}.tmp",  # a build in progress
+        "kernel.cpython-311.pyc",
+    ]
+    for name in [older, *kept]:
+        (cache / name).write_bytes(b"")
+    monkeypatch.setattr(native, "build",
+                        lambda source, target: open(target, "wb").close())
+    monkeypatch.setattr(native, "load_module", os.path.basename)
+    built, error = native.load(str(source), [str(cache)])
     assert error is None
-    source.write_bytes(original + b"\n/* edited */\n")
-    builds = []
-    real_build = native.build
-
-    def recording_build(source_path, target):
-        builds.append(target)
-        real_build(source_path, target)
-
-    monkeypatch.setattr(native, "build", recording_build)
-    second, error = native.load(str(source), [str(cache)])
-    assert error is None
-    assert builds == [second.__file__] != [first.__file__]
-    assert native.source_digest(str(source)) in second.__file__
-    assert sorted(os.listdir(cache)) == sorted(
-        os.path.basename(module.__file__) for module in (first, second))
+    assert built == f"_kernel-{native.source_digest(str(source))}{suffix}"
+    assert sorted(os.listdir(cache)) == sorted([built, *kept])
+    # A cached build is loaded without a build, so nothing is deleted.
+    (cache / older).write_bytes(b"")
+    assert native.load(str(source), [str(cache)]) == (built, None)
+    assert older in os.listdir(cache)
 
 
 @native_only
