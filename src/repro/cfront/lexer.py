@@ -9,6 +9,9 @@ the punctuators longest first.  :class:`Lexer` advances with one
 ``match(source, pos)`` per lexeme.  Positions are 1-based, and newlines
 inside directives, comments and literals (backslash continuations)
 count.
+
+:func:`tokenize` runs the native lexer when it built
+(:mod:`repro.cfront.native`); :meth:`Lexer.tokens` stays the reference.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import re
 from typing import List
 
+from . import native
 from .errors import LexError
 from .tokens import (
     CHAR_CONST,
@@ -132,6 +136,12 @@ class Lexer:
         return out
 
 
-def tokenize(source: str, filename: str = "<input>") -> List[Token]:
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source, filename).tokens()
+if native.lexer is not None:
+    #: Lex ``source`` into a token list: the native lexer, which gives
+    #: :meth:`Lexer.tokens`' tokens or error (see
+    #: :mod:`repro.cfront.native`).
+    tokenize = native.lexer.tokenize
+else:
+    def tokenize(source: str, filename: str = "<input>") -> List[Token]:
+        """Lex ``source`` into a token list (the Python lexer)."""
+        return Lexer(source, filename).tokens()

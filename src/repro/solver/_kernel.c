@@ -1918,14 +1918,15 @@ finally:
 /* The solve envelope                                                   */
 /* ------------------------------------------------------------------ */
 
-/* What SolverEngine.run does around run_kernel: validation, the random
-   order, the final edge counts and the least solution.  Each function
-   produces exactly the state its Python reference produces.  validate
-   hands a system it does not pass to ConstraintSystem.validate, which
-   raises the structured InvalidSystemError for it; the other steps
-   raise TypeError, IndexError or KeyError on a graph the engine does
-   not build, where the reference would raise, loop or read it by
-   Python's generic semantics. */
+/* What SolverEngine.run does around run_kernel: validation, the first
+   worklist entries, the random order, the final edge counts and the
+   least solution.  Each function produces exactly the state its Python
+   reference produces.  validate hands a system it does not pass to
+   ConstraintSystem.validate, which raises the structured
+   InvalidSystemError for it; the other steps raise TypeError,
+   IndexError or KeyError on a graph the engine does not build, where
+   the reference would raise, loop or read it by Python's generic
+   semantics. */
 
 /* What validate_walk returns to hand the system to its reference. */
 #define HAND_OVER 1
@@ -2160,6 +2161,45 @@ validate(PyObject *module, PyObject *system)
         return PyObject_CallMethodNoArgs(system, S_validate);
     }
     Py_RETURN_NONE;
+}
+
+PyDoc_STRVAR(resolution_entries_doc,
+"resolution_entries(constraints)\n--\n\n"
+"The worklist entries that start a batch solve of ``constraints``, a\n"
+"tuple of ``(left, right)`` tuples: one ``(OP_RESOLVE, left, right)``\n"
+"per constraint, in order.");
+
+static PyObject *
+resolution_entries(PyObject *module, PyObject *constraints)
+{
+    PyObject *entries, *pair, *entry;
+    Py_ssize_t count, i;
+    (void)module;
+    if (!PyTuple_CheckExact(constraints)) {
+        PyErr_SetString(PyExc_TypeError, "constraints must be a tuple");
+        return NULL;
+    }
+    count = PyTuple_GET_SIZE(constraints);
+    if ((entries = PyList_New(count)) == NULL) {
+        return NULL;
+    }
+    for (i = 0; i < count; i++) {
+        pair = PyTuple_GET_ITEM(constraints, i);
+        if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a constraint must be a (left, right) tuple");
+            Py_DECREF(entries);
+            return NULL;
+        }
+        entry = PyTuple_Pack(3, OP_RESOLVE, PyTuple_GET_ITEM(pair, 0),
+                             PyTuple_GET_ITEM(pair, 1));
+        if (entry == NULL) {
+            Py_DECREF(entries);
+            return NULL;
+        }
+        PyList_SET_ITEM(entries, i, entry);
+    }
+    return entries;
 }
 
 /* Words of the Mersenne Twister, drawn in batches through
@@ -2967,6 +3007,8 @@ static PyMethodDef kernel_methods[] = {
     {"bind", bind, METH_O, bind_doc},
     {"has_native_hash", has_native_hash, METH_O, has_native_hash_doc},
     {"validate", validate, METH_O, validate_doc},
+    {"resolution_entries", resolution_entries, METH_O,
+     resolution_entries_doc},
     {"random_ranks", (PyCFunction)(void (*)(void))random_ranks,
      METH_FASTCALL, random_ranks_doc},
     {"finalize_statistics", finalize_statistics, METH_O,

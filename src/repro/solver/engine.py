@@ -24,7 +24,7 @@ from typing import Deque, Dict, FrozenSet, List, Optional
 from ..constraints.errors import ConstraintDiagnostic
 from ..constraints.expressions import Term
 from ..constraints.system import ConstraintSystem
-from ..graph.base import OP_RESOLVE, ConstraintGraphBase, Op
+from ..graph.base import ConstraintGraphBase, Op
 from ..graph.inductive import InductiveGraph
 from ..graph.standard import StandardGraph
 from ..graph.stats import SolverStats
@@ -48,11 +48,13 @@ _UNBOUNDED = sys.maxsize
 if native.kernel is not None:
     run_kernel = native.kernel.run_kernel
     validate_system = native.kernel.validate
+    resolution_entries = native.kernel.resolution_entries
     finalize_statistics = native.kernel.finalize_statistics
     compute_least_solution = native.kernel.compute_least_solution
 else:
     run_kernel = kernel.run_kernel
     validate_system = methodcaller("validate")
+    resolution_entries = kernel.resolution_entries
     finalize_statistics = methodcaller("finalize_statistics")
     compute_least_solution = methodcaller("compute_least_solution")
 
@@ -161,9 +163,7 @@ class SolverEngine:
         """Validate the system, close the graph and compute the least
         solution."""
         validate_system(self.system)
-        append = self.pending.append
-        for left, right in self.system.constraints:
-            append((OP_RESOLVE, left, right))
+        self.pending.extend(resolution_entries(self.system.constraints))
         return self._complete()
 
     def resume(self) -> Solution:

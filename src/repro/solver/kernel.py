@@ -393,6 +393,12 @@ def run_kernel(engine: "SolverEngine", limit: int) -> int:
     return limit - room
 
 
+def resolution_entries(constraints) -> list:
+    """The worklist entries that start a batch solve of ``constraints``:
+    one ``(OP_RESOLVE, left, right)`` per constraint, in order."""
+    return [(OP_RESOLVE, left, right) for left, right in constraints]
+
+
 def _resolve_generic(engine: "SolverEngine", left, right) -> None:
     """Resolve one pair through ``decompose`` and report its clashes."""
     diagnostics = engine.diagnostics

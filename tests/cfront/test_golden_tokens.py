@@ -5,14 +5,16 @@ over every token (EOF included) of one program, so any change to a
 token's kind, text or position shows up here.  The programs are every
 ``FULL_SUITE`` benchmark, every hand-written workload program, and a
 small source that exercises the token classes the generator never
-emits (comments, directives, escapes, every punctuator).
+emits (comments, directives, escapes, every punctuator).  Both lexers
+are pinned: :func:`tokenize` (the native lexer when it built) and the
+Python reference ``Lexer(source).tokens()``.
 """
 
 import hashlib
 
 import pytest
 
-from repro.cfront import tokenize
+from repro.cfront import Lexer, tokenize
 from repro.workloads import ALL_PROGRAMS, FULL_SUITE, generate_program
 
 LEXICON = r"""#include <stdio.h>
@@ -109,9 +111,9 @@ SOURCES.update(ALL_PROGRAMS)
 SOURCES["lexicon"] = LEXICON
 
 
-def stream_digest(source):
+def stream_digest(source, lex=tokenize):
     digest = hashlib.sha256()
-    for token in tokenize(source):
+    for token in lex(source):
         digest.update(
             f"{token.kind}\0{token.text}\0{token.line}\0{token.column}\n"
             .encode()
@@ -129,3 +131,14 @@ def test_token_stream_matches_golden(name):
     if not isinstance(source, str):
         source = generate_program(source)
     assert stream_digest(source) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(SOURCES))
+def test_python_lexer_matches_golden(name):
+    """The Python reference lexer, which :func:`tokenize` is not when
+    the native lexer built, gives the same streams."""
+    source = SOURCES[name]
+    if not isinstance(source, str):
+        source = generate_program(source)
+    assert stream_digest(source, lambda text: Lexer(text).tokens()) == (
+        GOLDEN[name])

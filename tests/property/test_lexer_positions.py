@@ -6,12 +6,14 @@ each token's ``(line, column)`` must point at its own text in the
 source; the EOF token must point just past the last character.  Both
 position rules that are easy to get wrong are exercised: newlines
 inside literals (backslash continuations) and comments, and a source
-that ends in a ``//`` comment.
+that ends in a ``//`` comment.  Both lexers are checked:
+:func:`tokenize` (the native lexer when it built) and the Python
+reference ``Lexer(source).tokens()``.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cfront import tokenize
+from repro.cfront import Lexer, tokenize
 from repro.cfront.tokens import KEYWORDS, PUNCTUATORS
 
 _PLAIN = st.text(
@@ -69,11 +71,9 @@ def line_offsets(source):
     return [0] + [i + 1 for i, char in enumerate(source) if char == "\n"]
 
 
-@given(sources())
-@settings(max_examples=200, deadline=None)
-def test_tokens_are_the_lexemes_at_their_positions(case):
+def check_positions(lex, case):
     lexemes, source = case
-    *tokens, eof = tokenize(source)
+    *tokens, eof = lex(source)
     assert [token.text for token in tokens] == lexemes
     starts = line_offsets(source)
     for token in tokens:
@@ -83,3 +83,15 @@ def test_tokens_are_the_lexemes_at_their_positions(case):
         assert "\n" not in source[starts[token.line - 1]:offset], token
     assert starts[eof.line - 1] + eof.column - 1 == len(source)
     assert eof.line == len(starts)
+
+
+@given(sources())
+@settings(max_examples=200, deadline=None)
+def test_tokens_are_the_lexemes_at_their_positions(case):
+    check_positions(tokenize, case)
+
+
+@given(sources())
+@settings(max_examples=200, deadline=None)
+def test_python_lexer_tokens_are_the_lexemes_at_their_positions(case):
+    check_positions(lambda source: Lexer(source).tokens(), case)

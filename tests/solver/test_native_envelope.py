@@ -1,15 +1,17 @@
 """The native solve envelope against its Python reference.
 
-The engine's steps around the closure kernel — validation, the final
-edge counts and the least solution — run natively when the kernel built.
+The engine's steps around the closure kernel — validation, the first
+worklist entries, the final edge counts and the least solution — run
+natively when the kernel built.
 Each must leave exactly the state its Python reference leaves: the same
 counts, the same least-solution dict in the same order, frozensets that
 iterate in the same order and are shared between the same variables,
 the same ``parent`` list after ``find``'s path compression, and the same
 :class:`InvalidSystemError` for a faulty system.  On a graph the engine
 does not build, the final counts and the least solution raise instead
-of calling their reference.  (The random order's ranks are pinned in
-``tests/graph/test_order.py``.)
+of calling their reference.  The first worklist entries of a batch
+solve must hold the same objects.  (The random order's ranks are pinned
+in ``tests/graph/test_order.py``.)
 """
 
 from operator import methodcaller
@@ -28,6 +30,7 @@ from repro.graph.stats import SolverStats
 from repro.resilience import SolveBudget
 from repro.solver import SolverEngine
 from repro.solver import engine as engine_module
+from repro.solver import kernel as python_kernel
 from repro.solver import native
 from repro.workloads import suite
 
@@ -262,3 +265,26 @@ def test_validate_quick_suite_natively(name, monkeypatch):
 
     monkeypatch.setattr(ConstraintSystem, "validate", reference)
     assert native.kernel.validate(_quick_system(name)) is None
+
+
+@pytest.mark.parametrize("name", [b.name for b in suite("quick")])
+def test_resolution_entries(name):
+    """A batch solve's first worklist entries hold the constraints' own
+    objects, the reference's tag included, in order."""
+    constraints = _quick_system(name).constraints
+    expected = python_kernel.resolution_entries(constraints)
+    entries = native.kernel.resolution_entries(constraints)
+    assert entries == expected
+    assert [tuple(map(id, entry)) for entry in entries] == [
+        tuple(map(id, entry)) for entry in expected]
+    assert all(type(entry) is tuple for entry in entries)
+
+
+@pytest.mark.parametrize("constraints", [
+    [(Var(0, "x"), Var(1, "y"))],
+    ([Var(0, "x"), Var(1, "y")],),
+    ((Var(0, "x"),),),
+])
+def test_resolution_entries_refuse_other_shapes(constraints):
+    with pytest.raises(TypeError):
+        native.kernel.resolution_entries(constraints)
